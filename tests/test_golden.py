@@ -1,0 +1,99 @@
+"""Golden reports: stdout and exit code of ``cli.main`` for a fixed set of argv.
+
+Every mode, including the ``compute-homology`` alias, runs in each output
+format, on passing and on failing configurations. The fixtures under
+``tests/golden/`` hold the expected stdout, one file per case, and
+``tests/golden/exit_codes.json`` the expected exit codes. A refactor that
+keeps the program's behaviour keeps all of them byte-identical.
+
+Regenerate the fixtures (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from brieskorn import cli, tolerances
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+FORMATS = ("json", "tsv", "text")
+
+# (case name, argv without --format); floors stay >= -20 and samples <= 50
+CASES = (
+    ("invariants-2-3-7", ["invariants", "--exponents", "2,3,7"]),
+    ("invariants-2-2-2-3", ["invariants", "--exponents", "2,2,2,3"]),
+    ("generators-default", ["generators", "--exponents", "2,3,7"]),
+    ("generators-floor", ["generators", "--exponents", "2,3,7", "--grading-floor", "-6"]),
+    ("generators-action", ["generators", "--exponents", "2,3,7", "--action-bound", "5/2"]),
+    ("complex", ["complex", "--exponents", "2,3,7", "--classes", "2"]),
+    ("homology", ["homology", "--exponents", "2,3,7", "--grading-floor", "-10"]),
+    ("compute-homology",
+     ["compute-homology", "--exponents", "2,3,11", "--grading-floor", "-6"]),
+    ("compare", ["compare", "--exponents", "2,2,2,3", "--grading-floor", "-12"]),
+    ("compare-extra-classes",
+     ["compare", "--exponents", "2,3,7", "--grading-floor", "-20", "--classes", "12"]),
+    ("verify-geometry-2-3-7", ["verify-geometry", "--exponents", "2,3,7"]),
+    ("verify-geometry-2-3-5-7",
+     ["verify-geometry", "--exponents", "2,3,5,7", "--samples", "10", "--seed", "3"]),
+    ("verify-geometry-loose-tol",
+     ["verify-geometry", "--exponents", "2,3,7", "--tol", "area=1e-6",
+      "--tol", "invariance=1e-7"]),
+    ("verify-dynamics-2-3-7",
+     ["verify-dynamics", "--exponents", "2,3,7", "--samples", "50", "--seed", "7"]),
+    ("verify-dynamics-epsilons",
+     ["verify-dynamics", "--exponents", "2,3,7", "--samples", "10", "--epsilon", "0.5",
+      "--epsilon", "1e-4", "--iterates", "3"]),
+    # failing configurations
+    ("not-hyperbolic", ["invariants", "--exponents", "2,3,5"]),
+    ("invalid-exponent", ["invariants", "--exponents", "1,3,7"]),
+    ("incomplete-window",
+     ["homology", "--exponents", "2,3,7", "--grading-floor", "-10", "--classes", "2"]),
+    ("exclusive-filters",
+     ["generators", "--exponents", "2,3,7", "--action-bound", "2", "--grading-floor", "-4"]),
+    ("malformed-tol", ["invariants", "--exponents", "2,3,7", "--tol", "nonsense"]),
+    ("verify-geometry-area-tol",
+     ["verify-geometry", "--exponents", "2,3,7", "--tol", "area=1e-30"]),
+    ("verify-geometry-50-60-70", ["verify-geometry", "--exponents", "50,60,70"]),
+    ("verify-dynamics-2-3-5-7",
+     ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "50"]),
+    ("verify-dynamics-zero-epsilon",
+     ["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "0",
+      "--iterates", "1"]),
+)
+
+IDS = [f"{name}.{fmt}" for name, _ in CASES for fmt in FORMATS]
+ARGV = {f"{name}.{fmt}": [*argv, "--format", fmt] for name, argv in CASES for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("case", IDS)
+def test_golden_report(case, capsys, monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    code = cli.main(ARGV[case])
+    assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+    assert code == json.loads(EXIT_CODES.read_text())[case]
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+    import os
+
+    os.environ.pop(tolerances.ENV_VAR, None)
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case in IDS:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            codes[case] = cli.main(ARGV[case])
+        (GOLDEN / f"{case}.out").write_text(buffer.getvalue())
+    EXIT_CODES.write_text(json.dumps(codes, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()
