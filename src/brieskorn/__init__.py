@@ -19,6 +19,8 @@ from .closedform import (
 )
 from .errors import (
     BrieskornError,
+    ConfigError,
+    ConstructionFailure,
     DegenerateInput,
     IncompleteWindow,
     InconsistentComplex,
@@ -82,6 +84,8 @@ __all__ = [
     "CallablePerturbation",
     "ClosedFormAnswer",
     "ComparisonReport",
+    "ConfigError",
+    "ConstructionFailure",
     "DegenerateInput",
     "GradedComplex",
     "GradedDims",

@@ -10,9 +10,10 @@ Subcommands:
   verify-geometry   polygon construction, area, and group relations
   verify-dynamics   invariance residuals and return-map rotation table
 
-Exit codes: 0 success, 1 validation error, 2 comparison mismatch,
-3 numerical tolerance failure. Reports are deterministic for a fixed
-configuration and seed.
+Exit codes: 0 success, 1 refused input, 2 comparison mismatch, 3 failed
+computation or numerical tolerance. ``run`` is the one place that turns
+errors into exit codes; each class in ``brieskorn.errors`` declares its
+own. Reports are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -22,20 +23,13 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import tolerances as tol_mod
 from .closedform import chain_homology, closed_form_homology, compare_graded
 from .dynamics import LocalModel, linearized_return_map
-from .errors import (
-    BrieskornError,
-    IncompleteWindow,
-    InvalidExponent,
-    NondegeneracyFailure,
-    NotHyperbolic,
-    RelationFailure,
-)
+from .errors import BrieskornError, ConfigError, NondegeneracyFailure, RelationFailure
 from .halfplane import (
     LiftedIsometry,
     contact_invariance_residual,
@@ -59,16 +53,6 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_TOLERANCE = 3
 
-MODES = (
-    "invariants",
-    "generators",
-    "complex",
-    "homology",
-    "compare",
-    "verify-geometry",
-    "verify-dynamics",
-)
-
 
 @dataclass
 class RunConfig:
@@ -85,12 +69,6 @@ class RunConfig:
     iterates: int = 2
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(
-        value.numerator
-    )
-
-
 def _dims_payload(dims) -> dict[str, int]:
     return {str(k): v for k, v in sorted(dims.items(), reverse=True)}
 
@@ -105,7 +83,7 @@ def _seifert_payload(data) -> dict:
         "minima_count": data.minima_count,
     }
     if data.s is not None:
-        payload["s"] = _fraction_str(data.s)
+        payload["s"] = str(data.s)
     return payload
 
 
@@ -119,13 +97,9 @@ def _generator_payload(gen) -> dict:
         "iterate": gen.iterate,
         "cz": gen.cz,
         "grading": gen.grading,
-        "action_2pi": _fraction_str(gen.action),
+        "action_2pi": str(gen.action),
         "fiber_class": gen.fiber_class,
     }
-
-
-def _run_invariants(config: RunConfig, data, report: dict) -> int:
-    return EXIT_OK
 
 
 def _run_generators(config: RunConfig, data, report: dict) -> int:
@@ -185,11 +159,12 @@ def _run_compare(config: RunConfig, data, report: dict) -> int:
 
 
 def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
-    tols = tol_mod.resolve(config.tolerances)
-    group = build_polygon_group(data.params, tolerances=config.tolerances)
+    tols = config.tolerances
+    group = build_polygon_group(data.params, tolerances=tols)
     area = measured_area(group)
     target = expected_area(data.params)
     angles = measured_interior_angles(group)
+    # build_polygon_group has already held these against tols["angle"]
     angle_errors = [
         abs(got - math.pi / a) for got, a in zip(angles, data.params.exponents)
     ]
@@ -203,25 +178,22 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
         "angle_errors": angle_errors,
         "vertices": [[v.real, v.imag] for v in group.vertices],
     }
-    code = EXIT_OK
+    code = EXIT_TOLERANCE if abs(area - target) > tols["area"] else EXIT_OK
     try:
-        relations = check_relations(
+        residuals = check_relations(
             group, samples=min(config.samples, 50) or 20, seed=config.rng_seed,
-            tolerances=config.tolerances,
-        )
-        residuals = relations.residuals
+            tolerances=tols,
+        ).residuals
     except RelationFailure as exc:
         residuals = exc.report.residuals
         code = EXIT_TOLERANCE
-    verification["relations"] = {k: v for k, v in sorted(residuals.items())}
-    if abs(area - target) > tols["area"] or max(angle_errors) > tols["angle"]:
-        code = EXIT_TOLERANCE
+    verification["relations"] = dict(sorted(residuals.items()))
     report["verification"] = verification
     return code
 
 
 def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
-    tols = tol_mod.resolve(config.tolerances)
+    tols = config.tolerances
     rng = random.Random(config.rng_seed)
     worst_form = 0.0
     worst_frame = 0.0
@@ -232,7 +204,7 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
         worst_frame = max(worst_frame, frame_invariance_residual(element, point))
     invariance_ok = max(worst_form, worst_frame) < tols["invariance"]
 
-    group = build_polygon_group(data.params, tolerances=config.tolerances)
+    group = build_polygon_group(data.params, tolerances=tols)
     table = []
     rotations_ok = True
     for j, (_, t_j) in enumerate(data.orbifold_counts, start=1):
@@ -241,21 +213,18 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
         for n in range(1, config.iterates + 1):
             ratio = ratio_simple * n
             period = 2.0 * math.pi * float(ratio)
-            gap = 2.0 * math.pi * float(1 - (ratio - math.floor(ratio)))
+            cz_formula = -2 * math.floor(ratio) - 1
             for requested in config.epsilons:
-                # keep the perturbed rotation inside its admissible window
-                limit = 0.25 * gap / (2.0 * vertex.imag**2 * period)
-                epsilon = min(requested, limit)
-                model = LocalModel(vertex, 1.0, epsilon)
+                model = LocalModel.in_window(vertex, ratio, requested)
                 row = {
                     "vertex": j,
                     "iterate": n,
-                    "epsilon": epsilon,
-                    "period_2pi": _fraction_str(ratio),
+                    "epsilon": model.epsilon,
+                    "period_2pi": str(ratio),
                 }
                 try:
                     result = linearized_return_map(
-                        model, period, period_ratio=ratio, tolerances=config.tolerances
+                        model, period, period_ratio=ratio, tolerances=tols
                     )
                 except NondegeneracyFailure as exc:
                     row["error"] = str(exc)
@@ -269,13 +238,13 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
                         "relative_error": result.relative_error,
                         "determinant_error": abs(result.determinant - 1.0),
                         "cz": result.cz_index,
-                        "cz_formula": -2 * math.floor(ratio) - 1,
+                        "cz_formula": cz_formula,
                     }
                 )
                 if (
                     result.relative_error > tols["ode_vs_analytic"]
                     or abs(result.determinant - 1.0) > tols["determinant"]
-                    or result.cz_index != -2 * math.floor(ratio) - 1
+                    or result.cz_index != cz_formula
                 ):
                     rotations_ok = False
                 table.append(row)
@@ -293,7 +262,7 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
 
 
 _RUNNERS = {
-    "invariants": _run_invariants,
+    "invariants": lambda config, data, report: EXIT_OK,  # the invariant table only
     "generators": _run_generators,
     "complex": _run_complex,
     "homology": _run_homology,
@@ -304,33 +273,24 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one mode, returning (exit code, report payload)."""
+    """Execute one mode, returning (exit code, report payload).
+
+    The only place that maps errors to exit codes: a BrieskornError becomes
+    the report's ``errors`` entry, and its class declares the exit code.
+    """
     report: dict = {
         "params": {"exponents": list(config.exponents)},
         "mode": config.mode,
         "seed": config.rng_seed,
     }
     try:
-        params = validate_params(config.exponents)
-        data = seifert_data(params)
-    except NotHyperbolic as exc:
-        report["errors"] = [
-            {"type": "NotHyperbolic", "message": str(exc), "gap": _fraction_str(exc.gap)}
-        ]
-        return EXIT_VALIDATION, report
-    except InvalidExponent as exc:
-        report["errors"] = [{"type": "InvalidExponent", "message": str(exc)}]
-        return EXIT_VALIDATION, report
-
-    report["seifert"] = _seifert_payload(data)
-    try:
+        config = replace(config, tolerances=tol_mod.resolve(config.tolerances))
+        data = seifert_data(validate_params(config.exponents))
+        report["seifert"] = _seifert_payload(data)
         code = _RUNNERS[config.mode](config, data, report)
-    except IncompleteWindow as exc:
-        report["errors"] = [{"type": "IncompleteWindow", "message": str(exc)}]
-        return EXIT_VALIDATION, report
     except BrieskornError as exc:
-        report["errors"] = [{"type": type(exc).__name__, "message": str(exc)}]
-        return EXIT_TOLERANCE, report
+        report["errors"] = [exc.payload()]
+        return exc.exit_code, report
     return code, report
 
 
@@ -411,16 +371,6 @@ def render(report: dict, fmt: str) -> str:
     return _render_text(report)
 
 
-def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not value:
-            raise ValueError(f"tolerance override {pair!r} is not name=value")
-        out[name.strip()] = float(value)
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brieskorn",
@@ -451,16 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--classes", type=int, default=1)
 
-    p = sub.add_parser("homology", aliases=["compute-homology"],
-                       help="graded homology from the chain complexes")
-    common(p)
-    p.add_argument("--grading-floor", type=int, dest="grading_floor", default=-10)
-    p.add_argument("--classes", type=int, default=None)
-
-    p = sub.add_parser("compare", help="chain homology against the closed form")
-    common(p)
-    p.add_argument("--grading-floor", type=int, dest="grading_floor", default=-10)
-    p.add_argument("--classes", type=int, default=None)
+    for p in (
+        sub.add_parser("homology", aliases=["compute-homology"],
+                       help="graded homology from the chain complexes"),
+        sub.add_parser("compare", help="chain homology against the closed form"),
+    ):
+        common(p)
+        p.add_argument("--grading-floor", type=int, dest="grading_floor", default=-10)
+        p.add_argument("--classes", type=int, default=None)
 
     p = sub.add_parser("verify-geometry", help="polygon area, angles, group relations")
     common(p)
@@ -483,22 +431,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if action_bound is not None:
         action_bound = Fraction(action_bound)
     grading_floor = getattr(args, "grading_floor", None)
-    if mode == "generators":
-        if action_bound is not None and grading_floor is not None:
-            raise ValueError("--grading-floor and --action-bound are mutually exclusive")
-        if action_bound is None and grading_floor is None:
-            grading_floor = -10
-    if grading_floor is None:
-        grading_floor = -10
+    if action_bound is not None and grading_floor is not None:
+        raise ConfigError("--grading-floor and --action-bound are mutually exclusive")
     epsilons = getattr(args, "epsilons", None)
     return RunConfig(
         exponents=exponents,
         mode=mode,
-        grading_floor=grading_floor,
+        grading_floor=-10 if grading_floor is None else grading_floor,
         action_bound=action_bound,
         classes=getattr(args, "classes", None),
         format=args.format,
-        tolerances=_parse_tolerance_overrides(args.tol),
+        tolerances=tol_mod.parse_pairs(args.tol),
         rng_seed=args.rng_seed,
         samples=getattr(args, "samples", 1000),
         epsilons=tuple(epsilons) if epsilons else (1e-2, 1e-3),
@@ -507,11 +450,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
         return EXIT_VALIDATION
     code, report = run(config)

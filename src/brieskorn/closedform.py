@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompleteWindow
+from .errors import ConfigError, IncompleteWindow
 from .homology import GradedDims, graded_homology
 from .invariants import SeifertData
 from .orbits import build_complex, orbifold_points
@@ -53,7 +53,7 @@ def exceptional_grading(data: SeifertData, j: int, k: int) -> int:
 
 def closed_form_answer(data: SeifertData, grading_floor: int) -> ClosedFormAnswer:
     if grading_floor > -2:
-        raise ValueError("grading_floor must be <= -2")
+        raise ConfigError("grading_floor must be <= -2")
 
     g_block: GradedDims = {}
     combined: GradedDims = {}
@@ -95,8 +95,11 @@ def closed_form_homology(data: SeifertData, grading_floor: int) -> GradedDims:
 
 
 def required_classes(data: SeifertData, grading_floor: int) -> int:
-    """Fiber classes needed for the chain side to be complete above the floor."""
-    return math.ceil(Fraction(-grading_floor * data.m, 2 * data.d)) + 1
+    """Fiber classes needed for the chain side to be complete above the floor.
+
+    Class n tops out at grading -2*n*d/m, which reaches the floor for n <= -floor*m/(2d).
+    """
+    return math.floor(Fraction(-grading_floor * data.m, 2 * data.d))
 
 
 def chain_homology(
@@ -112,7 +115,7 @@ def chain_homology(
     for the requested floor.
     """
     if grading_floor > -2:
-        raise ValueError("grading_floor must be <= -2")
+        raise ConfigError("grading_floor must be <= -2")
     needed = required_classes(data, grading_floor)
     if classes is None:
         classes = needed

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tolerances as tol_mod
-from .errors import NondegeneracyFailure
+from .errors import ConfigError, NondegeneracyFailure
 
 
 class LocalModel:
@@ -33,13 +33,24 @@ class LocalModel:
 
     def __init__(self, v: complex, coefficient: complex, epsilon: float):
         if not 0.0 <= epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
+            raise ConfigError("epsilon must lie in [0, 1)")
         if v.imag <= 0:
             raise ValueError("the zero must lie in the upper half-plane")
         self.v = complex(v)
         self.coefficient = complex(coefficient)
         self.epsilon = float(epsilon)
         self._k = self.epsilon * abs(coefficient) ** 2
+
+    @classmethod
+    def in_window(cls, v: complex, period_ratio: Fraction, epsilon: float) -> LocalModel:
+        """Unit-coefficient model at v, with epsilon capped so that the perturbed
+        rotation over the period 2*pi*period_ratio is at most a quarter of its
+        window (0, gap), gap = 2*pi*(1 - frac(period_ratio)).
+        """
+        period = 2.0 * math.pi * float(period_ratio)
+        gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
+        limit = 0.25 * gap / (2.0 * v.imag**2 * period)
+        return cls(v, 1.0, min(epsilon, limit))
 
     def f(self, z: complex) -> float:
         return 1.0 + self._k * abs(z - self.v) ** 2
@@ -329,12 +340,5 @@ def linearized_return_map(
         theta_floor = -math.floor(period_ratio) - 1
     else:
         theta_floor = math.floor((ode.rotation - T) / two_pi)
-    return LinearizedReturn(
-        analytic_matrix=analytic_matrix,
-        analytic_angle=analytic_angle,
-        ode_monodromy=ode.matrix,
-        rotation_angle=ode.rotation,
-        determinant=determinant,
-        relative_error=relative_error,
-        cz_index=2 * theta_floor + 1,
-    )
+    result.cz_index = 2 * theta_floor + 1
+    return result

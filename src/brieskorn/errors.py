@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its command-line exit code."""
 
 from __future__ import annotations
 
@@ -6,9 +6,29 @@ from __future__ import annotations
 class BrieskornError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3  # a computation failed; refused input uses 1
+
+    def payload(self) -> dict:
+        """The error as a report entry."""
+        return {"type": type(self).__name__, "message": str(self)}
+
+
+class ConfigError(BrieskornError, ValueError):
+    """A tolerance, grading floor, action bound or epsilon lies outside its domain."""
+
+    exit_code = 1
+
+
+class UnknownTolerance(ConfigError, KeyError):
+    """A tolerance override names no declared tolerance."""
+
+    __str__ = ConfigError.__str__  # plain message, not KeyError's quoted repr
+
 
 class InvalidExponent(BrieskornError):
     """An exponent list is malformed (fewer than three entries, or some entry < 2)."""
+
+    exit_code = 1
 
 
 class NotHyperbolic(BrieskornError):
@@ -18,9 +38,18 @@ class NotHyperbolic(BrieskornError):
     it is <= 0 exactly when the input is rejected.
     """
 
+    exit_code = 1
+
     def __init__(self, message, gap):
         super().__init__(message)
         self.gap = gap
+
+    def payload(self) -> dict:
+        return {**super().payload(), "gap": str(self.gap)}
+
+
+class ConstructionFailure(BrieskornError):
+    """A geometric construction did not converge or missed its prescribed shape."""
 
 
 class DegenerateInput(BrieskornError):
@@ -56,3 +85,5 @@ class InconsistentComplex(BrieskornError):
 
 class IncompleteWindow(BrieskornError):
     """Too few fiber classes were requested to cover the grading window."""
+
+    exit_code = 1

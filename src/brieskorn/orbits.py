@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ConfigError
 from .homology import RationalMatrix
 from .invariants import SeifertData
 
@@ -174,13 +175,13 @@ def enumerate_generators(
     by (n, saddle index), then maxima by n.
     """
     if (grading_floor is None) == (action_bound is None):
-        raise ValueError("exactly one of grading_floor and action_bound is required")
+        raise ConfigError("exactly one of grading_floor and action_bound is required")
     if grading_floor is not None and grading_floor > -2:
-        raise ValueError("grading_floor must be <= -2")
+        raise ConfigError("grading_floor must be <= -2")
     if action_bound is not None:
         action_bound = Fraction(action_bound)
         if action_bound <= 0:
-            raise ValueError("action_bound must be positive")
+            raise ConfigError("action_bound must be positive")
 
     out: list[OrbitGenerator] = []
 

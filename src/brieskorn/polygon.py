@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from . import tolerances as tol_mod
-from .errors import RelationFailure
+from .errors import ConstructionFailure, RelationFailure
 from .halfplane import (
     EdgeReflection,
     LiftedIsometry,
@@ -129,7 +129,7 @@ def _solve_fan(angles: list[float]) -> float:
             break
         previous = (diagonal, value)
     if bracket is None:
-        raise RuntimeError("fan closing defect has no sign change; construction failed")
+        raise ConstructionFailure("fan closing defect has no sign change; construction failed")
 
     a, b = bracket
     ha = defect(a)
@@ -137,7 +137,7 @@ def _solve_fan(angles: list[float]) -> float:
         mid = 0.5 * (a + b)
         hm = defect(mid)
         if hm is None:
-            raise RuntimeError("fan bisection left the valid region")
+            raise ConstructionFailure("fan bisection left the valid region")
         if hm == 0.0 or (b - a) < 1e-16 * max(1.0, a):
             return mid
         if ha * hm <= 0:
@@ -152,7 +152,8 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
 
     The measured interior angles are checked against the prescribed ones
     and the rotation generators against their expected derivative, so a
-    failed construction raises instead of propagating bad geometry.
+    failed construction raises ConstructionFailure instead of propagating
+    bad geometry.
     """
     tols = tol_mod.resolve(tolerances)
     angles = [math.pi / a for a in params.exponents]
@@ -169,7 +170,7 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         diagonal = _solve_fan(angles)
         traced = _trace_fan(angles, diagonal)
         if traced is None:
-            raise RuntimeError("fan construction degenerated at the solved diagonal")
+            raise ConstructionFailure("fan construction degenerated at the solved diagonal")
         betas, cosh_to_vertex = traced
 
     apex = 1j
@@ -195,7 +196,7 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         expected = 2.0 * angles[j]
         wrapped = (spin - expected + math.pi) % (2.0 * math.pi) - math.pi
         if abs(wrapped) > 1e-6:
-            raise RuntimeError(
+            raise ConstructionFailure(
                 f"rotation at vertex {j + 1} spins by {spin:.6f}, expected {expected:.6f}"
             )
         rotations.append(rotation)
@@ -215,7 +216,7 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         for measured, prescribed in zip(measured_interior_angles(group), angles)
     )
     if worst > tols["angle"]:
-        raise RuntimeError(f"constructed polygon misses its angles by {worst:.3e}")
+        raise ConstructionFailure(f"constructed polygon misses its angles by {worst:.3e}")
     return group
 
 

@@ -3,12 +3,16 @@
 Every tolerance used by the geometric and dynamical verification code is
 named here so it can be overridden per call, from the command line, or via
 the ``BRIESKORN_TOLERANCES`` environment variable (a comma separated list
-of ``name=value`` pairs).
+of ``name=value`` pairs). Every value must be finite and positive.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Iterable
+
+from .errors import ConfigError, UnknownTolerance
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     # matrix-level group relations, e.g. rotation powers against +/- identity
@@ -27,36 +31,43 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "determinant": 1e-9,
     # rotation within this of a multiple of 2*pi counts as degenerate
     "degenerate_rotation": 1e-12,
-    # Moebius denominator below this magnitude is treated as collapsed
-    "denominator": 1e-12,
 }
 
 ENV_VAR = "BRIESKORN_TOLERANCES"
 
 
-def _parse_pairs(text: str) -> dict[str, float]:
+def _checked(name: str, value) -> float:
+    if name not in DEFAULT_TOLERANCES:
+        raise UnknownTolerance(f"unknown tolerance {name!r}")
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"tolerance {name} is not a number: {value!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"tolerance {name} must be finite and positive, got {value!r}")
+    return value
+
+
+def parse_pairs(pairs: Iterable[str]) -> dict[str, float]:
+    """Checked overrides from ``name=value`` strings; blank entries are skipped."""
     out: dict[str, float] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+    for pair in pairs:
+        if not pair.strip():
             continue
-        name, _, value = chunk.partition("=")
-        name = name.strip()
-        if name not in DEFAULT_TOLERANCES:
-            raise KeyError(f"unknown tolerance {name!r}")
-        out[name] = float(value)
+        name, _, value = pair.partition("=")
+        if not value:
+            raise ConfigError(f"tolerance override {pair!r} is not name=value")
+        out[name.strip()] = _checked(name.strip(), value)
     return out
 
 
 def resolve(overrides: dict[str, float] | None = None) -> dict[str, float]:
-    """Merge defaults, the environment profile, and explicit overrides."""
+    """Merge defaults, the environment profile, and explicit overrides.
+
+    Every name and value is checked; a resolved dict resolves to itself.
+    """
     merged = dict(DEFAULT_TOLERANCES)
-    env = os.environ.get(ENV_VAR)
-    if env:
-        merged.update(_parse_pairs(env))
-    if overrides:
-        for name, value in overrides.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise KeyError(f"unknown tolerance {name!r}")
-            merged[name] = float(value)
+    merged.update(parse_pairs(os.environ.get(ENV_VAR, "").split(",")))
+    for name, value in (overrides or {}).items():
+        merged[name] = _checked(name, value)
     return merged

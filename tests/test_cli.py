@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from brieskorn import cli
+from brieskorn import cli, tolerances
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 
@@ -172,3 +172,58 @@ def test_tolerance_environment_profile(monkeypatch):
     assert resolved["area"] == 1e-5
     with pytest.raises(KeyError):
         tolerances.resolve({"bogus": 1.0})
+
+
+TYPED_EXITS = [
+    (["verify-geometry", "--exponents", "2,3,7", "--tol", "bogus=1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["verify-geometry", "--exponents", "2,3,7"], "bogus=1",
+     EXIT_VALIDATION, "UnknownTolerance"),
+    (["verify-geometry", "--exponents", "2,3,7", "--tol", "angle=1e-20"], None,
+     EXIT_TOLERANCE, "ConstructionFailure"),
+    (["compare", "--exponents", "2,3,7", "--grading-floor", "0"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["generators", "--exponents", "2,3,7", "--action-bound", "-1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "-0.1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["invariants", "--exponents", "2,3,7", "--tol", "bogus=1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["generators", "--exponents", "2,3,7", "--action-bound", "1/0"], None,
+     EXIT_VALIDATION, "ConfigError"),
+]
+
+
+@pytest.mark.parametrize("argv, env, expected_code, error_type", TYPED_EXITS)
+def test_failures_end_in_typed_exit_codes(
+    argv, env, expected_code, error_type, capsys, monkeypatch
+):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(tolerances.ENV_VAR, env)
+    assert main(argv) == expected_code
+    out, err = capsys.readouterr()
+    assert json.loads(out)["errors"][0]["type"] == error_type
+    assert err == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "tiny"])
+def test_tolerance_values_fail_closed(value, capsys, monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    argv = ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "5"]
+    assert main([*argv, "--tol", f"determinant={value}"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["errors"][0]["type"] == "ConfigError"
+    monkeypatch.setenv(tolerances.ENV_VAR, f"determinant={value}")
+    assert main(argv) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["errors"][0]["type"] == "ConfigError"
+
+
+def test_run_resolves_tolerances_once_and_idempotently():
+    resolved = tolerances.resolve()
+    assert tolerances.resolve(resolved) == resolved
+    assert "denominator" not in resolved
+    config = cli.RunConfig(exponents=[2, 3, 7], mode="verify-geometry",
+                           tolerances={"matrix_relation": float("nan")})
+    code, report = run(config)
+    assert code == EXIT_VALIDATION
+    assert report["errors"][0]["type"] == "ConfigError"
