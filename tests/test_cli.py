@@ -218,7 +218,7 @@ def test_tolerance_values_fail_closed(value, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["errors"][0]["type"] == "ConfigError"
 
 
-def test_run_resolves_tolerances_once_and_idempotently():
+def test_resolve_is_idempotent_and_run_checks_direct_configs():
     resolved = tolerances.resolve()
     assert tolerances.resolve(resolved) == resolved
     assert "denominator" not in resolved
