@@ -107,6 +107,9 @@ def chain_homology(
     Builds the complex of every fiber class up to ``classes`` (defaulting
     to the number needed for the window) and of every singleton class with
     grading above the floor, runs the exact elimination on each, and sums.
+    Every fiber class has the same boundary matrix, so each distinct
+    differential is eliminated once per call: the ranks are shared by
+    matrix content, never by class, and are dropped when the call returns.
 
     Raises IncompleteWindow if an explicit ``classes`` count is too small
     for the requested floor.
@@ -122,8 +125,9 @@ def chain_homology(
         )
 
     total: GradedDims = {}
+    ranks: dict = {}
     for n in range(1, classes + 1):
-        for grading, dim in graded_homology(build_complex(data, n)).items():
+        for grading, dim in graded_homology(build_complex(data, n), ranks).items():
             if grading >= grading_floor:
                 _add(total, grading, dim)
 
@@ -136,7 +140,7 @@ def chain_homology(
             if grading < grading_floor:
                 break
             if k % t_j != 0:
-                for g, dim in graded_homology(build_complex(data, (j, i, k))).items():
+                for g, dim in graded_homology(build_complex(data, (j, i, k)), ranks).items():
                     _add(total, g, dim)
             k += 1
     return total

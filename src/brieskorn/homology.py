@@ -2,7 +2,10 @@
 
 Dimensions at each grading are computed over the rationals by fraction
 Gaussian elimination; nothing here touches floating point. Matrices are
-dense lists of ``Fraction``, which is ample at desk scale.
+stored as sparse exact rows, one ``{column: nonzero Fraction}`` dict per
+row, so elimination, products and zero tests cost in proportion to the
+nonzeros: a boundary matrix has two per tree column, however many minima
+it has.
 """
 
 from __future__ import annotations
@@ -12,134 +15,129 @@ from fractions import Fraction
 
 from .errors import InconsistentComplex
 
+_ZERO = Fraction(0)
+
 
 class RationalMatrix:
-    """Dense matrix of exact rationals."""
+    """Matrix of exact rationals stored as sparse rows; no zero is stored."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            self.entries = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
+        self.sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        if entries is not None:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match declared shape")
-            self.entries = [[Fraction(x) for x in row] for row in entries]
+            for row, grid_row in zip(self.sparse_rows, entries):
+                for j, x in enumerate(grid_row):
+                    x = Fraction(x)
+                    if x:
+                        row[j] = x
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Read-only dense view, one tuple per row."""
+        return tuple(
+            tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.sparse_rows
+        )
+
+    def _check(self, i: int, j: int) -> None:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"({i}, {j}) outside a {self.rows}x{self.cols} matrix")
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.entries[i][j]
+        self._check(i, j)
+        return self.sparse_rows[i].get(j, _ZERO)
 
     def __setitem__(self, idx, value):
         i, j = idx
-        self.entries[i][j] = Fraction(value)
+        self._check(i, j)
+        value = Fraction(value)
+        if value:
+            self.sparse_rows[i][j] = value
+        else:
+            self.sparse_rows[i].pop(j, None)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, self.entries)
+    def key(self) -> tuple:
+        """Hashable content: the shape and the nonzeros of each row."""
+        return (
+            self.rows,
+            self.cols,
+            tuple(tuple(sorted(row.items())) for row in self.sparse_rows),
+        )
 
     def multiply(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = RationalMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                x = row[k]
-                if x == 0:
-                    continue
-                other_row = other.entries[k]
-                out_row = out.entries[i]
-                for j in range(other.cols):
-                    y = other_row[j]
-                    if y != 0:
-                        out_row[j] += x * y
+        for row, out_row in zip(self.sparse_rows, out.sparse_rows):
+            for k, x in row.items():
+                for j, y in other.sparse_rows[k].items():
+                    out_row[j] = out_row.get(j, _ZERO) + x * y
+            for j in [j for j, z in out_row.items() if not z]:
+                del out_row[j]
         return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def rank(self) -> int:
-        """Rank by fraction Gaussian elimination.
+        """Rank by fraction Gaussian elimination on sparse rows.
 
-        The pivot in each column is the nonzero candidate with the smallest
-        |numerator * denominator|, which keeps intermediate fractions small.
+        Columns are eliminated left to right. Every row not yet used as a
+        pivot waits in the bucket of its leading column, so the rows with a
+        nonzero in the current column are exactly that column's bucket. The
+        pivot is the candidate with the smallest |numerator * denominator|,
+        which keeps intermediate fractions small.
         """
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        work = [row[:] for row in self.entries]
+        buckets: dict[int, list[dict[int, Fraction]]] = {}
+        for row in self.sparse_rows:
+            if row:
+                buckets.setdefault(min(row), []).append(dict(row))
         rank = 0
         for col in range(self.cols):
-            best = None
-            best_size = None
-            for i in range(rank, self.rows):
-                x = work[i][col]
-                if x == 0:
-                    continue
-                size = abs(x.numerator * x.denominator)
-                if best is None or size < best_size:
-                    best, best_size = i, size
-            if best is None:
+            candidates = buckets.pop(col, None)
+            if candidates is None:
                 continue
-            work[rank], work[best] = work[best], work[rank]
-            pivot_row = work[rank]
+            pivot_row = min(
+                candidates, key=lambda r: abs(r[col].numerator * r[col].denominator)
+            )
             pivot = pivot_row[col]
-            for i in range(rank + 1, self.rows):
-                x = work[i][col]
-                if x == 0:
+            for row in candidates:
+                if row is pivot_row:
                     continue
-                factor = x / pivot
-                row = work[i]
-                for j in range(col, self.cols):
-                    row[j] -= factor * pivot_row[j]
+                factor = row.pop(col) / pivot
+                for j, y in pivot_row.items():
+                    if j != col:
+                        z = row.get(j, _ZERO) - factor * y
+                        if z:
+                            row[j] = z
+                        else:
+                            del row[j]
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
             rank += 1
-            if rank == self.rows:
+            if not buckets:
                 break
         return rank
-
-
-def rank_by_minors(matrix: RationalMatrix) -> int:
-    """Rank as the largest k with a nonvanishing k x k minor.
-
-    Exponential cost; intended as an independent cross-check for matrices
-    of dimension at most ~5.
-    """
-    from itertools import combinations
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return matrix[rows[0], cols[0]]
-        total = Fraction(0)
-        for pos, c in enumerate(cols):
-            x = matrix[rows[0], c]
-            if x == 0:
-                continue
-            sub = det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            total += (-1) ** pos * x * sub
-        return total
-
-    for k in range(min(matrix.rows, matrix.cols), 0, -1):
-        for rows in combinations(range(matrix.rows), k):
-            for cols in combinations(range(matrix.cols), k):
-                if det(tuple(rows), tuple(cols)) != 0:
-                    return k
-    return 0
 
 
 GradedDims = dict[int, int]
 
 
-def graded_homology(complex) -> GradedDims:
+def graded_homology(complex, ranks: dict | None = None) -> GradedDims:
     """Graded homology dimensions of a complex over the rationals.
 
     ``complex`` must expose ``generators_by_grading`` (grading -> generator
@@ -147,11 +145,24 @@ def graded_homology(complex) -> GradedDims:
     grading-k chain group into grading k-1). The dimension at grading k is
     dim ker(d_k) - rank(d_{k+1}); absent gradings have dimension zero.
 
-    Raises InconsistentComplex unless consecutive differentials compose
-    to zero.
+    ``ranks`` maps matrix content (``RationalMatrix.key()``) to rank; pass
+    one dict to several calls to share it. A differential whose content is
+    already there is not eliminated again; every other one is eliminated
+    and added.
+
+    Raises InconsistentComplex unless each d_k is (generators at k-1) x
+    (generators at k) and consecutive differentials compose to zero.
     """
     chain_dims = {k: len(g) for k, g in complex.generators_by_grading.items() if g}
     diffs = complex.differential
+
+    for k, mat in diffs.items():
+        shape = (chain_dims.get(k - 1, 0), chain_dims.get(k, 0))
+        if (mat.rows, mat.cols) != shape:
+            raise InconsistentComplex(
+                f"differential at grading {k} is {mat.rows}x{mat.cols}, "
+                f"but the generators make it {shape[0]}x{shape[1]}"
+            )
 
     for k, mat in diffs.items():
         upper = diffs.get(k + 1)
@@ -161,11 +172,19 @@ def graded_homology(complex) -> GradedDims:
                     f"differentials at gradings {k + 1} and {k} do not compose to zero"
                 )
 
-    ranks = {k: mat.rank() for k, mat in diffs.items()}
+    if ranks is None:
+        ranks = {}
+    rank_by_grading = {}
+    for k, mat in diffs.items():
+        key = mat.key()  # a tuple rehashes on every lookup, so look up once
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = mat.rank()
+        rank_by_grading[k] = rank
     out: GradedDims = {}
     for k, dim in chain_dims.items():
-        h = dim - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        assert h >= 0
+        # the shape and compose checks above make this nonnegative
+        h = dim - rank_by_grading.get(k, 0) - rank_by_grading.get(k + 1, 0)
         if h:
             out[k] = h
     return out

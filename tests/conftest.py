@@ -6,11 +6,11 @@ from brieskorn import seifert_data, validate_params
 from brieskorn.errors import NotHyperbolic
 
 
-def random_valid_tuples(seed, count, max_n=5, max_exponent=9, max_minima=50):
+def random_valid_tuples(seed, count, max_n=5, max_exponent=9):
     """Seeded corpus of hyperbolic-type exponent tuples.
 
-    The minima count is capped so that exact elimination on each fiber
-    complex stays desk scale.
+    Every hyperbolic draw is kept, whatever its minima count (up to 576
+    orbifold points in the default corpus).
     """
     rng = random.Random(seed)
     out = []
@@ -21,10 +21,7 @@ def random_valid_tuples(seed, count, max_n=5, max_exponent=9, max_minima=50):
             params = validate_params(exponents)
         except NotHyperbolic:
             continue
-        data = seifert_data(params)
-        if data.minima_count > max_minima:
-            continue
-        out.append(data)
+        out.append(seifert_data(params))
     return out
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from brieskorn import (
     IncompleteWindow,
+    RationalMatrix,
     chain_homology,
     closed_form_answer,
     closed_form_homology,
@@ -12,6 +13,7 @@ from brieskorn import (
     seifert_data,
     validate_params,
 )
+from brieskorn import closedform
 
 
 def data_for(*exponents):
@@ -148,3 +150,46 @@ def test_chain_matches_closed_form_full_window(fuzz_corpus):
                 chain_homology(data, floor), closed_form_homology(data, floor), floor
             )
             assert report.equal, (data.params.exponents, floor, report.first_mismatch)
+
+
+def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatch):
+    built, eliminated = [], []
+    real_build, real_rank = closedform.build_complex, RationalMatrix.rank
+
+    def build(data, cls):
+        complex_ = real_build(data, cls)
+        built.extend(complex_.differential.values())
+        return complex_
+
+    def rank(matrix):
+        eliminated.append(matrix)
+        return real_rank(matrix)
+
+    monkeypatch.setattr(closedform, "build_complex", build)
+    monkeypatch.setattr(RationalMatrix, "rank", rank)
+
+    def nonempty(matrices):
+        return [(m.rows, m.cols, m.entries) for m in matrices if m.rows and m.cols]
+
+    data, floor = data_for(2, 2, 3, 3, 3), -40
+    classes = required_classes(data, floor)
+    assert classes >= 3
+    results = []
+    for _ in range(2):  # the second call eliminates again: nothing outlives a call
+        built.clear()
+        eliminated.clear()
+        results.append(chain_homology(data, floor))
+        # each fiber class builds the same M x S boundary and S x 1 zero matrix
+        distinct = set(nonempty(built))
+        assert len(nonempty(built)) == 2 * classes and len(distinct) == 2
+        assert sorted(nonempty(eliminated)) == sorted(distinct)
+    assert results[0] == results[1] == closed_form_homology(data, floor)
+
+
+def test_compare_eight_twos_at_floor_minus_8():
+    # 512 minima and genus 129: a 512 x 769 boundary matrix in each of 2 classes
+    data, floor = data_for(*[2] * 8), -8
+    report = compare_graded(
+        chain_homology(data, floor), closed_form_homology(data, floor), floor
+    )
+    assert report.equal, report.first_mismatch

@@ -14,8 +14,12 @@ from brieskorn import (
     seifert_data,
     validate_params,
 )
-from brieskorn.homology import rank_by_minors
 from brieskorn.orbits import GradedComplex
+from dense_linalg import dense_product, dense_rank, rank_by_minors
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
 
 
 def random_small_matrix(rng, rows, cols):
@@ -26,11 +30,18 @@ def random_small_matrix(rng, rows, cols):
 
 def test_rank_matches_minor_expansion():
     rng = random.Random(7)
-    for _ in range(250):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        mat = random_small_matrix(rng, rows, cols)
-        assert mat.rank() == rank_by_minors(mat)
+    for trial in range(500):
+        rows = rng.randint(0, 5)
+        cols = rng.randint(0, 5)
+        if trial % 2:
+            density = rng.choice([0.3, 0.7, 1.0])
+            mat = RationalMatrix(rows, cols, [
+                [random_rational(rng) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ])
+        else:
+            mat = random_small_matrix(rng, rows, cols)
+        assert mat.rank() == dense_rank(mat) == rank_by_minors(mat)
 
 
 def test_rank_handles_general_rationals():
@@ -45,6 +56,90 @@ def test_rank_handles_general_rationals():
     )
     # column 3 = column 1 + column 2 in rows 1 and 2; check row 3: 1 + 2/3 = 5/3
     assert mat.rank() == rank_by_minors(mat) == 2
+
+
+def random_sparse_case(rng, rows=None):
+    """A seeded test matrix of one of four kinds, at most 30 x 40."""
+    if rows is None:
+        rows = rng.randint(0, 30)
+    cols = rng.randint(0, 40)
+    kind = rng.choice(["general", "zero lines", "repeated rows", "path"])
+    if kind == "path" and rows:
+        # incidence of a path on `rows` vertices, extra zero columns, then
+        # rows and columns shuffled: the shape of a fiber class's boundary
+        cols = rows - 1 + rng.randint(0, 8)
+        grid = [[0] * cols for _ in range(rows)]
+        for col in range(rows - 1):
+            grid[col][col], grid[col + 1][col] = 1, -1
+        rng.shuffle(grid)
+        order = list(range(cols))
+        rng.shuffle(order)
+        grid = [[row[j] for j in order] for row in grid]
+        return RationalMatrix(rows, cols, grid)
+    density = rng.choice([0.05, 0.2, 0.6, 1.0])
+    grid = [
+        [random_rational(rng) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if kind == "zero lines":
+        for i in rng.sample(range(rows), rows // 3):
+            grid[i] = [0] * cols
+        for j in rng.sample(range(cols), cols // 3):
+            for row in grid:
+                row[j] = 0
+    elif kind == "repeated rows" and rows > 1:
+        for _ in range(rng.randint(1, rows)):
+            i, source = rng.randrange(rows), rng.randrange(rows)
+            scale = rng.choice([1, -1, random_rational(rng) or 1])
+            grid[i] = [scale * x for x in grid[source]]
+    return RationalMatrix(rows, cols, grid)
+
+
+def stores_no_zero(mat):
+    return all(x != 0 for row in mat.sparse_rows for x in row.values())
+
+
+def test_sparse_engine_agrees_with_dense_oracles():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        mat = random_sparse_case(rng)
+        assert stores_no_zero(mat)
+        assert mat.rank() == dense_rank(mat)
+        assert mat.is_zero() == all(x == 0 for row in mat.entries for x in row)
+        other = random_sparse_case(rng, rows=mat.cols)
+        product = mat.multiply(other)
+        assert [list(row) for row in product.entries] == dense_product(mat, other)
+        assert stores_no_zero(product)
+        assert product.is_zero() == all(x == 0 for row in product.entries for x in row)
+
+
+def test_product_that_cancels_is_zero_and_stores_nothing():
+    rng = random.Random(3)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 12), rng.randint(2, 12)
+        grid = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
+        for row in grid:
+            row[-1] = row[0]
+        kernel = RationalMatrix(cols, 1)
+        kernel[0, 0], kernel[cols - 1, 0] = 1, -1
+        product = RationalMatrix(rows, cols, grid).multiply(kernel)
+        assert product.is_zero()
+        assert product.sparse_rows == [{} for _ in range(rows)]
+
+
+def test_setting_an_entry_to_zero_stores_no_zero():
+    mat = RationalMatrix(2, 3, [[1, 0, Fraction(2, 3)], [0, 0, 0]])
+    assert mat.sparse_rows == [{0: 1, 2: Fraction(2, 3)}, {}]
+    mat[0, 2] = 0
+    mat[1, 1] = Fraction(0, 5)
+    mat[1, 0] = Fraction(-1, 2)
+    assert mat.sparse_rows == [{0: 1}, {0: Fraction(-1, 2)}]
+    assert mat.entries == ((1, 0, 0), (Fraction(-1, 2), 0, 0))
+    assert mat == RationalMatrix(2, 3, [[1, 0, 0], [Fraction(-1, 2), 0, 0]])
+    with pytest.raises(IndexError):
+        mat[2, 0] = 1
+    with pytest.raises(IndexError):
+        mat[0, 3]
 
 
 def test_graded_homology_first_fiber_block_2_3_7():
@@ -77,6 +172,19 @@ def test_inconsistent_complex_detected():
     }
     with pytest.raises(InconsistentComplex):
         graded_homology(GradedComplex("bad", gens, diff))
+
+
+def test_differential_of_the_wrong_shape_is_inconsistent():
+    # three generators at grading -1 but d_0 has two rows; and a d_{-1}
+    # that leaves more columns than there are generators at -1
+    gens = {0: ["a"], -1: ["b", "c", "e"]}
+    for diff in (
+        {0: RationalMatrix(2, 1), -1: RationalMatrix(0, 3)},
+        {0: RationalMatrix(3, 1), -1: RationalMatrix(0, 4)},
+        {0: RationalMatrix(3, 1), -1: RationalMatrix(0, 3), -2: RationalMatrix(1, 0)},
+    ):
+        with pytest.raises(InconsistentComplex, match="generators make it"):
+            graded_homology(GradedComplex("malformed", gens, diff))
 
 
 def test_homology_invariant_under_generator_permutation():
