@@ -295,7 +295,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def _render_text(report: dict) -> str:
-    lines = [f"exponents: {tuple(report['params']['exponents'])}"]
+    lines = []
+    if "params" in report:  # absent when an argument was refused before the run
+        lines.append(f"exponents: {tuple(report['params']['exponents'])}")
     if "errors" in report:
         for err in report["errors"]:
             lines.append(f"error[{err['type']}]: {err['message']}")
@@ -454,7 +456,9 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
     except (ValueError, ZeroDivisionError) as exc:
-        print(json.dumps({"errors": [{"type": "ConfigError", "message": str(exc)}]}))
+        report = {"errors": [{"type": "ConfigError", "message": str(exc)}]}
+        # a refused argument prints one compact JSON line; other formats are rendered
+        print(json.dumps(report) if args.format == "json" else render(report, args.format))
         return EXIT_VALIDATION
     code, report = run(config)
     print(render(report, config.format))

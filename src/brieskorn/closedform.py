@@ -8,8 +8,12 @@ classes. The closed form is evaluated by direct generator enumeration:
 * the class of the n-th fiber multiple contributes the surface homology
   (1, 2g, 1) at gradings (-2nw - 2, -2nw - 1, -2nw), w = d/m, for n >= 1.
 
-``chain_homology`` computes the same dimensions the long way, from the
-assembled complexes, so the two can be compared grading by grading.
+``chain_homology`` computes the same dimensions from the chain side, so
+the two can be compared grading by grading. It builds and eliminates the
+class-1 fiber complex once per call: every fiber class n carries the same
+complex, shifted by the grading of its maximum orbit. A singleton class
+is one generator with no differential, so it is counted at the grading of
+its generator. Neither count reads the closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from .errors import ConfigError, IncompleteWindow
 from .homology import GradedDims, graded_homology
 from .invariants import SeifertData
-from .orbits import build_complex, orbifold_points
+from .orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder, orbifold_points
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ def _add(dims: GradedDims, grading: int, amount: int = 1) -> None:
 
 def exceptional_grading(data: SeifertData, j: int, k: int) -> int:
     _, t_j = data.orbifold_counts[j - 1]
-    return -2 * math.floor(Fraction(k * data.d, data.m * t_j)) - 2
+    return -2 * (k * data.d // (data.m * t_j)) - 2
 
 
 def closed_form_answer(data: SeifertData, grading_floor: int) -> ClosedFormAnswer:
@@ -102,14 +106,15 @@ def required_classes(data: SeifertData, grading_floor: int) -> int:
 def chain_homology(
     data: SeifertData, grading_floor: int, classes: int | None = None
 ) -> GradedDims:
-    """Graded homology from the assembled complexes, class by class.
+    """Graded homology from the chain complexes, summed over the classes.
 
-    Builds the complex of every fiber class up to ``classes`` (defaulting
-    to the number needed for the window) and of every singleton class with
-    grading above the floor, runs the exact elimination on each, and sums.
-    Every fiber class has the same boundary matrix, so each distinct
-    differential is eliminated once per call: the ranks are shared by
-    matrix content, never by class, and are dropped when the call returns.
+    Builds the class-1 fiber complex once and runs the exact elimination
+    on it. Every fiber class n = 1 .. ``classes`` (defaulting to the number
+    needed for the window) carries that complex shifted by the grading of
+    its maximum orbit minus that of class 1, so its homology is added once
+    per class at the shifted gradings. A singleton class is one exceptional
+    iterate with no differential; each one with grading above the floor
+    adds 1 at the grading of its generator. Nothing outlives the call.
 
     Raises IncompleteWindow if an explicit ``classes`` count is too small
     for the requested floor.
@@ -125,23 +130,24 @@ def chain_homology(
         )
 
     total: GradedDims = {}
-    ranks: dict = {}
+    fiber = graded_homology(build_complex(data, 1))
+    top = conley_zehnder(data, MAXIMUM, 1)
     for n in range(1, classes + 1):
-        for grading, dim in graded_homology(build_complex(data, n), ranks).items():
-            if grading >= grading_floor:
-                _add(total, grading, dim)
+        shift = conley_zehnder(data, MAXIMUM, n) - top
+        for grading, dim in fiber.items():
+            if grading + shift >= grading_floor:
+                _add(total, grading + shift, dim)
 
-    for j, i, t_j in orbifold_points(data):
+    for j, _i, t_j in orbifold_points(data):
         if t_j == 1:
             continue
         k = 1
         while True:
-            grading = exceptional_grading(data, j, k)
+            grading = conley_zehnder(data, EXCEPTIONAL, k, j) - 1
             if grading < grading_floor:
                 break
             if k % t_j != 0:
-                for g, dim in graded_homology(build_complex(data, (j, i, k)), ranks).items():
-                    _add(total, g, dim)
+                _add(total, grading)
             k += 1
     return total
 

@@ -70,14 +70,6 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def key(self) -> tuple:
-        """Hashable content: the shape and the nonzeros of each row."""
-        return (
-            self.rows,
-            self.cols,
-            tuple(tuple(sorted(row.items())) for row in self.sparse_rows),
-        )
-
     def multiply(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -137,18 +129,13 @@ class RationalMatrix:
 GradedDims = dict[int, int]
 
 
-def graded_homology(complex, ranks: dict | None = None) -> GradedDims:
+def graded_homology(complex) -> GradedDims:
     """Graded homology dimensions of a complex over the rationals.
 
     ``complex`` must expose ``generators_by_grading`` (grading -> generator
     list) and ``differential`` (grading k -> RationalMatrix mapping the
     grading-k chain group into grading k-1). The dimension at grading k is
     dim ker(d_k) - rank(d_{k+1}); absent gradings have dimension zero.
-
-    ``ranks`` maps matrix content (``RationalMatrix.key()``) to rank; pass
-    one dict to several calls to share it. A differential whose content is
-    already there is not eliminated again; every other one is eliminated
-    and added.
 
     Raises InconsistentComplex unless each d_k is (generators at k-1) x
     (generators at k) and consecutive differentials compose to zero.
@@ -172,15 +159,7 @@ def graded_homology(complex, ranks: dict | None = None) -> GradedDims:
                     f"differentials at gradings {k + 1} and {k} do not compose to zero"
                 )
 
-    if ranks is None:
-        ranks = {}
-    rank_by_grading = {}
-    for k, mat in diffs.items():
-        key = mat.key()  # a tuple rehashes on every lookup, so look up once
-        rank = ranks.get(key)
-        if rank is None:
-            rank = ranks[key] = mat.rank()
-        rank_by_grading[k] = rank
+    rank_by_grading = {k: mat.rank() for k, mat in diffs.items()}
     out: GradedDims = {}
     for k, dim in chain_dims.items():
         # the shape and compose checks above make this nonnegative

@@ -64,8 +64,8 @@ class OrbitGenerator:
 def conley_zehnder(data: SeifertData, kind: str, iterate: int, j: int | None = None) -> int:
     """Exact Conley-Zehnder index of an orbit descriptor.
 
-    The rotation count is evaluated as an exact rational before the floor,
-    so the result is bit-exact for any iterate.
+    The rotation count is floored by exact integer division, so the result
+    is bit-exact for any iterate.
     """
     if iterate < 1:
         raise ValueError("iterate must be >= 1")
@@ -73,7 +73,7 @@ def conley_zehnder(data: SeifertData, kind: str, iterate: int, j: int | None = N
         if j is None:
             raise ValueError("exceptional orbits need the exponent index j")
         _, t_j = data.orbifold_counts[j - 1]
-        return -2 * math.floor(Fraction(iterate * data.d, data.m * t_j)) - 1
+        return -2 * (iterate * data.d // (data.m * t_j)) - 1
     if kind == SADDLE:
         return -2 * iterate * data.fiber_winding
     if kind == MAXIMUM:

@@ -14,6 +14,9 @@ from brieskorn import (
     validate_params,
 )
 from brieskorn import closedform
+from brieskorn.homology import graded_homology
+from brieskorn.orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
+from chain_oracle import long_chain_homology, singleton_classes, singleton_grading
 
 
 def data_for(*exponents):
@@ -152,13 +155,13 @@ def test_chain_matches_closed_form_full_window(fuzz_corpus):
             assert report.equal, (data.params.exponents, floor, report.first_mismatch)
 
 
-def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatch):
+def _count_builds_and_ranks(monkeypatch):
     built, eliminated = [], []
     real_build, real_rank = closedform.build_complex, RationalMatrix.rank
 
     def build(data, cls):
         complex_ = real_build(data, cls)
-        built.extend(complex_.differential.values())
+        built.append(complex_)
         return complex_
 
     def rank(matrix):
@@ -167,27 +170,70 @@ def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatc
 
     monkeypatch.setattr(closedform, "build_complex", build)
     monkeypatch.setattr(RationalMatrix, "rank", rank)
+    return built, eliminated
+
+
+def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatch):
+    built, eliminated = _count_builds_and_ranks(monkeypatch)
 
     def nonempty(matrices):
         return [(m.rows, m.cols, m.entries) for m in matrices if m.rows and m.cols]
 
     data, floor = data_for(2, 2, 3, 3, 3), -40
-    classes = required_classes(data, floor)
-    assert classes >= 3
+    assert required_classes(data, floor) >= 3
     results = []
     for _ in range(2):  # the second call eliminates again: nothing outlives a call
         built.clear()
         eliminated.clear()
         results.append(chain_homology(data, floor))
-        # each fiber class builds the same M x S boundary and S x 1 zero matrix
-        distinct = set(nonempty(built))
-        assert len(nonempty(built)) == 2 * classes and len(distinct) == 2
-        assert sorted(nonempty(eliminated)) == sorted(distinct)
+        # one complex per call: the class-1 M x S boundary and S x 1 zero matrix
+        assert [c.class_label for c in built] == ["fiber:1"]
+        matrices = nonempty(built[0].differential.values())
+        assert len(matrices) == len(set(matrices)) == 2
+        assert sorted(nonempty(eliminated)) == sorted(matrices)
     assert results[0] == results[1] == closed_form_homology(data, floor)
 
 
+def test_deep_window_builds_one_complex(monkeypatch):
+    # over 20,000 singleton and fiber classes reach the floor; one complex is built
+    built, _ = _count_builds_and_ranks(monkeypatch)
+    data, floor = data_for(2, 3, 7), -4000
+    singletons = sum(1 for _ in singleton_classes(data, floor))
+    assert singletons + required_classes(data, floor) > 20_000
+    chain = chain_homology(data, floor)
+    assert len(built) == 1
+    assert compare_graded(chain, closed_form_homology(data, floor), floor).equal
+
+
+def test_chain_homology_equals_the_class_by_class_oracle(fuzz_corpus):
+    for data in fuzz_corpus[100:160]:
+        for floor in (-2, -9, -30):
+            assert chain_homology(data, floor) == long_chain_homology(data, floor), (
+                data.params.exponents, floor)
+        classes = required_classes(data, -9) + 3
+        assert chain_homology(data, -9, classes) == long_chain_homology(data, -9, classes)
+
+
+def test_fiber_class_complexes_are_class_one_shifted(fuzz_corpus):
+    for data in fuzz_corpus[200:240]:
+        first = graded_homology(build_complex(data, 1))
+        assert first  # the surface homology (1, 2g, 1) is never zero
+        for n in range(1, 5):
+            shift = conley_zehnder(data, MAXIMUM, n) - conley_zehnder(data, MAXIMUM, 1)
+            expected = {grading + shift: dim for grading, dim in first.items()}
+            assert graded_homology(build_complex(data, n)) == expected
+
+
+def test_singleton_complexes_have_homology_one_at_their_grading(fuzz_corpus):
+    for data in fuzz_corpus[200:240]:
+        for j, i, k in singleton_classes(data, -30):
+            grading = conley_zehnder(data, EXCEPTIONAL, k, j) - 1
+            assert grading == singleton_grading(data, j, k)
+            assert graded_homology(build_complex(data, (j, i, k))) == {grading: 1}
+
+
 def test_compare_eight_twos_at_floor_minus_8():
-    # 512 minima and genus 129: a 512 x 769 boundary matrix in each of 2 classes
+    # 512 minima and genus 129: a 512 x 769 boundary matrix, eliminated once per call
     data, floor = data_for(*[2] * 8), -8
     report = compare_graded(
         chain_homology(data, floor), closed_form_homology(data, floor), floor
