@@ -30,16 +30,10 @@ from . import tolerances as tol_mod
 from .closedform import chain_homology, closed_form_homology, compare_graded
 from .dynamics import LocalModel, linearized_return_map
 from .errors import BrieskornError, ConfigError, NondegeneracyFailure, RelationFailure
-from .halfplane import (
-    LiftedIsometry,
-    contact_invariance_residual,
-    frame_invariance_residual,
-    random_mobius,
-    random_point,
-)
+from .halfplane import LiftedIsometry, invariance_residuals, random_mobius, random_point
 from .homology import poincare_series
 from .invariants import seifert_data, validate_params
-from .orbits import build_complex, enumerate_generators
+from .orbits import EXCEPTIONAL, build_complex, conley_zehnder, enumerate_generators
 from .polygon import (
     build_polygon_group,
     check_relations,
@@ -200,8 +194,9 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
     for _ in range(config.samples):
         element = LiftedIsometry.canonical(random_mobius(rng))
         point = random_point(rng)
-        worst_form = max(worst_form, contact_invariance_residual(element, point))
-        worst_frame = max(worst_frame, frame_invariance_residual(element, point))
+        form, frame = invariance_residuals(element, point)
+        worst_form = max(worst_form, form)
+        worst_frame = max(worst_frame, frame)
     invariance_ok = max(worst_form, worst_frame) < tols["invariance"]
 
     group = build_polygon_group(data.params, tolerances=tols)
@@ -213,7 +208,9 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
         for n in range(1, config.iterates + 1):
             ratio = ratio_simple * n
             period = 2.0 * math.pi * float(ratio)
-            cz_formula = -2 * math.floor(ratio) - 1
+            cz_formula = conley_zehnder(data, EXCEPTIONAL, n, j)
+            # requested epsilons that clamp to one window limit share one integration
+            outcomes = {}
             for requested in config.epsilons:
                 model = LocalModel.in_window(vertex, ratio, requested)
                 row = {
@@ -222,12 +219,16 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
                     "epsilon": model.epsilon,
                     "period_2pi": str(ratio),
                 }
-                try:
-                    result = linearized_return_map(
-                        model, period, period_ratio=ratio, tolerances=tols
-                    )
-                except NondegeneracyFailure as exc:
-                    row["error"] = str(exc)
+                if model.epsilon not in outcomes:
+                    try:
+                        outcomes[model.epsilon] = linearized_return_map(
+                            model, period, period_ratio=ratio, tolerances=tols
+                        )
+                    except NondegeneracyFailure as exc:
+                        outcomes[model.epsilon] = exc
+                result = outcomes[model.epsilon]
+                if isinstance(result, NondegeneracyFailure):
+                    row["error"] = str(result)
                     rotations_ok = False
                     table.append(row)
                     continue

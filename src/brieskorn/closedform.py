@@ -1,19 +1,33 @@
 """Closed-form graded dimensions and the chain-level cross-check.
 
 The homology of the full orbit complex decomposes over free homotopy
-classes. The closed form is evaluated by direct generator enumeration:
+classes:
 
 * every exceptional iterate k >= 1 with t_j not dividing k contributes one
   dimension at grading -2*floor(k*d/(m*t_j)) - 2 (a singleton class);
 * the class of the n-th fiber multiple contributes the surface homology
   (1, 2g, 1) at gradings (-2nw - 2, -2nw - 1, -2nw), w = d/m, for n >= 1.
 
+Both summands are periodic. w is an integer, so iterate k + t_j sits 2w
+below iterate k, and fiber class n + 1 sits 2w below class n. The whole
+answer is therefore one base block, the iterates k = 1 .. t_j - 1 of every
+orbifold point plus fiber class 1, repeated every 2w gradings: the block
+lies in [-2w - 2, -2], and
+
+    dims(g - 2w) = dims(g)  for every g <= -3,
+    dims(-2w - 2) = dims(-2) + 1,
+
+the one exception being the bottom of fiber class 1, which has no class-0
+partner. Both sides below build their base block once and tile it down to
+the grading floor, so their cost outside the tiling does not depend on the
+floor.
+
 ``chain_homology`` computes the same dimensions from the chain side, so
 the two can be compared grading by grading. It builds and eliminates the
-class-1 fiber complex once per call: every fiber class n carries the same
-complex, shifted by the grading of its maximum orbit. A singleton class
-is one generator with no differential, so it is counted at the grading of
-its generator. Neither count reads the closed form.
+class-1 fiber complex once per call, counts the singleton classes of the
+first period at the grading of their generator (each is one generator with
+no differential), and reads the period from its own generators. It never
+reads the closed form.
 """
 
 from __future__ import annotations
@@ -22,10 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, IncompleteWindow
+from .errors import ConfigError, InconsistentComplex, IncompleteWindow
 from .homology import GradedDims, graded_homology
 from .invariants import SeifertData
-from .orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder, orbifold_points
+from .orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
 
 
 @dataclass(frozen=True)
@@ -34,10 +48,10 @@ class ClosedFormAnswer:
 
     ``g_block`` holds the fundamental window of exceptional iterates
     (k = 1 .. t_j - 1 per orbifold point); its total dimension is
-    sum_j s_j * (t_j - 1). ``surface_blocks`` maps each fiber multiple n
-    to its shifted copy of the surface homology. ``combined`` is the full
-    truncated answer, obtained from all exceptional iterates (every
-    window, not just the first) plus all surface blocks.
+    sum_j s_j * (t_j - 1). ``surface_blocks`` maps fiber class 1 to its
+    copy of the surface homology; class n is that block shifted down by
+    2w(n - 1). ``combined`` is the full truncated answer: the two blocks
+    repeated every 2w gradings down to the floor.
     """
 
     g_block: GradedDims
@@ -50,6 +64,17 @@ def _add(dims: GradedDims, grading: int, amount: int = 1) -> None:
         dims[grading] = dims.get(grading, 0) + amount
 
 
+def _tile(blocks: list[GradedDims], period: int, grading_floor: int) -> GradedDims:
+    """Every dimension of the blocks repeated ``period`` gradings apart, down to the floor."""
+    total: GradedDims = {}
+    for block in blocks:
+        for grading, dim in block.items():
+            if dim:
+                for shifted in range(grading, grading_floor - 1, -period):
+                    total[shifted] = total.get(shifted, 0) + dim
+    return total
+
+
 def exceptional_grading(data: SeifertData, j: int, k: int) -> int:
     _, t_j = data.orbifold_counts[j - 1]
     return -2 * (k * data.d // (data.m * t_j)) - 2
@@ -60,37 +85,18 @@ def closed_form_answer(data: SeifertData, grading_floor: int) -> ClosedFormAnswe
         raise ConfigError("grading_floor must be <= -2")
 
     g_block: GradedDims = {}
-    combined: GradedDims = {}
-
-    for j, _i, t_j in orbifold_points(data):
+    for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
         for k in range(1, t_j):
-            _add(g_block, exceptional_grading(data, j, k))
-        if t_j == 1:
-            continue
-        k = 1
-        while True:
-            grading = exceptional_grading(data, j, k)
-            if grading < grading_floor:
-                break
-            if k % t_j != 0:
-                _add(combined, grading)
-            k += 1
+            _add(g_block, exceptional_grading(data, j, k), s_j)
 
-    surface_blocks: dict[int, GradedDims] = {}
     w = data.fiber_winding
-    n = 1
-    while -2 * n * w >= grading_floor:
-        block: GradedDims = {}
-        _add(block, -2 * n * w, 1)
-        _add(block, -2 * n * w - 1, 2 * data.genus)
-        _add(block, -2 * n * w - 2, 1)
-        surface_blocks[n] = block
-        for grading, dim in block.items():
-            if grading >= grading_floor:
-                _add(combined, grading, dim)
-        n += 1
+    surface: GradedDims = {}
+    _add(surface, -2 * w, 1)
+    _add(surface, -2 * w - 1, 2 * data.genus)
+    _add(surface, -2 * w - 2, 1)
 
-    return ClosedFormAnswer(g_block=g_block, surface_blocks=surface_blocks, combined=combined)
+    combined = _tile([g_block, surface], 2 * w, grading_floor)
+    return ClosedFormAnswer(g_block=g_block, surface_blocks={1: surface}, combined=combined)
 
 
 def closed_form_homology(data: SeifertData, grading_floor: int) -> GradedDims:
@@ -109,15 +115,17 @@ def chain_homology(
     """Graded homology from the chain complexes, summed over the classes.
 
     Builds the class-1 fiber complex once and runs the exact elimination
-    on it. Every fiber class n = 1 .. ``classes`` (defaulting to the number
-    needed for the window) carries that complex shifted by the grading of
-    its maximum orbit minus that of class 1, so its homology is added once
-    per class at the shifted gradings. A singleton class is one exceptional
-    iterate with no differential; each one with grading above the floor
-    adds 1 at the grading of its generator. Nothing outlives the call.
+    on it. Its homology, together with the singleton classes of the first
+    period (iterates k = 1 .. t_j - 1, each one generator with no
+    differential, adding s_j at the grading of its generator), is the base
+    block. The period is the grading drop from the class-1 to the class-2
+    maximum orbit; every fiber class and every later exceptional iterate is
+    a copy of the base block shifted down by a multiple of it, so the block
+    is tiled down to the floor. Nothing outlives the call.
 
     Raises IncompleteWindow if an explicit ``classes`` count is too small
-    for the requested floor.
+    for the requested floor, and InconsistentComplex if iterate k + t_j of
+    some orbifold point does not sit one period below iterate k.
     """
     if grading_floor > -2:
         raise ConfigError("grading_floor must be <= -2")
@@ -129,27 +137,20 @@ def chain_homology(
             f"floor {grading_floor} needs {needed} fiber classes, got {classes}"
         )
 
-    total: GradedDims = {}
+    period = conley_zehnder(data, MAXIMUM, 1) - conley_zehnder(data, MAXIMUM, 2)
+    singletons: GradedDims = {}
+    for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
+        for k in range(1, t_j):
+            cz = conley_zehnder(data, EXCEPTIONAL, k, j)
+            shift = cz - conley_zehnder(data, EXCEPTIONAL, k + t_j, j)
+            if shift != period:
+                raise InconsistentComplex(
+                    f"exceptional iterates {k} and {k + t_j} of exponent {j} are {shift} "
+                    f"gradings apart, but fiber classes are {period}"
+                )
+            _add(singletons, cz - 1, s_j)
     fiber = graded_homology(build_complex(data, 1))
-    top = conley_zehnder(data, MAXIMUM, 1)
-    for n in range(1, classes + 1):
-        shift = conley_zehnder(data, MAXIMUM, n) - top
-        for grading, dim in fiber.items():
-            if grading + shift >= grading_floor:
-                _add(total, grading + shift, dim)
-
-    for j, _i, t_j in orbifold_points(data):
-        if t_j == 1:
-            continue
-        k = 1
-        while True:
-            grading = conley_zehnder(data, EXCEPTIONAL, k, j) - 1
-            if grading < grading_floor:
-                break
-            if k % t_j != 0:
-                _add(total, grading)
-            k += 1
-    return total
+    return _tile([fiber, singletons], period, grading_floor)
 
 
 @dataclass(frozen=True)

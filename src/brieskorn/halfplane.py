@@ -313,6 +313,18 @@ def lifted_jacobian_fd(h: LiftedIsometry, p: UpperHalfPoint, step: float = 1e-6)
     return np.column_stack(cols)
 
 
+def _form_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
+    pulled = contact_covector(image) @ jac
+    return float(np.linalg.norm(pulled - contact_covector(p)))
+
+
+def _frame_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
+    worst = 0.0
+    for here, there in zip(frame_at(p), frame_at(image)):
+        worst = max(worst, float(np.linalg.norm(jac @ here - there)))
+    return worst
+
+
 def contact_invariance_residual(
     h: LiftedIsometry,
     p: UpperHalfPoint,
@@ -327,9 +339,7 @@ def contact_invariance_residual(
         jac = lifted_jacobian_fd(h, p, fd_step)
     else:
         raise ValueError("method must be 'analytic' or 'fd'")
-    image = h.apply(p)
-    pulled = contact_covector(image) @ jac
-    return float(np.linalg.norm(pulled - contact_covector(p)))
+    return _form_residual(jac, p, h.apply(p))
 
 
 def frame_invariance_residual(
@@ -344,11 +354,18 @@ def frame_invariance_residual(
         jac = lifted_jacobian(h, p)
     else:
         jac = lifted_jacobian_fd(h, p, fd_step)
+    return _frame_residual(jac, p, h.apply(p))
+
+
+def invariance_residuals(h: LiftedIsometry, p: UpperHalfPoint) -> tuple[float, float]:
+    """The contact and frame residuals of h at p, from one analytic Jacobian and one image.
+
+    Equal, bit for bit, to ``contact_invariance_residual(h, p)`` and
+    ``frame_invariance_residual(h, p)``.
+    """
+    jac = lifted_jacobian(h, p)
     image = h.apply(p)
-    worst = 0.0
-    for here, there in zip(frame_at(p), frame_at(image)):
-        worst = max(worst, float(np.linalg.norm(jac @ here - there)))
-    return worst
+    return _form_residual(jac, p, image), _frame_residual(jac, p, image)
 
 
 def automorphic_modulus(f_modulus_at, degree, p: UpperHalfPoint) -> float:

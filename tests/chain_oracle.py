@@ -1,18 +1,28 @@
-"""Class-by-class chain homology that the tests use as an oracle for ``chain_homology``.
+"""Iterate-by-iterate oracles that the tests use for both sides of ``compare``.
 
-It builds the complex of every fiber class and of every singleton class
-above the floor and eliminates each one, where ``chain_homology`` builds
-the class-1 complex once and counts singleton classes directly. The loop
-bound of the singleton classes is the exceptional grading evaluated as an
-exact rational floor, not the integer division of the package.
+``long_chain_homology`` builds the complex of every fiber class and of
+every singleton class above the floor and eliminates each one, where
+``chain_homology`` builds the class-1 complex once and tiles one period.
+The loop bound of its singleton classes is the exceptional grading
+evaluated as an exact rational floor, not the integer division of the
+package.
+
+``long_closed_form`` enumerates the closed form one exceptional iterate of
+one orbifold point, and one fiber class, at a time down to the floor,
+where ``closed_form_answer`` tiles one period.
 """
 
 import math
 from fractions import Fraction
 
-from brieskorn.closedform import required_classes
+from brieskorn.closedform import ClosedFormAnswer, exceptional_grading, required_classes
 from brieskorn.homology import graded_homology
 from brieskorn.orbits import build_complex, orbifold_points
+
+
+def _add(dims, grading, amount=1):
+    if amount:
+        dims[grading] = dims.get(grading, 0) + amount
 
 
 def singleton_grading(data, j, k) -> int:
@@ -45,3 +55,39 @@ def long_chain_homology(data, grading_floor, classes=None) -> dict[int, int]:
         for grading, dim in graded_homology(build_complex(data, cls)).items():
             total[grading] = total.get(grading, 0) + dim
     return total
+
+
+def long_closed_form(data, grading_floor) -> ClosedFormAnswer:
+    """The closed form with one surface block per fiber class down to the floor."""
+    g_block: dict[int, int] = {}
+    combined: dict[int, int] = {}
+
+    for j, _i, t_j in orbifold_points(data):
+        for k in range(1, t_j):
+            _add(g_block, exceptional_grading(data, j, k))
+        if t_j == 1:
+            continue
+        k = 1
+        while True:
+            grading = exceptional_grading(data, j, k)
+            if grading < grading_floor:
+                break
+            if k % t_j != 0:
+                _add(combined, grading)
+            k += 1
+
+    surface_blocks: dict[int, dict[int, int]] = {}
+    w = data.fiber_winding
+    n = 1
+    while -2 * n * w >= grading_floor:
+        block: dict[int, int] = {}
+        _add(block, -2 * n * w, 1)
+        _add(block, -2 * n * w - 1, 2 * data.genus)
+        _add(block, -2 * n * w - 2, 1)
+        surface_blocks[n] = block
+        for grading, dim in block.items():
+            if grading >= grading_floor:
+                _add(combined, grading, dim)
+        n += 1
+
+    return ClosedFormAnswer(g_block=g_block, surface_blocks=surface_blocks, combined=combined)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from brieskorn import cli, tolerances
+from brieskorn import cli, dynamics, halfplane, tolerances
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 
@@ -111,6 +111,36 @@ def test_verify_dynamics_exit_and_payload():
     for row in ver["rotation_table"]:
         assert row["cz"] == row["cz_formula"]
         assert row["relative_error"] < 1e-6
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
+    jacobians = _count_calls(monkeypatch, halfplane, "lifted_jacobian")
+    integrations = _count_calls(monkeypatch, dynamics, "integrate_monodromy")
+    code, report = run_cli(
+        ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
+    )
+    assert code == EXIT_TOLERANCE
+    assert len(jacobians) == 30
+    rows = report["verification"]["rotation_table"]
+    keys = [(row["vertex"], row["iterate"], row["epsilon"]) for row in rows]
+    # both default epsilons clamp to one window limit on some rows; each key is
+    # integrated once and its row emitted once per requested epsilon
+    assert len(rows) == 16 and len(set(keys)) == 12
+    assert len(integrations) == len(set(keys))
+    for row, key in zip(rows, keys):
+        assert row == rows[keys.index(key)]
 
 
 def test_json_reports_are_deterministic():

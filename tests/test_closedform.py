@@ -3,6 +3,7 @@
 import pytest
 
 from brieskorn import (
+    InconsistentComplex,
     IncompleteWindow,
     RationalMatrix,
     chain_homology,
@@ -13,10 +14,15 @@ from brieskorn import (
     seifert_data,
     validate_params,
 )
-from brieskorn import closedform
+from brieskorn import cli, closedform
 from brieskorn.homology import graded_homology
 from brieskorn.orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
-from chain_oracle import long_chain_homology, singleton_classes, singleton_grading
+from chain_oracle import (
+    long_chain_homology,
+    long_closed_form,
+    singleton_classes,
+    singleton_grading,
+)
 
 
 def data_for(*exponents):
@@ -62,11 +68,15 @@ def test_g_block_totals():
 
 
 def test_surface_blocks_shape():
+    # one base block: fiber class n is class 1 shifted down by 2w(n - 1)
     data = data_for(2, 2, 3, 3, 3)
     answer = closed_form_answer(data, -30)
-    assert set(answer.surface_blocks) == {1, 2}
-    assert answer.surface_blocks[1] == {-12: 1, -13: 20, -14: 1}
-    assert answer.surface_blocks[2] == {-24: 1, -25: 20, -26: 1}
+    assert answer.surface_blocks == {1: {-12: 1, -13: 20, -14: 1}}
+    per_class = long_closed_form(data, -30).surface_blocks
+    assert set(per_class) == {1, 2}
+    for n, block in per_class.items():
+        shift = -2 * data.fiber_winding * (n - 1)
+        assert block == {g + shift: dim for g, dim in answer.surface_blocks[1].items()}
 
 
 def test_chain_equals_closed_form_on_window():
@@ -239,3 +249,83 @@ def test_compare_eight_twos_at_floor_minus_8():
         chain_homology(data, floor), closed_form_homology(data, floor), floor
     )
     assert report.equal, report.first_mismatch
+
+
+def test_both_sides_equal_their_long_oracles(fuzz_corpus):
+    for data in fuzz_corpus[300:340]:
+        w = data.fiber_winding
+        for floor in (-2, -3, -2 * w - 2, -2 * w - 3, -6 * w - 10):
+            label = (data.params.exponents, floor)
+            answer, long = closed_form_answer(data, floor), long_closed_form(data, floor)
+            assert answer.combined == long.combined, label
+            assert answer.g_block == long.g_block, label
+            assert chain_homology(data, floor) == long_chain_homology(data, floor), label
+        floor = -2 * w - 3
+        classes = required_classes(data, floor) + 3
+        assert chain_homology(data, floor, classes) == long_chain_homology(data, floor, classes)
+
+
+def test_answer_repeats_every_two_w_below_grading_minus_two(fuzz_corpus):
+    for data in fuzz_corpus[:300]:
+        w = data.fiber_winding
+        floor = -6 * w - 10
+        dims = closed_form_homology(data, floor)
+        assert dims.get(-2 * w - 2, 0) == dims.get(-2, 0) + 1
+        for grading in range(-3, floor + 2 * w - 1, -1):
+            assert dims.get(grading - 2 * w, 0) == dims.get(grading, 0), (
+                data.params.exponents, grading)
+
+
+def test_work_outside_the_tiling_does_not_depend_on_the_floor(monkeypatch):
+    calls = {"conley_zehnder": 0, "exceptional_grading": 0, "build_complex": 0}
+    for name in calls:
+        real = getattr(closedform, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(closedform, name, counted)
+
+    data = data_for(2, 3, 7)
+    seen = []
+    for floor in (-200, -200_000):
+        for name in calls:
+            calls[name] = 0
+        chain = chain_homology(data, floor)
+        oracle = closed_form_homology(data, floor)
+        assert min(chain) == min(oracle) == floor
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["build_complex"] == 1
+    assert seen[0]["conley_zehnder"] > 0 and seen[0]["exceptional_grading"] > 0
+
+
+def test_chain_side_never_reads_the_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chain side read the closed form")
+
+    for name in ("closed_form_answer", "closed_form_homology", "exceptional_grading"):
+        monkeypatch.setattr(closedform, name, refuse)
+    for exponents in ((2, 3, 7), (2, 2, 3, 3, 3), (3, 4, 5)):
+        data = data_for(*exponents)
+        assert chain_homology(data, -40) == long_chain_homology(data, -40)
+
+
+def test_inconsistent_period_is_a_typed_failure(monkeypatch):
+    real = closedform.conley_zehnder
+
+    def skewed(data, kind, iterate, j=None):
+        # iterates beyond the first period of exponent 3 sit 2 gradings too low
+        cz = real(data, kind, iterate, j)
+        if kind == EXCEPTIONAL and j == 3 and iterate > data.orbifold_counts[j - 1][1]:
+            cz -= 2
+        return cz
+
+    monkeypatch.setattr(closedform, "conley_zehnder", skewed)
+    with pytest.raises(InconsistentComplex, match="exponent 3"):
+        chain_homology(data_for(2, 3, 7), -10)
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare"))
+    assert code == 3
+    assert [e["type"] for e in report["errors"]] == ["InconsistentComplex"]
+    assert "comparison" not in report

@@ -16,6 +16,7 @@ from brieskorn.halfplane import (
     contact_invariance_residual,
     frame_at,
     frame_invariance_residual,
+    invariance_residuals,
     mobius_apply,
     random_mobius,
     random_point,
@@ -110,6 +111,15 @@ def test_invariance_residuals_random_elements():
         p = random_point(rng)
         assert contact_invariance_residual(h, p) < 1e-8
         assert frame_invariance_residual(h, p) < 1e-8
+
+
+def test_both_residuals_at_once_equal_each_alone_bit_for_bit():
+    rng = random.Random(5)
+    for _ in range(200):
+        h = LiftedIsometry.canonical(random_mobius(rng))
+        p = random_point(rng)
+        assert invariance_residuals(h, p) == (
+            contact_invariance_residual(h, p), frame_invariance_residual(h, p))
 
 
 def test_invariance_identity_and_vertical_shift():
