@@ -172,7 +172,7 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
         "angle_errors": angle_errors,
         "vertices": [[v.real, v.imag] for v in group.vertices],
     }
-    code = EXIT_TOLERANCE if abs(area - target) > tols["area"] else EXIT_OK
+    code = EXIT_TOLERANCE if tol_mod.exceeds(abs(area - target), tols["area"]) else EXIT_OK
     try:
         residuals = check_relations(
             group, samples=min(config.samples, 50) or 20, seed=config.rng_seed,
@@ -189,15 +189,17 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
 def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
     tols = config.tolerances
     rng = random.Random(config.rng_seed)
-    worst_form = 0.0
-    worst_frame = 0.0
+    elements, points = [], []
     for _ in range(config.samples):
-        element = LiftedIsometry.canonical(random_mobius(rng))
-        point = random_point(rng)
-        form, frame = invariance_residuals(element, point)
-        worst_form = max(worst_form, form)
-        worst_frame = max(worst_frame, frame)
-    invariance_ok = max(worst_form, worst_frame) < tols["invariance"]
+        elements.append(LiftedIsometry.canonical(random_mobius(rng)))
+        points.append(random_point(rng))
+    # an array maximum carries a NaN through, where Python's max would drop it
+    worst_form, worst_frame = (
+        float(r.max(initial=0.0)) for r in invariance_residuals(elements, points)
+    )
+    invariance_ok = not any(
+        tol_mod.exceeds(worst, tols["invariance"]) for worst in (worst_form, worst_frame)
+    )
 
     group = build_polygon_group(data.params, tolerances=tols)
     table = []
@@ -243,8 +245,8 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
                     }
                 )
                 if (
-                    result.relative_error > tols["ode_vs_analytic"]
-                    or abs(result.determinant - 1.0) > tols["determinant"]
+                    tol_mod.exceeds(result.relative_error, tols["ode_vs_analytic"])
+                    or tol_mod.exceeds(abs(result.determinant - 1.0), tols["determinant"])
                     or result.cz_index != cz_formula
                 ):
                     rotations_ok = False
@@ -286,6 +288,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
     }
     try:
         config = replace(config, tolerances=tol_mod.resolve(config.tolerances))
+        for name in ("samples", "iterates"):
+            if getattr(config, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
         data = seifert_data(validate_params(config.exponents))
         report["seifert"] = _seifert_payload(data)
         code = _RUNNERS[config.mode](config, data, report)

@@ -11,6 +11,19 @@ acts on the bundle by
 and an element of the universal cover group is such a matrix together
 with a continuous choice of the argument, recorded here as the exact
 t-shift the element applies at the reference point w = i.
+
+The invariance block of ``verify-dynamics`` draws its elements and points
+from ``--seed`` alone (``--samples`` of each; the exponents play no part)
+and computes all its residuals in one call of ``invariance_residuals``,
+over arrays. The residuals are rounding noise, pinned in reports, so that
+call reproduces ``contact_invariance_residual`` and
+``frame_invariance_residual`` bit for bit: complex squares are built from
+real and imaginary parts, because numpy's complex array multiply may fuse
+operations; dot products and norms run as stacked ``np.matmul``, the BLAS
+kernels the scalar ``@`` and ``np.linalg.norm`` use (``einsum`` or sums
+of squares need not round the same way); phases, cosines and sines stay on
+``cmath`` and ``math`` per point, so they do not depend on numpy's SIMD
+dispatch.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ import numpy as np
 from .errors import DegenerateInput
 
 _REF = 1j  # reference point anchoring all argument lifts
+_DENOMINATOR_TOL = 1e-12  # |c*z + d| below this times max(1, |z|) is degenerate
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,7 @@ class MobiusElement:
     def d(self):
         return self.matrix[1, 1]
 
-    def apply(self, z: complex, *, denominator_tol: float = 1e-12) -> complex:
+    def apply(self, z: complex, *, denominator_tol: float = _DENOMINATOR_TOL) -> complex:
         den = self.c * z + self.d
         if abs(den) < denominator_tol * max(1.0, abs(z)):
             raise DegenerateInput(f"Moebius denominator collapsed at z = {z}")
@@ -357,15 +371,82 @@ def frame_invariance_residual(
     return _frame_residual(jac, p, h.apply(p))
 
 
-def invariance_residuals(h: LiftedIsometry, p: UpperHalfPoint) -> tuple[float, float]:
-    """The contact and frame residuals of h at p, from one analytic Jacobian and one image.
+def _frame_columns(y: np.ndarray, t: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``frame_at`` for many points, as two (N, 3, 1) stacks of column vectors."""
+    cos_t = np.array([math.cos(v) for v in t])
+    sin_t = np.array([math.sin(v) for v in t])
+    e1 = np.stack([y * cos_t, y * sin_t, -cos_t], axis=1)
+    e2 = np.stack([-y * sin_t, y * cos_t, sin_t], axis=1)
+    return e1[:, :, None], e2[:, :, None]
 
-    Equal, bit for bit, to ``contact_invariance_residual(h, p)`` and
-    ``frame_invariance_residual(h, p)``.
+
+def _covector_rows(y: np.ndarray) -> np.ndarray:
+    """``contact_covector`` for many points, as an (N, 1, 3) stack of rows."""
+    rows = np.zeros((len(y), 1, 3))
+    rows[:, 0, 0] = 1.0 / y
+    rows[:, 0, 2] = 1.0
+    return rows
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector of an (N, 1, 3) or (N, 3, 1) stack."""
+    rows = v.reshape(len(v), 1, 3)
+    return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)))[:, 0, 0]
+
+
+def invariance_residuals(
+    elements: list[LiftedIsometry], points: list[UpperHalfPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contact and frame residuals of each element at its point, as two arrays.
+
+    Entry k equals ``contact_invariance_residual(elements[k], points[k])``
+    and ``frame_invariance_residual(elements[k], points[k])`` bit for bit,
+    by the rules in the module docstring, except that a frame residual
+    keeps a NaN from either frame vector.
+
+    Raises DegenerateInput at the first point whose Moebius denominator
+    collapses or whose image leaves the upper half-plane.
     """
-    jac = lifted_jacobian(h, p)
-    image = h.apply(p)
-    return _form_residual(jac, p, image), _frame_residual(jac, p, image)
+    if len(elements) != len(points):
+        raise ValueError("need one point per element")
+    if not points:
+        return np.zeros(0), np.zeros(0)
+    a, b, c, d = np.array([h.base.matrix for h in elements]).reshape(-1, 4).T
+    z = np.array([p.z for p in points])
+    den = c * z + d
+    collapsed = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
+    if collapsed.any():
+        z_bad = points[int(collapsed.argmax())].z
+        raise DegenerateInput(f"Moebius denominator collapsed at z = {z_bad}")
+    image = (a * z + b) / den
+    outside = ~(image.imag > 0)
+    if outside.any():
+        k = int(outside.argmax())
+        raise DegenerateInput(
+            f"image of z = {points[k].z} has y = {image.imag[k]}, outside the upper half-plane"
+        )
+    image_t = [p.t + h.theta_shift(p.z) for h, p in zip(elements, points)]
+
+    dr, di = den.real, den.imag
+    square = np.empty_like(den)
+    square.real = dr * dr - di * di
+    square.imag = dr * di + di * dr
+    w = 1.0 / square
+    q = c / den
+    jac = np.zeros((len(points), 3, 3))
+    jac[:, 0, 0] = jac[:, 1, 1] = w.real
+    jac[:, 0, 1] = -w.imag
+    jac[:, 1, 0] = w.imag
+    jac[:, 2, 0] = -2.0 * q.imag
+    jac[:, 2, 1] = -2.0 * q.real
+    jac[:, 2, 2] = 1.0
+
+    y = z.imag
+    form = _norms(np.matmul(_covector_rows(image.imag), jac) - _covector_rows(y))
+    here = _frame_columns(y, [p.t for p in points])
+    there = _frame_columns(image.imag, image_t)
+    frame = np.maximum(*(_norms(np.matmul(jac, e) - f) for e, f in zip(here, there)))
+    return form, frame
 
 
 def automorphic_modulus(f_modulus_at, degree, p: UpperHalfPoint) -> float:

@@ -195,7 +195,7 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         spin = cmath.phase(rotation.derivative(vertices[j]))
         expected = 2.0 * angles[j]
         wrapped = (spin - expected + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(wrapped) > 1e-6:
+        if not abs(wrapped) <= 1e-6:
             raise ConstructionFailure(
                 f"rotation at vertex {j + 1} spins by {spin:.6f}, expected {expected:.6f}"
             )
@@ -211,11 +211,11 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         fan_apex_angles=tuple(betas),
     )
 
-    worst = max(
+    worst = tol_mod.worst(
         abs(measured - prescribed)
         for measured, prescribed in zip(measured_interior_angles(group), angles)
     )
-    if worst > tols["angle"]:
+    if tol_mod.exceeds(worst, tols["angle"]):
         raise ConstructionFailure(f"constructed polygon misses its angles by {worst:.3e}")
     return group
 
@@ -266,15 +266,12 @@ def _matrix_deviation(m: MobiusElement) -> float:
 
 
 def _action_deviation(h: LiftedIsometry, vertical_shift: float, points) -> float:
-    worst = 0.0
+    deviations = []
     for p in points:
         image = h.apply(p)
-        worst = max(
-            worst,
-            abs(image.x - p.x) + abs(image.y - p.y),
-            abs(image.t - (p.t + vertical_shift)),
-        )
-    return worst
+        deviations += [abs(image.x - p.x) + abs(image.y - p.y),
+                       abs(image.t - (p.t + vertical_shift))]
+    return tol_mod.worst(deviations)
 
 
 @dataclass
@@ -341,12 +338,12 @@ def check_relations(
     matrix_bad = [
         name
         for name, value in residuals.items()
-        if not name.startswith("lift") and value > tols["matrix_relation"]
+        if not name.startswith("lift") and tol_mod.exceeds(value, tols["matrix_relation"])
     ]
     lifted_bad = [
         name
         for name, value in residuals.items()
-        if name.startswith("lift") and value > tols["invariance"]
+        if name.startswith("lift") and tol_mod.exceeds(value, tols["invariance"])
     ]
     if matrix_bad or lifted_bad:
         raise RelationFailure(

@@ -36,6 +36,28 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 ENV_VAR = "BRIESKORN_TOLERANCES"
 
 
+def exceeds(value: float, tolerance: float) -> bool:
+    """The verdict of every tolerance check: True unless value <= tolerance.
+
+    A NaN value fails, where ``value > tolerance`` would let it pass.
+    """
+    return not value <= tolerance
+
+
+def worst(values: Iterable[float]) -> float:
+    """The largest of ``values`` (0.0 for none), NaN if any is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first.
+    """
+    out = 0.0
+    for value in values:
+        if math.isnan(value):
+            return value
+        if value > out:
+            out = value
+    return out
+
+
 def _checked(name: str, value) -> float:
     if name not in DEFAULT_TOLERANCES:
         raise UnknownTolerance(f"unknown tolerance {name!r}")

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, payloads, determinism."""
 
 import json
+import math
 
 import pytest
 
-from brieskorn import cli, dynamics, halfplane, tolerances
+from brieskorn import cli, dynamics, polygon, tolerances
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 
@@ -126,13 +127,17 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
-    jacobians = _count_calls(monkeypatch, halfplane, "lifted_jacobian")
+    elements = _count_calls(monkeypatch, cli, "random_mobius")
+    points = _count_calls(monkeypatch, cli, "random_point")
+    residuals = _count_calls(monkeypatch, cli, "invariance_residuals")
     integrations = _count_calls(monkeypatch, dynamics, "integrate_monodromy")
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
     )
     assert code == EXIT_TOLERANCE
-    assert len(jacobians) == 30
+    # 30 draws of each kind, all handed to one array call
+    assert len(elements) == len(points) == 30
+    assert [tuple(map(len, args)) for args in residuals] == [(30, 30)]
     rows = report["verification"]["rotation_table"]
     keys = [(row["vertex"], row["iterate"], row["epsilon"]) for row in rows]
     # both default epsilons clamp to one window limit on some rows; each key is
@@ -221,6 +226,12 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["generators", "--exponents", "2,3,7", "--action-bound", "1/0"], None,
      EXIT_VALIDATION, "ConfigError"),
+    (["verify-dynamics", "--exponents", "2,3,7", "--samples", "-5"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["verify-geometry", "--exponents", "2,3,7", "--samples", "-1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--iterates", "-2"], None,
+     EXIT_VALIDATION, "ConfigError"),
 ]
 
 
@@ -257,3 +268,75 @@ def test_resolve_is_idempotent_and_run_checks_direct_configs():
     code, report = run(config)
     assert code == EXIT_VALIDATION
     assert report["errors"][0]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("field, mode", [
+    ("samples", "verify-dynamics"), ("samples", "verify-geometry"),
+    ("iterates", "verify-dynamics"),
+])
+def test_run_refuses_negative_counts_in_direct_configs(field, mode):
+    config = cli.RunConfig(exponents=[2, 3, 7], mode=mode, **{field: -2})
+    code, report = run(config)
+    assert code == EXIT_VALIDATION
+    assert report["errors"][0] == {"type": "ConfigError", "message": f"{field} must be >= 0, got -2"}
+
+
+def _nan_frame_residual(monkeypatch):
+    real = cli.invariance_residuals
+
+    def patched(elements, points):
+        form, frame = real(elements, points)
+        frame[1] = math.nan  # not first: Python's max would drop it
+        return form, frame
+
+    monkeypatch.setattr(cli, "invariance_residuals", patched)
+
+
+def _nan_relative_error(monkeypatch):
+    real = cli.linearized_return_map
+
+    def patched(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.relative_error = math.nan
+        return result
+
+    monkeypatch.setattr(cli, "linearized_return_map", patched)
+
+
+def _nan_last_angle(monkeypatch):
+    real = polygon.measured_interior_angles
+    monkeypatch.setattr(polygon, "measured_interior_angles",
+                        lambda group: [*real(group)[:-1], math.nan])
+
+
+# one case per tolerance verdict of the lab; each passes on (2,3,7) unpatched
+NAN_SITES = {
+    "invariance": (["verify-dynamics", "--samples", "5"], _nan_frame_residual),
+    "rotation": (["verify-dynamics", "--samples", "5"], _nan_relative_error),
+    "area": (["verify-geometry"],
+             lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan)),
+    "angle": (["verify-geometry"], _nan_last_angle),
+    "relations": (["verify-geometry"],
+                  lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan)),
+}
+
+
+@pytest.mark.parametrize("site", NAN_SITES)
+def test_nan_fails_every_lab_verdict(site, monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    argv, patch = NAN_SITES[site]
+    assert run_cli([argv[0], "--exponents", "2,3,7", *argv[1:]])[0] == EXIT_OK
+    patch(monkeypatch)
+    code, report = run_cli([argv[0], "--exponents", "2,3,7", *argv[1:]])
+    assert code == EXIT_TOLERANCE
+    if site == "invariance":
+        assert math.isnan(report["verification"]["invariance"]["max_frame_residual"])
+
+
+def test_worst_and_exceeds_carry_nan():
+    assert tolerances.worst([]) == 0.0
+    assert tolerances.worst([1.0, 3.0, 2.0]) == 3.0
+    assert math.isnan(tolerances.worst([1.0, math.nan, 2.0]))
+    assert not tolerances.exceeds(1.0, 1.0)
+    assert tolerances.exceeds(1.5, 1.0)
+    assert tolerances.exceeds(math.nan, 1.0)

@@ -113,13 +113,41 @@ def test_invariance_residuals_random_elements():
         assert frame_invariance_residual(h, p) < 1e-8
 
 
-def test_both_residuals_at_once_equal_each_alone_bit_for_bit():
-    rng = random.Random(5)
-    for _ in range(200):
-        h = LiftedIsometry.canonical(random_mobius(rng))
-        p = random_point(rng)
-        assert invariance_residuals(h, p) == (
-            contact_invariance_residual(h, p), frame_invariance_residual(h, p))
+def _draws(seed, samples):
+    """The elements and points verify-dynamics draws for ``seed``, in its order."""
+    rng = random.Random(seed)
+    elements, points = [], []
+    for _ in range(samples):
+        elements.append(LiftedIsometry.canonical(random_mobius(rng)))
+        points.append(random_point(rng))
+    return elements, points
+
+
+def test_array_residuals_equal_the_scalar_residuals_bit_for_bit():
+    for seed in range(20):
+        for samples in (0, 1, 5, 50, 1000):
+            elements, points = _draws(seed, samples)
+            form, frame = invariance_residuals(elements, points)
+            assert form.shape == frame.shape == (samples,)
+            assert form.tolist() == [
+                contact_invariance_residual(h, p) for h, p in zip(elements, points)]
+            assert frame.tolist() == [
+                frame_invariance_residual(h, p) for h, p in zip(elements, points)]
+
+
+def test_array_residuals_refuse_degenerate_samples():
+    elements, points = _draws(11, 5)
+    collapsing = LiftedIsometry.canonical(MobiusElement([[1e13, 0.0], [1e-13, 1e-13]]))
+    bad = UpperHalfPoint(0.0, 1.0, 0.5)
+    with pytest.raises(DegenerateInput):
+        collapsing.apply(bad)
+    with pytest.raises(DegenerateInput, match=r"collapsed at z = 1j$"):
+        invariance_residuals([*elements[:2], collapsing, *elements[2:]],
+                             [*points[:2], bad, *points[2:]])
+    # an image y that underflows to 0 is refused with the same type
+    crushing = LiftedIsometry(MobiusElement([[0.0, -1e-200], [1e200, 0.0]]), 0.0)
+    with pytest.raises(DegenerateInput, match="outside the upper half-plane"):
+        invariance_residuals([elements[0], crushing], [points[0], UpperHalfPoint(0.3, 1.0, 0.0)])
 
 
 def test_invariance_identity_and_vertical_shift():
