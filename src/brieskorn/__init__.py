@@ -51,7 +51,6 @@ from .homology import (
     GradedDims,
     PoincareSeries,
     RationalMatrix,
-    euler_characteristic,
     graded_homology,
     poincare_series,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "conley_zehnder",
     "contact_invariance_residual",
     "enumerate_generators",
-    "euler_characteristic",
     "expected_area",
     "frame_at",
     "frame_invariance_residual",

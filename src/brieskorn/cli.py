@@ -291,6 +291,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         for name in ("samples", "iterates"):
             if getattr(config, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
+        if config.classes is not None and config.classes < 1:
+            raise ConfigError(f"classes must be >= 1, got {config.classes}")
         data = seifert_data(validate_params(config.exponents))
         report["seifert"] = _seifert_payload(data)
         code = _RUNNERS[config.mode](config, data, report)

@@ -80,7 +80,11 @@ class NondegeneracyFailure(BrieskornError):
 
 
 class InconsistentComplex(BrieskornError):
-    """Consecutive differentials do not compose to zero."""
+    """A chain complex is malformed.
+
+    A generator sits off its stated grading, a differential has the wrong
+    shape, or consecutive differentials do not compose to zero.
+    """
 
 
 class IncompleteWindow(BrieskornError):

@@ -1,44 +1,73 @@
 """Exact rational linear algebra for graded chain complexes.
 
-Dimensions at each grading are computed over the rationals by fraction
-Gaussian elimination; nothing here touches floating point. Matrices are
-stored as sparse exact rows, one ``{column: nonzero Fraction}`` dict per
-row, so elimination, products and zero tests cost in proportion to the
-nonzeros: a boundary matrix has two per tree column, however many minima
-it has.
+Dimensions at each grading are computed over the rationals by fraction-free
+integer elimination; nothing here touches floating point. Matrices are
+stored as sparse exact rows, one ``{column: nonzero entry}`` dict per row,
+where an integral entry is a plain ``int`` and any other rational is a
+``Fraction``. Elimination clears each row's denominators once and then
+works on Python ints alone, so a boundary matrix, whose entries all lie in
+{-1, 0, 1}, never becomes a ``Fraction``. Elimination, products and zero
+tests cost in proportion to the nonzeros: a boundary matrix has two per
+tree column, however many minima it has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InconsistentComplex
 
-_ZERO = Fraction(0)
+Entry = int | Fraction
+_DENOMINATOR = attrgetter("denominator")  # 1 on an int
+
+
+def _exact(x) -> Entry:
+    """``x`` as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+def _integral(row: dict[int, Entry]) -> dict[int, int]:
+    """A copy of the row as ints: an integral row as it is, any other times
+    the lcm of its denominators and divided by the gcd of the products."""
+    den = lcm(*map(_DENOMINATOR, row.values()))
+    if den == 1:
+        return dict(row)
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    content = gcd(*out.values())
+    return {j: x // content for j, x in out.items()} if content > 1 else out
 
 
 class RationalMatrix:
-    """Matrix of exact rationals stored as sparse rows; no zero is stored."""
+    """Matrix of exact rationals stored as sparse rows.
+
+    An integral entry is stored as an int, any other as a Fraction, and no
+    zero is stored.
+    """
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        self.sparse_rows: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        self.sparse_rows: list[dict[int, Entry]] = [{} for _ in range(rows)]
         if entries is not None:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match declared shape")
             for row, grid_row in zip(self.sparse_rows, entries):
                 for j, x in enumerate(grid_row):
-                    x = Fraction(x)
+                    x = _exact(x)
                     if x:
                         row[j] = x
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
         """Read-only dense view, one tuple per row."""
         return tuple(
-            tuple(row.get(j, _ZERO) for j in range(self.cols)) for row in self.sparse_rows
+            tuple(row.get(j, 0) for j in range(self.cols)) for row in self.sparse_rows
         )
 
     def _check(self, i: int, j: int) -> None:
@@ -48,12 +77,12 @@ class RationalMatrix:
     def __getitem__(self, idx):
         i, j = idx
         self._check(i, j)
-        return self.sparse_rows[i].get(j, _ZERO)
+        return self.sparse_rows[i].get(j, 0)
 
     def __setitem__(self, idx, value):
         i, j = idx
         self._check(i, j)
-        value = Fraction(value)
+        value = _exact(value)
         if value:
             self.sparse_rows[i][j] = value
         else:
@@ -77,50 +106,68 @@ class RationalMatrix:
         for row, out_row in zip(self.sparse_rows, out.sparse_rows):
             for k, x in row.items():
                 for j, y in other.sparse_rows[k].items():
-                    out_row[j] = out_row.get(j, _ZERO) + x * y
-            for j in [j for j, z in out_row.items() if not z]:
-                del out_row[j]
+                    out_row[j] = out_row.get(j, 0) + x * y
+            for j, z in list(out_row.items()) if out_row else ():
+                if not z:
+                    del out_row[j]
+                elif type(z) is not int and z.denominator == 1:
+                    out_row[j] = int(z)
         return out
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
     def rank(self) -> int:
-        """Rank by fraction Gaussian elimination on sparse rows.
+        """Rank by fraction-free integer elimination on sparse rows.
 
-        Columns are eliminated left to right. Every row not yet used as a
-        pivot waits in the bucket of its leading column, so the rows with a
-        nonzero in the current column are exactly that column's bucket. The
-        pivot is the candidate with the smallest |numerator * denominator|,
-        which keeps intermediate fractions small.
+        Each row is first cleared of denominators. Columns are then
+        eliminated left to right. Every row not yet used as a pivot waits in
+        the bucket of its leading column, so the rows with a nonzero in the
+        current column are exactly that column's bucket. The pivot is the
+        candidate with the smallest |entry| p. Every other candidate, with
+        entry a, becomes (p/g)*row - (a/g)*pivot_row with g = gcd(a, p), and
+        is then divided by the gcd of its entries. Each step scales a row by
+        a nonzero rational or subtracts a multiple of another, so the rank
+        is exact, and dividing out the gcd keeps the ints from growing with
+        every step.
         """
-        buckets: dict[int, list[dict[int, Fraction]]] = {}
+        buckets: dict[int, list[dict[int, int]]] = {}
         for row in self.sparse_rows:
             if row:
-                buckets.setdefault(min(row), []).append(dict(row))
+                buckets.setdefault(min(row), []).append(_integral(row))
         rank = 0
         for col in range(self.cols):
             candidates = buckets.pop(col, None)
             if candidates is None:
                 continue
-            pivot_row = min(
-                candidates, key=lambda r: abs(r[col].numerator * r[col].denominator)
-            )
-            pivot = pivot_row[col]
-            for row in candidates:
-                if row is pivot_row:
-                    continue
-                factor = row.pop(col) / pivot
-                for j, y in pivot_row.items():
-                    if j != col:
-                        z = row.get(j, _ZERO) - factor * y
+            rank += 1
+            if len(candidates) > 1:
+                pivot_row = min(candidates, key=lambda r: abs(r[col]))
+                pivot = pivot_row.pop(col)
+                rest = pivot_row.items()
+                for row in candidates:
+                    if row is pivot_row:
+                        continue
+                    a = row.pop(col)
+                    if a % pivot:
+                        g = gcd(a, pivot)
+                        scale, factor = pivot // g, a // g
+                        for j in row:
+                            row[j] *= scale
+                    else:
+                        factor = a // pivot
+                    for j, y in rest:
+                        z = row.get(j, 0) - factor * y
                         if z:
                             row[j] = z
                         else:
                             del row[j]
-                if row:
-                    buckets.setdefault(min(row), []).append(row)
-            rank += 1
+                    if row:
+                        content = gcd(*row.values())
+                        if content > 1:
+                            for j in row:
+                                row[j] //= content
+                        buckets.setdefault(min(row), []).append(row)
             if not buckets:
                 break
         return rank
@@ -195,7 +242,3 @@ def poincare_series(dims: GradedDims, floor: int) -> PoincareSeries:
     for k, c in kept:
         pieces.append(str(c) if k == 0 else f"{c}*t^{-k}")
     return PoincareSeries(terms=tuple(kept), text=" + ".join(pieces))
-
-
-def euler_characteristic(dims: GradedDims) -> int:
-    return sum((-1) ** (k % 2) * c for k, c in dims.items())

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, InconsistentComplex
 from .homology import RationalMatrix
 from .invariants import SeifertData
 
@@ -238,11 +238,11 @@ class MorseModel:
 
     def boundary_matrix(self) -> RationalMatrix:
         """Incidence matrix from saddles to minima (entries in {-1, 0, 1})."""
-        rows = len(self.minima)
-        mat = RationalMatrix(rows, self.saddle_total)
+        mat = RationalMatrix(len(self.minima), self.saddle_total)
+        sparse = mat.sparse_rows
         for col, (lo, hi) in enumerate(self.tree_saddles):
-            mat[lo, col] = Fraction(1)
-            mat[hi, col] = Fraction(-1)
+            sparse[lo][col] = 1
+            sparse[hi][col] = -1
         return mat
 
 
@@ -282,7 +282,8 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
     iterate n*t_j (grading -2nw - 2 where w = d/m), the saddle orbits
     (grading -2nw - 1), and the maximum orbit (grading -2nw). Each tree
     saddle maps to the difference of its two adjacent minima orbits; handle
-    saddles and the maximum map to zero.
+    saddles and the maximum map to zero. Raises InconsistentComplex when a
+    Conley-Zehnder index puts some generator off the grading stated here.
     """
     if isinstance(cls, tuple):
         j, i, k = cls
@@ -301,17 +302,32 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
         raise ValueError("fiber class must be a positive integer")
     model = build_morse_model(data)
     base = -2 * n * data.fiber_winding
+    # the minima orbit n*t_j over a point of multiplicity t_j has the same
+    # period as the n-th saddle and maximum iterates: n*d/m times 2*pi
+    action = Fraction(n * data.d, data.m)
 
-    minima_orbits = [
-        exceptional_orbit(data, j, i, n * t_j) for (j, i, t_j) in model.minima
-    ]
+    def graded_cz(kind: str, expected: int, iterate: int, j: int | None = None) -> int:
+        cz = conley_zehnder(data, kind, iterate, j)
+        if cz - 1 != expected:
+            where = f"{kind} orbit {iterate}" + ("" if j is None else f" of exponent {j}")
+            raise InconsistentComplex(
+                f"{where} has grading {cz - 1} in fiber class {n}, expected {expected}"
+            )
+        return cz
+
+    minima_orbits = []
+    for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
+        cz = graded_cz(EXCEPTIONAL, base - 2, n * t_j, j)
+        minima_orbits.extend(
+            OrbitGenerator(EXCEPTIONAL, n * t_j, cz, base - 2, action, n, j=j, point=i)
+            for i in range(1, s_j + 1)
+        )
+    cz = graded_cz(SADDLE, base - 1, n)
     saddle_orbits = [
-        saddle_orbit(data, ell, n) for ell in range(1, model.saddle_total + 1)
+        OrbitGenerator(SADDLE, n, cz, base - 1, action, n, saddle=ell)
+        for ell in range(1, model.saddle_total + 1)
     ]
-    max_orbit = maximum_orbit(data, n)
-    assert all(g.grading == base - 2 for g in minima_orbits)
-    assert all(g.grading == base - 1 for g in saddle_orbits)
-    assert max_orbit.grading == base
+    max_orbit = OrbitGenerator(MAXIMUM, n, graded_cz(MAXIMUM, base, n), base, action, n)
 
     generators = {
         base - 2: minima_orbits,

@@ -12,7 +12,8 @@ def dense_rank(matrix) -> int:
     """Rank by dense fraction Gaussian elimination over every entry of a row.
 
     The pivot in each column is the nonzero candidate with the smallest
-    |numerator * denominator|, as in the sparse engine.
+    |numerator * denominator|; on an integer matrix that is the sparse
+    engine's smallest |entry|.
     """
     rows, cols = matrix.rows, matrix.cols
     work = [[Fraction(x) for x in row] for row in matrix.entries]

@@ -232,6 +232,12 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--iterates", "-2"], None,
      EXIT_VALIDATION, "ConfigError"),
+    (["complex", "--exponents", "2,3,7", "--classes", "-1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["complex", "--exponents", "2,3,7", "--classes", "0"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["compare", "--exponents", "2,3,7", "--classes", "0"], None,
+     EXIT_VALIDATION, "ConfigError"),
 ]
 
 
@@ -279,6 +285,16 @@ def test_run_refuses_negative_counts_in_direct_configs(field, mode):
     code, report = run(config)
     assert code == EXIT_VALIDATION
     assert report["errors"][0] == {"type": "ConfigError", "message": f"{field} must be >= 0, got -2"}
+
+
+@pytest.mark.parametrize("mode", ["complex", "homology", "compare"])
+def test_run_refuses_fewer_than_one_class_in_direct_configs(mode):
+    for classes in (0, -3):
+        code, report = run(cli.RunConfig(exponents=[2, 3, 7], mode=mode, classes=classes))
+        assert code == EXIT_VALIDATION
+        assert report["errors"][0] == {
+            "type": "ConfigError", "message": f"classes must be >= 1, got {classes}"
+        }
 
 
 def _nan_frame_residual(monkeypatch):

@@ -9,6 +9,8 @@ from brieskorn import (
     InconsistentComplex,
     RationalMatrix,
     build_complex,
+    chain_homology,
+    closed_form_homology,
     graded_homology,
     poincare_series,
     seifert_data,
@@ -113,6 +115,59 @@ def test_sparse_engine_agrees_with_dense_oracles():
         assert product.is_zero() == all(x == 0 for row in product.entries for x in row)
 
 
+def dependent_grid(rng, rows, cols, independent, draw):
+    """A rows x cols grid of rank at most ``independent``: the other rows are
+    integer combinations of the first ``independent`` ones."""
+    basis = [[draw() for _ in range(cols)] for _ in range(independent)]
+    grid = [list(row) for row in basis]
+    while len(grid) < rows:
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        grid.append([sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(cols)])
+    rng.shuffle(grid)
+    return grid
+
+
+def test_integer_elimination_of_entries_beyond_64_bits():
+    rng = random.Random(2**64)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        independent = rng.randint(0, min(rows, cols))
+
+        def draw():
+            return rng.choice([0, 1, -1, rng.randint(-2**80, 2**80), 3 * 2**70 + 1])
+
+        mat = RationalMatrix(rows, cols, dependent_grid(rng, rows, cols, independent, draw))
+        assert all(type(x) is int for row in mat.sparse_rows for x in row.values())
+        assert mat.rank() == dense_rank(mat) <= independent
+
+
+def test_rational_rows_with_large_cleared_denominators():
+    # each denominator is a product of two of six primes of 19 to 89 bits,
+    # so the lcm that clears a row runs to hundreds of bits
+    primes = [2**61 - 1, 2**31 - 1, 2**19 - 1, 1_000_000_007, 998_244_353, 2**89 - 1]
+    rng = random.Random(89)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 10)
+        independent = rng.randint(0, min(rows, cols))
+
+        def draw():
+            return Fraction(rng.randint(-2**40, 2**40), rng.choice(primes) * rng.choice(primes))
+
+        mat = RationalMatrix(rows, cols, dependent_grid(rng, rows, cols, independent, draw))
+        assert mat.rank() == dense_rank(mat) <= independent
+
+
+def test_integral_entries_are_stored_as_ints():
+    mat = RationalMatrix(2, 3, [[Fraction(4, 2), 0, Fraction(1, 3)], [3, Fraction(-6, 3), 0]])
+    assert [[type(x) for x in row.values()] for row in mat.sparse_rows] == [
+        [int, Fraction], [int, int]
+    ]
+    mat[1, 2] = Fraction(10, 5)
+    assert type(mat[1, 2]) is int and mat[1, 2] == 2
+    half = RationalMatrix(3, 1, [[Fraction(3, 2)], [0], [0]])
+    assert type(mat.multiply(half)[0, 0]) is int  # 2 * 3/2 = 3
+
+
 def test_product_that_cancels_is_zero_and_stores_nothing():
     rng = random.Random(3)
     for _ in range(50):
@@ -140,6 +195,29 @@ def test_setting_an_entry_to_zero_stores_no_zero():
         mat[2, 0] = 1
     with pytest.raises(IndexError):
         mat[0, 3]
+
+
+def test_chain_homology_fractions_do_not_grow_with_the_points(monkeypatch):
+    # every entry of a boundary matrix is in {-1, 0, 1}, so building and
+    # eliminating the class-1 complex needs no Fraction per generator
+    made = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    for exponents in ((2, 2, 2, 2, 2), (2,) * 7):
+        data = seifert_data(validate_params(list(exponents)))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        made[0] = 0
+        dims = chain_homology(data, -8)
+        counts[data.minima_count] = made[0]
+        monkeypatch.undo()
+        assert dims == closed_form_homology(data, -8)
+    assert sorted(counts) == [40, 224]
+    assert counts[40] == counts[224] > 0
 
 
 def test_graded_homology_first_fiber_block_2_3_7():

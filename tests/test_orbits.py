@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from brieskorn import (
+    InconsistentComplex,
+    RationalMatrix,
     build_complex,
     build_morse_model,
     conley_zehnder,
@@ -16,7 +18,9 @@ from brieskorn import (
     seifert_data,
     validate_params,
 )
+from brieskorn import cli, orbits
 from brieskorn.orbits import (
+    GradedComplex,
     exceptional_orbit,
     maximum_orbit,
     orbifold_points,
@@ -210,3 +214,47 @@ def test_enumerate_requires_exactly_one_filter(data237):
 def test_saddle_count_includes_handles():
     data = seifert_data(validate_params([2, 2, 3, 3, 3]))
     assert saddle_count(data) == 36 - 1 + 2 * 10
+
+
+def complex_orbit_by_orbit(data, n):
+    """The fiber class n assembled from one orbit constructor call per generator
+    and one checked entry write per incidence."""
+    model = build_morse_model(data)
+    base = -2 * n * data.fiber_winding
+    minima = [exceptional_orbit(data, j, i, n * t_j) for j, i, t_j in model.minima]
+    saddles = [saddle_orbit(data, ell, n) for ell in range(1, model.saddle_total + 1)]
+    boundary = RationalMatrix(len(minima), len(saddles))
+    for col, (lo, hi) in enumerate(model.tree_saddles):
+        boundary[lo, col] = Fraction(1)
+        boundary[hi, col] = Fraction(-1)
+    return GradedComplex(
+        class_label=f"fiber:{n}",
+        generators_by_grading={base - 2: minima, base - 1: saddles,
+                               base: [maximum_orbit(data, n)]},
+        differential={base - 2: RationalMatrix(0, len(minima)), base - 1: boundary,
+                      base: RationalMatrix(len(saddles), 1)},
+    )
+
+
+def test_fiber_complex_equals_the_orbit_by_orbit_complex(fuzz_corpus):
+    for data in fuzz_corpus[:80]:
+        for n in (1, 2, 3):
+            built = build_complex(data, n)
+            assert built == complex_orbit_by_orbit(data, n)
+            assert all(type(x) is int for mat in built.differential.values()
+                       for row in mat.sparse_rows for x in row.values())
+
+
+@pytest.mark.parametrize("kind", ["exceptional", "saddle", "maximum"])
+def test_grading_off_by_one_is_inconsistent(kind, monkeypatch, data237):
+    real = orbits.conley_zehnder
+
+    def one_off(data, orbit_kind, iterate, j=None):
+        return real(data, orbit_kind, iterate, j) + (orbit_kind == kind)
+
+    monkeypatch.setattr(orbits, "conley_zehnder", one_off)
+    with pytest.raises(InconsistentComplex, match=f"{kind} orbit .* expected"):
+        build_complex(data237, 2)
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="complex"))
+    assert code == cli.EXIT_TOLERANCE
+    assert report["errors"][0]["type"] == "InconsistentComplex"
