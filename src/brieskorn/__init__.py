@@ -30,7 +30,6 @@ from .errors import (
     RelationFailure,
 )
 from .dynamics import (
-    CallablePerturbation,
     LinearizedReturn,
     LocalModel,
     hamiltonian_field,
@@ -41,7 +40,6 @@ from .halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
-    automorphic_modulus,
     contact_invariance_residual,
     frame_at,
     frame_invariance_residual,
@@ -63,8 +61,6 @@ from .orbits import (
     build_morse_model,
     conley_zehnder,
     enumerate_generators,
-    fredholm_index,
-    orbit_type,
 )
 from .polygon import (
     PolygonGroup,
@@ -80,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BrieskornError",
     "BrieskornParams",
-    "CallablePerturbation",
     "ClosedFormAnswer",
     "ComparisonReport",
     "ConfigError",
@@ -105,7 +100,6 @@ __all__ = [
     "RelationFailure",
     "SeifertData",
     "UpperHalfPoint",
-    "automorphic_modulus",
     "build_complex",
     "build_morse_model",
     "build_polygon_group",
@@ -120,7 +114,6 @@ __all__ = [
     "expected_area",
     "frame_at",
     "frame_invariance_residual",
-    "fredholm_index",
     "graded_homology",
     "hamiltonian_field",
     "integrate_monodromy",
@@ -128,7 +121,6 @@ __all__ = [
     "measured_area",
     "measured_interior_angles",
     "mobius_apply",
-    "orbit_type",
     "poincare_series",
     "required_classes",
     "seifert_data",

@@ -10,10 +10,22 @@ Subcommands:
   verify-geometry   polygon construction, area, and group relations
   verify-dynamics   invariance residuals and return-map rotation table
 
-Exit codes: 0 success, 1 refused input, 2 comparison mismatch, 3 failed
-computation or numerical tolerance. ``run`` is the one place that turns
-errors into exit codes; each class in ``brieskorn.errors`` declares its
-own. Reports are deterministic for a fixed configuration and seed.
+Each mode's runner fills the report and returns its failures: a missed
+tolerance is a ``CheckFailed`` naming the check, its measured value and
+the tolerance, a chain homology that differs from the closed form a
+``ComparisonMismatch``, and a raised ``BrieskornError`` ends the run as its
+only failure. ``run`` is the one place that turns failures into the
+report's ``errors`` and an exit code: 0 success, 1 refused input, 2
+comparison mismatch, 3 failed computation or numerical tolerance, as each
+class in ``brieskorn.errors`` declares. Reports are deterministic for a
+fixed configuration and seed.
+
+JSON prints the report with sorted keys. Text and TSV print one line per
+leaf of the report, in its own key order: the leaf's path (``seifert.d``,
+``generators[0].cz``), then `` = `` for text or a tab for TSV, then the
+value as compact JSON. Dicts and lists that hold a dict are walked; any
+other value, an empty container included, is one leaf, so a matrix stays
+on one line.
 """
 
 from __future__ import annotations
@@ -29,7 +41,14 @@ from fractions import Fraction
 from . import tolerances as tol_mod
 from .closedform import chain_homology, closed_form_homology, compare_graded
 from .dynamics import LocalModel, linearized_return_map
-from .errors import BrieskornError, ConfigError, NondegeneracyFailure, RelationFailure
+from .errors import (
+    BrieskornError,
+    CheckFailed,
+    ComparisonMismatch,
+    ConfigError,
+    NondegeneracyFailure,
+    RelationFailure,
+)
 from .halfplane import LiftedIsometry, invariance_residuals, random_mobius, random_point
 from .homology import poincare_series
 from .invariants import seifert_data, validate_params
@@ -43,9 +62,9 @@ from .polygon import (
 )
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_MISMATCH = 2
-EXIT_TOLERANCE = 3
+EXIT_VALIDATION = ConfigError.exit_code
+EXIT_MISMATCH = ComparisonMismatch.exit_code
+EXIT_TOLERANCE = CheckFailed.exit_code
 
 
 @dataclass
@@ -96,16 +115,22 @@ def _generator_payload(gen) -> dict:
     }
 
 
-def _run_generators(config: RunConfig, data, report: dict) -> int:
+def _hold(failures: list, check: str, value, tolerance) -> None:
+    """Record a ``CheckFailed`` unless value <= tolerance; a NaN fails."""
+    if tol_mod.exceeds(value, tolerance):
+        failures.append(CheckFailed(check, value, tolerance))
+
+
+def _run_generators(config: RunConfig, data, report: dict) -> list:
     if config.action_bound is not None:
         gens = enumerate_generators(data, action_bound=config.action_bound)
     else:
         gens = enumerate_generators(data, grading_floor=config.grading_floor)
     report["generators"] = [_generator_payload(g) for g in gens]
-    return EXIT_OK
+    return []
 
 
-def _run_complex(config: RunConfig, data, report: dict) -> int:
+def _run_complex(config: RunConfig, data, report: dict) -> list:
     classes = config.classes if config.classes is not None else 1
     payload = []
     for n in range(1, classes + 1):
@@ -123,36 +148,39 @@ def _run_complex(config: RunConfig, data, report: dict) -> int:
         }
         payload.append(entry)
     report["differentials"] = payload
-    return EXIT_OK
+    return []
 
 
-def _run_homology(config: RunConfig, data, report: dict) -> int:
+def _run_homology(config: RunConfig, data, report: dict) -> list:
     dims = chain_homology(data, config.grading_floor, config.classes)
     series = poincare_series(dims, config.grading_floor)
     report["homology"] = {"dims": _dims_payload(dims), "series": series.text}
-    return EXIT_OK
+    return []
 
 
-def _run_compare(config: RunConfig, data, report: dict) -> int:
+def _run_compare(config: RunConfig, data, report: dict) -> list:
     floor = config.grading_floor
     chain = chain_homology(data, floor, config.classes)
     oracle = closed_form_homology(data, floor)
     comparison = compare_graded(chain, oracle, floor)
     report["homology"] = {"dims": _dims_payload(chain)}
     report["oracle"] = _dims_payload(oracle)
-    payload = {"equal": comparison.equal, "floor": floor}
-    if comparison.first_mismatch is not None:
-        grading, chain_dim, oracle_dim = comparison.first_mismatch
-        payload["first_mismatch"] = {
-            "grading": grading,
-            "chain": chain_dim,
-            "oracle": oracle_dim,
-        }
-    report["comparison"] = payload
-    return EXIT_OK if comparison.equal else EXIT_MISMATCH
+    report["comparison"] = {"equal": comparison.equal, "floor": floor}
+    if comparison.equal:
+        return []
+    grading, chain_dim, oracle_dim = comparison.first_mismatch
+    report["comparison"]["first_mismatch"] = {
+        "grading": grading,
+        "chain": chain_dim,
+        "oracle": oracle_dim,
+    }
+    return [ComparisonMismatch(
+        f"at grading {grading} the chain homology has dimension {chain_dim}, "
+        f"the closed form {oracle_dim}"
+    )]
 
 
-def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
+def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
     tols = config.tolerances
     group = build_polygon_group(data.params, tolerances=tols)
     area = measured_area(group)
@@ -172,7 +200,8 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
         "angle_errors": angle_errors,
         "vertices": [[v.real, v.imag] for v in group.vertices],
     }
-    code = EXIT_TOLERANCE if tol_mod.exceeds(abs(area - target), tols["area"]) else EXIT_OK
+    failures = []
+    _hold(failures, "verification.area.error", abs(area - target), tols["area"])
     try:
         residuals = check_relations(
             group, samples=min(config.samples, 50) or 20, seed=config.rng_seed,
@@ -180,13 +209,13 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> int:
         ).residuals
     except RelationFailure as exc:
         residuals = exc.report.residuals
-        code = EXIT_TOLERANCE
+        failures.append(exc)
     verification["relations"] = dict(sorted(residuals.items()))
     report["verification"] = verification
-    return code
+    return failures
 
 
-def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
+def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
     tols = config.tolerances
     rng = random.Random(config.rng_seed)
     elements, points = [], []
@@ -197,13 +226,12 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
     worst_form, worst_frame = (
         float(r.max(initial=0.0)) for r in invariance_residuals(elements, points)
     )
-    invariance_ok = not any(
-        tol_mod.exceeds(worst, tols["invariance"]) for worst in (worst_form, worst_frame)
-    )
+    failures = []
+    _hold(failures, "verification.invariance.max_form_residual", worst_form, tols["invariance"])
+    _hold(failures, "verification.invariance.max_frame_residual", worst_frame, tols["invariance"])
 
     group = build_polygon_group(data.params, tolerances=tols)
     table = []
-    rotations_ok = True
     for j, (_, t_j) in enumerate(data.orbifold_counts, start=1):
         vertex = group.vertices[j - 1]
         ratio_simple = Fraction(data.d, data.m * t_j)
@@ -228,11 +256,12 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
                         )
                     except NondegeneracyFailure as exc:
                         outcomes[model.epsilon] = exc
+                path = f"verification.rotation_table[{len(table)}]"
+                table.append(row)
                 result = outcomes[model.epsilon]
                 if isinstance(result, NondegeneracyFailure):
                     row["error"] = str(result)
-                    rotations_ok = False
-                    table.append(row)
+                    failures.append(result)
                     continue
                 row.update(
                     {
@@ -244,13 +273,11 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
                         "cz_formula": cz_formula,
                     }
                 )
-                if (
-                    tol_mod.exceeds(result.relative_error, tols["ode_vs_analytic"])
-                    or tol_mod.exceeds(abs(result.determinant - 1.0), tols["determinant"])
-                    or result.cz_index != cz_formula
-                ):
-                    rotations_ok = False
-                table.append(row)
+                _hold(failures, f"{path}.relative_error", result.relative_error,
+                      tols["ode_vs_analytic"])
+                _hold(failures, f"{path}.determinant_error", row["determinant_error"],
+                      tols["determinant"])
+                _hold(failures, f"{path}.cz - cz_formula", abs(result.cz_index - cz_formula), 0)
 
     report["verification"] = {
         "invariance": {
@@ -261,11 +288,11 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> int:
         },
         "rotation_table": table,
     }
-    return EXIT_OK if invariance_ok and rotations_ok else EXIT_TOLERANCE
+    return failures
 
 
 _RUNNERS = {
-    "invariants": lambda config, data, report: EXIT_OK,  # the invariant table only
+    "invariants": lambda config, data, report: [],  # the invariant table only
     "generators": _run_generators,
     "complex": _run_complex,
     "homology": _run_homology,
@@ -278,8 +305,9 @@ _RUNNERS = {
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one mode, returning (exit code, report payload).
 
-    The only place that maps errors to exit codes: a BrieskornError becomes
-    the report's ``errors`` entry, and its class declares the exit code.
+    The only place that maps failures to exit codes: every failure a runner
+    returns, or the BrieskornError that ends it, becomes an entry of the
+    report's ``errors``, and the first one's class declares the exit code.
     """
     report: dict = {
         "params": {"exponents": list(config.exponents)},
@@ -295,90 +323,32 @@ def run(config: RunConfig) -> tuple[int, dict]:
             raise ConfigError(f"classes must be >= 1, got {config.classes}")
         data = seifert_data(validate_params(config.exponents))
         report["seifert"] = _seifert_payload(data)
-        code = _RUNNERS[config.mode](config, data, report)
+        failures = _RUNNERS[config.mode](config, data, report)
     except BrieskornError as exc:
-        report["errors"] = [exc.payload()]
-        return exc.exit_code, report
-    return code, report
+        failures = [exc]
+    if not failures:
+        return EXIT_OK, report
+    report["errors"] = [failure.payload() for failure in failures]
+    return failures[0].exit_code, report
 
 
-def _render_text(report: dict) -> str:
-    lines = []
-    if "params" in report:  # absent when an argument was refused before the run
-        lines.append(f"exponents: {tuple(report['params']['exponents'])}")
-    if "errors" in report:
-        for err in report["errors"]:
-            lines.append(f"error[{err['type']}]: {err['message']}")
-        return "\n".join(lines)
-    seifert = report["seifert"]
-    lines.append(
-        "invariants: d={d} m={m} fiber_winding={fiber_winding} genus={genus} "
-        "minima={minima_count}".format(**seifert)
-    )
-    lines.append(f"orbifold points (count, multiplicity): {seifert['orbifold_counts']}")
-    if "generators" in report:
-        lines.append(f"{len(report['generators'])} generators:")
-        for g in report["generators"]:
-            lines.append(
-                f"  {g['label']:>12}  kind={g['kind']:<11} cz={g['cz']:>5} "
-                f"grading={g['grading']:>5} action={g['action_2pi']}*2pi "
-                f"class={g['fiber_class']}"
-            )
-    if "homology" in report:
-        lines.append("homology dims:")
-        for k, v in report["homology"]["dims"].items():
-            lines.append(f"  {k}: {v}")
-        if "series" in report["homology"]:
-            lines.append(f"series: {report['homology']['series']}")
-    if "comparison" in report:
-        comp = report["comparison"]
-        lines.append(f"comparison equal={comp['equal']} floor={comp['floor']}")
-        if "first_mismatch" in comp:
-            lines.append(f"  first mismatch: {comp['first_mismatch']}")
-    if "differentials" in report:
-        for entry in report["differentials"]:
-            lines.append(f"class {entry['class']}:")
-            for k in entry["generators"]:
-                lines.append(f"  grading {k}: {', '.join(entry['generators'][k])}")
-            for k, mat in entry["matrices"].items():
-                if mat and mat[0]:
-                    lines.append(f"  d[{k}] = {mat}")
-    if "verification" in report:
-        lines.append(json.dumps(report["verification"], indent=2, sort_keys=True))
-    return "\n".join(lines)
-
-
-def _render_tsv(report: dict) -> str:
-    rows: list[tuple] = []
-    if "errors" in report:
-        for err in report["errors"]:
-            rows.append(("error", err["type"], err["message"]))
-    if "homology" in report:
-        for k, v in report["homology"]["dims"].items():
-            rows.append(("grading", k, v))
-    if "oracle" in report:
-        for k, v in report["oracle"].items():
-            rows.append(("oracle", k, v))
-    if "comparison" in report:
-        rows.append(("equal", report["comparison"]["equal"], report["comparison"]["floor"]))
-    if "generators" in report:
-        for g in report["generators"]:
-            rows.append(
-                ("generator", g["label"], g["kind"], g["iterate"], g["cz"],
-                 g["grading"], g["action_2pi"], g["fiber_class"])
-            )
-    if not rows and "seifert" in report:
-        for key in ("d", "m", "fiber_winding", "genus", "minima_count"):
-            rows.append((key, report["seifert"][key]))
-    return "\n".join("\t".join(str(x) for x in row) for row in rows)
+def _leaves(node, path: str = ""):
+    """(path, compact JSON) for every leaf of a report, in its own key order."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from _leaves(child, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list) and any(isinstance(child, dict) for child in node):
+        for i, child in enumerate(node):
+            yield from _leaves(child, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(node, separators=(",", ":"))
 
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
-    if fmt == "tsv":
-        return _render_tsv(report)
-    return _render_text(report)
+    separator = "\t" if fmt == "tsv" else " = "
+    return "\n".join(f"{path}{separator}{value}" for path, value in _leaves(report))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,10 +434,9 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
     except (ValueError, ZeroDivisionError) as exc:
-        report = {"errors": [{"type": "ConfigError", "message": str(exc)}]}
-        # a refused argument prints one compact JSON line; other formats are rendered
-        print(json.dumps(report) if args.format == "json" else render(report, args.format))
-        return EXIT_VALIDATION
+        refused = ConfigError(str(exc))
+        print(render({"errors": [refused.payload()]}, args.format))
+        return refused.exit_code
     code, report = run(config)
     print(render(report, config.format))
     return code

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 
 class BrieskornError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-    exit_code = 3  # a computation failed; refused input uses 1
+    An error raised by a missed tolerance may name the ``check``, its
+    measured ``value`` and the ``tolerance`` it missed; its report entry
+    then carries all three.
+    """
+
+    exit_code = 3  # a computation failed; refused input uses 1, a mismatch 2
+
+    def __init__(self, message, *, check=None, value=None, tolerance=None):
+        super().__init__(message)
+        self.check, self.value, self.tolerance = check, value, tolerance
 
     def payload(self) -> dict:
         """The error as a report entry."""
-        return {"type": type(self).__name__, "message": str(self)}
+        entry = {"type": type(self).__name__, "message": str(self)}
+        if self.check is not None:
+            entry.update(check=self.check, value=self.value, tolerance=self.tolerance)
+        return entry
 
 
 class ConfigError(BrieskornError, ValueError):
@@ -48,6 +60,22 @@ class NotHyperbolic(BrieskornError):
         return {**super().payload(), "gap": str(self.gap)}
 
 
+class CheckFailed(BrieskornError):
+    """A measured value missed its tolerance; a NaN misses every tolerance."""
+
+    def __init__(self, check, value, tolerance):
+        super().__init__(
+            f"{check} = {value!r} exceeds tolerance {tolerance!r}",
+            check=check, value=value, tolerance=tolerance,
+        )
+
+
+class ComparisonMismatch(BrieskornError):
+    """The chain-level homology differs from the closed form."""
+
+    exit_code = 2
+
+
 class ConstructionFailure(BrieskornError):
     """A geometric construction did not converge or missed its prescribed shape."""
 
@@ -59,11 +87,12 @@ class DegenerateInput(BrieskornError):
 class RelationFailure(BrieskornError):
     """A group relation residual exceeded its tolerance.
 
-    The full relation report is attached as ``report``.
+    The full relation report is attached as ``report``; ``check`` names
+    the first relation that missed its tolerance.
     """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
+    def __init__(self, message, report=None, **missed):
+        super().__init__(message, **missed)
         self.report = report
 
 

@@ -80,10 +80,6 @@ class MobiusElement:
     def identity(cls) -> "MobiusElement":
         return cls(np.eye(2))
 
-    @classmethod
-    def from_entries(cls, a, b, c, d) -> "MobiusElement":
-        return cls([[a, b], [c, d]])
-
     @property
     def a(self):
         return self.matrix[0, 0]
@@ -312,21 +308,6 @@ def lifted_jacobian(h: LiftedIsometry, p: UpperHalfPoint) -> np.ndarray:
     )
 
 
-def lifted_jacobian_fd(h: LiftedIsometry, p: UpperHalfPoint, step: float = 1e-6) -> np.ndarray:
-    def embed(x, y, t):
-        q = h.apply(UpperHalfPoint(x, y, t))
-        return np.array([q.x, q.y, q.t])
-
-    cols = []
-    for axis in range(3):
-        delta = np.zeros(3)
-        delta[axis] = step
-        plus = embed(p.x + delta[0], p.y + delta[1], p.t + delta[2])
-        minus = embed(p.x - delta[0], p.y - delta[1], p.t - delta[2])
-        cols.append((plus - minus) / (2.0 * step))
-    return np.column_stack(cols)
-
-
 def _form_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
     pulled = contact_covector(image) @ jac
     return float(np.linalg.norm(pulled - contact_covector(p)))
@@ -339,36 +320,14 @@ def _frame_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -
     return worst
 
 
-def contact_invariance_residual(
-    h: LiftedIsometry,
-    p: UpperHalfPoint,
-    *,
-    method: str = "analytic",
-    fd_step: float = 1e-6,
-) -> float:
+def contact_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     """Norm of (pullback of the contact form under h at p) minus the form at p."""
-    if method == "analytic":
-        jac = lifted_jacobian(h, p)
-    elif method == "fd":
-        jac = lifted_jacobian_fd(h, p, fd_step)
-    else:
-        raise ValueError("method must be 'analytic' or 'fd'")
-    return _form_residual(jac, p, h.apply(p))
+    return _form_residual(lifted_jacobian(h, p), p, h.apply(p))
 
 
-def frame_invariance_residual(
-    h: LiftedIsometry,
-    p: UpperHalfPoint,
-    *,
-    method: str = "analytic",
-    fd_step: float = 1e-6,
-) -> float:
+def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     """Worst mismatch between the pushed-forward frame and the frame at the image."""
-    if method == "analytic":
-        jac = lifted_jacobian(h, p)
-    else:
-        jac = lifted_jacobian_fd(h, p, fd_step)
-    return _frame_residual(jac, p, h.apply(p))
+    return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))
 
 
 def _frame_columns(y: np.ndarray, t: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -447,16 +406,6 @@ def invariance_residuals(
     there = _frame_columns(image.imag, image_t)
     frame = np.maximum(*(_norms(np.matmul(jac, e) - f) for e, f in zip(here, there)))
     return form, frame
-
-
-def automorphic_modulus(f_modulus_at, degree, p: UpperHalfPoint) -> float:
-    """|f(z)| * (Im z)^degree, the bundle modulus of a degree-``degree`` form.
-
-    Independent of the t-coordinate exactly: t is never read.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return f_modulus_at(p.z) * p.y ** float(degree)
 
 
 def random_mobius(rng: random.Random, *, entry_bound: float = 2.0,

@@ -124,30 +124,6 @@ def maximum_orbit(data: SeifertData, iterate: int) -> OrbitGenerator:
     )
 
 
-@dataclass(frozen=True)
-class OrbitType:
-    flavor: str  # "elliptic" or "positive_hyperbolic"
-    good: bool
-
-
-def orbit_type(gen: OrbitGenerator) -> OrbitType:
-    """Elliptic iff CZ is odd; every orbit in this family is good.
-
-    Bad orbits would require an even iterate of a negative hyperbolic
-    orbit, and no negative hyperbolic orbits occur here.
-    """
-    flavor = "elliptic" if gen.cz % 2 else "positive_hyperbolic"
-    return OrbitType(flavor=flavor, good=True)
-
-
-def fredholm_index(data: SeifertData, gen_plus: OrbitGenerator, gen_minus: OrbitGenerator) -> int:
-    """Expected cylinder dimension: the CZ difference.
-
-    The relative Chern term vanishes because the trivialization is global.
-    """
-    return gen_plus.cz - gen_minus.cz
-
-
 def saddle_count(data: SeifertData) -> int:
     return data.minima_count - 1 + 2 * data.genus
 

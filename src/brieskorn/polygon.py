@@ -216,7 +216,10 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         for measured, prescribed in zip(measured_interior_angles(group), angles)
     )
     if tol_mod.exceeds(worst, tols["angle"]):
-        raise ConstructionFailure(f"constructed polygon misses its angles by {worst:.3e}")
+        raise ConstructionFailure(
+            f"constructed polygon misses its angles by {worst:.3e}",
+            check="angle_error", value=worst, tolerance=tols["angle"],
+        )
     return group
 
 
@@ -306,7 +309,7 @@ def check_relations(
     the central shift by 2*pi*(n-2).
 
     Raises RelationFailure (report attached) when a residual exceeds its
-    tolerance.
+    tolerance; the first such relation is its ``check``.
     """
     tols = tol_mod.resolve(tolerances)
     params = group.params
@@ -335,18 +338,16 @@ def check_relations(
 
     report = RelationReport(residuals=residuals)
 
-    matrix_bad = [
-        name
-        for name, value in residuals.items()
-        if not name.startswith("lift") and tol_mod.exceeds(value, tols["matrix_relation"])
-    ]
-    lifted_bad = [
-        name
-        for name, value in residuals.items()
-        if name.startswith("lift") and tol_mod.exceeds(value, tols["invariance"])
-    ]
-    if matrix_bad or lifted_bad:
+    missed = []
+    for name, value in residuals.items():
+        tol = tols["invariance" if name.startswith("lift") else "matrix_relation"]
+        if tol_mod.exceeds(value, tol):
+            missed.append((name, value, tol))
+    if missed:
+        name, value, tol = missed[0]
         raise RelationFailure(
-            f"group relations failed: {', '.join(matrix_bad + lifted_bad)}", report
+            "group relations failed: "
+            + ", ".join(f"{n} = {v!r} exceeds {t!r}" for n, v, t in missed),
+            report, check=name, value=value, tolerance=tol,
         )
     return report

@@ -59,6 +59,9 @@ def test_compare_mismatch_exit_code(monkeypatch):
     code, report = run_cli(["compare", "--exponents", "2,3,7", "--grading-floor", "-6"])
     assert code == EXIT_MISMATCH
     assert report["comparison"]["first_mismatch"]["grading"] == -2
+    [error] = report["errors"]
+    assert error["type"] == "ComparisonMismatch"
+    assert "grading -2" in error["message"]
 
 
 def test_generators_action_bound_count():
@@ -158,21 +161,6 @@ def test_json_reports_are_deterministic():
     assert len(outputs) == 1
     parsed = json.loads(outputs.pop())
     assert parsed["seed"] == 7
-
-
-def test_tsv_rendering():
-    code, report = run_cli(
-        ["homology", "--exponents", "2,3,11", "--grading-floor", "-6", "--format", "tsv"]
-    )
-    text = render(report, "tsv")
-    assert "grading\t-2\t2" in text
-    assert "grading\t-4\t3" in text
-
-
-def test_text_rendering_mentions_invariants():
-    code, report = run_cli(["invariants", "--exponents", "2,3,7", "--format", "text"])
-    text = render(report, "text")
-    assert "d=1" in text and "genus=0" in text
 
 
 def test_main_prints_and_returns(capsys):
@@ -325,28 +313,51 @@ def _nan_last_angle(monkeypatch):
                         lambda group: [*real(group)[:-1], math.nan])
 
 
-# one case per tolerance verdict of the lab; each passes on (2,3,7) unpatched
+# one case per tolerance verdict of the lab, with the check its errors entry
+# names and the tolerance it misses; each passes on (2,3,7) unpatched
 NAN_SITES = {
-    "invariance": (["verify-dynamics", "--samples", "5"], _nan_frame_residual),
-    "rotation": (["verify-dynamics", "--samples", "5"], _nan_relative_error),
+    "invariance": (["verify-dynamics", "--samples", "5"], _nan_frame_residual,
+                   "verification.invariance.max_frame_residual", "invariance"),
+    "rotation": (["verify-dynamics", "--samples", "5"], _nan_relative_error,
+                 "verification.rotation_table[0].relative_error", "ode_vs_analytic"),
     "area": (["verify-geometry"],
-             lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan)),
-    "angle": (["verify-geometry"], _nan_last_angle),
+             lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan),
+             "verification.area.error", "area"),
+    "angle": (["verify-geometry"], _nan_last_angle, "angle_error", "angle"),
     "relations": (["verify-geometry"],
-                  lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan)),
+                  lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan),
+                  "reflection_involution[1]", "matrix_relation"),
 }
 
 
 @pytest.mark.parametrize("site", NAN_SITES)
 def test_nan_fails_every_lab_verdict(site, monkeypatch):
     monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
-    argv, patch = NAN_SITES[site]
+    argv, patch, check, tolerance = NAN_SITES[site]
     assert run_cli([argv[0], "--exponents", "2,3,7", *argv[1:]])[0] == EXIT_OK
     patch(monkeypatch)
     code, report = run_cli([argv[0], "--exponents", "2,3,7", *argv[1:]])
     assert code == EXIT_TOLERANCE
     if site == "invariance":
         assert math.isnan(report["verification"]["invariance"]["max_frame_residual"])
+    [error] = [e for e in report["errors"] if e.get("check") == check]
+    assert math.isnan(error["value"])
+    assert error["tolerance"] == tolerances.DEFAULT_TOLERANCES[tolerance]
+
+
+def test_cz_mismatch_is_a_failed_check(monkeypatch):
+    real = cli.conley_zehnder
+    monkeypatch.setattr(cli, "conley_zehnder", lambda *args: real(*args) + 2)
+    code, report = run_cli(["verify-dynamics", "--exponents", "2,3,7", "--samples", "5",
+                            "--iterates", "1"])
+    assert code == EXIT_TOLERANCE
+    rows = report["verification"]["rotation_table"]
+    assert [e["check"] for e in report["errors"]] == [
+        f"verification.rotation_table[{i}].cz - cz_formula" for i in range(len(rows))
+    ]
+    assert {(e["type"], e["value"], e["tolerance"]) for e in report["errors"]} == {
+        ("CheckFailed", 2, 0)
+    }
 
 
 def test_worst_and_exceeds_carry_nan():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from brieskorn.dynamics import (
-    CallablePerturbation,
     LocalModel,
     analytic_return,
     contraction_residual,
@@ -37,6 +36,36 @@ def test_contraction_identity_random_points():
     for _ in range(100):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
         assert contraction_residual(model, z, step=1e-5) < 1e-6
+
+
+class CallablePerturbation:
+    """General smooth perturbation given by f alone; derivatives by differences."""
+
+    def __init__(self, f, step: float = 1e-5):
+        self._f = f
+        self.step = step
+
+    def f(self, z: complex) -> float:
+        return self._f(z)
+
+    def inv_f(self, z: complex) -> float:
+        return 1.0 / self._f(z)
+
+    def grad_inv_f(self, z: complex) -> tuple[float, float]:
+        h = self.step
+        gx = (self.inv_f(z + h) - self.inv_f(z - h)) / (2.0 * h)
+        gy = (self.inv_f(z + 1j * h) - self.inv_f(z - 1j * h)) / (2.0 * h)
+        return gx, gy
+
+    def hess_inv_f(self, z: complex) -> np.ndarray:
+        h = self.step
+
+        def grad(w):
+            return np.array(self.grad_inv_f(w))
+
+        col_x = (grad(z + h) - grad(z - h)) / (2.0 * h)
+        col_y = (grad(z + 1j * h) - grad(z - 1j * h)) / (2.0 * h)
+        return np.column_stack([col_x, col_y])
 
 
 def test_contraction_identity_general_perturbation():

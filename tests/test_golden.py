@@ -79,6 +79,38 @@ def test_golden_report(case, capsys, monkeypatch):
     assert code == json.loads(EXIT_CODES.read_text())[case]
 
 
+def _leaf_lines(node, path=""):
+    """One ``path<TAB>compact JSON`` line per leaf: dicts and lists holding a
+    dict are walked, anything else (empty containers too) is a leaf."""
+    if isinstance(node, dict) and node:
+        items = [(f"{path}.{key}" if path else key, child) for key, child in node.items()]
+    elif isinstance(node, list) and any(isinstance(child, dict) for child in node):
+        items = [(f"{path}[{i}]", child) for i, child in enumerate(node)]
+    else:
+        return [f"{path}\t{json.dumps(node, separators=(',', ':'))}"]
+    return [line for child_path, child in items for line in _leaf_lines(child, child_path)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_text_and_tsv_print_every_leaf_of_the_json_report(name, capsys, monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    out = {}
+    for fmt in FORMATS:
+        code = cli.main(ARGV[f"{name}.{fmt}"])
+        out[fmt] = capsys.readouterr().out
+    report = json.loads(out["json"])
+    tsv = out["tsv"].splitlines()
+    assert sorted(tsv) == sorted(_leaf_lines(report))
+    assert out["text"].splitlines() == [line.replace("\t", " = ", 1) for line in tsv]
+    # a failing run names its failures in every format; a missed tolerance
+    # names the check, its measured value and the tolerance
+    assert bool(report.get("errors")) == (code != 0)
+    assert any(line.startswith("errors[0].type\t") for line in tsv) == (code != 0)
+    for error in report.get("errors", []):
+        if error["type"] == "CheckFailed":
+            assert {"check", "value", "tolerance"} <= error.keys()
+
+
 def _regenerate() -> None:
     import contextlib
     import io

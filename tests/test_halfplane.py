@@ -11,12 +11,12 @@ from brieskorn.halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
-    automorphic_modulus,
     contact_covector,
     contact_invariance_residual,
     frame_at,
     frame_invariance_residual,
     invariance_residuals,
+    lifted_jacobian,
     mobius_apply,
     random_mobius,
     random_point,
@@ -157,27 +157,29 @@ def test_invariance_identity_and_vertical_shift():
     assert contact_invariance_residual(shift, p) == 0.0
 
 
+def lifted_jacobian_fd(h: LiftedIsometry, p: UpperHalfPoint, step: float = 1e-6) -> np.ndarray:
+    """Central differences of the lifted action at p, in (x, y, t) coordinates."""
+    def embed(x, y, t):
+        q = h.apply(UpperHalfPoint(x, y, t))
+        return np.array([q.x, q.y, q.t])
+
+    cols = []
+    for axis in range(3):
+        delta = np.zeros(3)
+        delta[axis] = step
+        plus = embed(p.x + delta[0], p.y + delta[1], p.t + delta[2])
+        minus = embed(p.x - delta[0], p.y - delta[1], p.t - delta[2])
+        cols.append((plus - minus) / (2.0 * step))
+    return np.column_stack(cols)
+
+
 def test_finite_difference_jacobian_agrees():
     rng = random.Random(4)
     for _ in range(20):
         h = LiftedIsometry.canonical(random_mobius(rng))
         p = random_point(rng)
-        assert contact_invariance_residual(h, p, method="fd") < 1e-7
-
-
-def test_automorphic_modulus():
-    p = UpperHalfPoint(0.0, 2.0, 5.0)
-    assert automorphic_modulus(lambda z: 1.0, 1, p) == 2.0
-    for t in (0.0, 17.3, -4.4):
-        q = UpperHalfPoint(0.3, 1.3, t)
-        assert automorphic_modulus(lambda z: abs(z), 0, q) == abs(q.z)
-    # bit-exact independence of t
-    f = lambda z: abs(z * z - 1.0)
-    values = {
-        automorphic_modulus(f, 3, UpperHalfPoint(0.7, 1.9, t))
-        for t in (0.0, 17.3, -123.456)
-    }
-    assert len(values) == 1
+        analytic, differenced = lifted_jacobian(h, p), lifted_jacobian_fd(h, p)
+        assert np.max(np.abs(analytic - differenced)) < 1e-7 * max(1.0, np.max(np.abs(analytic)))
 
 
 def test_point_requires_positive_y():

@@ -12,9 +12,7 @@ from brieskorn import (
     build_morse_model,
     conley_zehnder,
     enumerate_generators,
-    fredholm_index,
     graded_homology,
-    orbit_type,
     seifert_data,
     validate_params,
 )
@@ -80,23 +78,6 @@ def test_exceptional_fiber_class_tagging(data237):
     assert exceptional_orbit(data237, 3, 1, 6).fiber_class is None
 
 
-def test_orbit_types(data237):
-    assert orbit_type(exceptional_orbit(data237, 1, 1, 3)).flavor == "elliptic"
-    assert orbit_type(saddle_orbit(data237, 1, 2)).flavor == "positive_hyperbolic"
-    assert orbit_type(maximum_orbit(data237, 4)).flavor == "elliptic"
-    for gen in enumerate_generators(data237, grading_floor=-10):
-        assert orbit_type(gen).good
-
-
-def test_fredholm_index_examples(data237):
-    s1 = saddle_orbit(data237, 1, 1)
-    v1sq = exceptional_orbit(data237, 1, 1, 2)
-    y1 = maximum_orbit(data237, 1)
-    assert fredholm_index(data237, s1, s1) == 0
-    assert fredholm_index(data237, s1, v1sq) == 1
-    assert fredholm_index(data237, y1, s1) == 1
-
-
 def test_saddle_differential_pattern_2_3_7(data237):
     # For the fiber class n the two saddles map to differences of adjacent
     # minima orbits: x1 -> v1^{2n} - v2^{3n}, x2 -> v2^{3n} - v3^{7n}.
@@ -154,7 +135,7 @@ def test_differential_entries_and_degree(fuzz_corpus):
                     assert entry in (-1, 0, 1)
                     if entry:
                         assert gens_here[j_].grading - gens_below[i].grading == 1
-                        assert fredholm_index(data, gens_here[j_], gens_below[i]) == 1
+                        assert gens_here[j_].cz - gens_below[i].cz == 1
 
 
 def test_grading_shift_identity(fuzz_corpus):
