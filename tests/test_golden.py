@@ -65,6 +65,9 @@ CASES = (
     ("verify-dynamics-zero-epsilon",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "0",
       "--iterates", "1"]),
+    # the longest periods of the lab workload; exits 3 on determinant drift
+    ("verify-dynamics-50-60-70",
+     ["verify-dynamics", "--exponents", "50,60,70", "--samples", "10"]),
 )
 
 IDS = [f"{name}.{fmt}" for name, _ in CASES for fmt in FORMATS]
