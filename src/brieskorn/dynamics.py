@@ -14,6 +14,12 @@ variational flow over time T can be compared against the closed-form
 rotation. In the invariant frame, which turns counterclockwise at unit
 rate along the fiber, the return map therefore rotates by -(T + eps'),
 and the grading of the orbit follows from floor((rotation)/2pi).
+
+The field, its Jacobian and the model's Hessian are plain float tuples,
+and the variational flow is integrated on six Python floats with the
+Fehlberg tableau unrolled stage by stage: no step calls numpy or BLAS, so
+the integration is IEEE-deterministic. Only the finished monodromy and the
+closed-form map are numpy arrays.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ class LocalModel:
         scale = -2.0 * self._k / (f * f)
         return scale * (z.real - self.v.real), scale * (z.imag - self.v.imag)
 
-    def hess_inv_f(self, z: complex) -> np.ndarray:
+    def hess_inv_f(self, z: complex) -> tuple[tuple[float, float], tuple[float, float]]:
         f = self.f(z)
         dx = z.real - self.v.real
         dy = z.imag - self.v.imag
@@ -71,32 +77,28 @@ class LocalModel:
         # d/dxi d/dxj of 1/f for f = 1 + k*(dx^2 + dy^2)
         common = 2.0 * k / (f * f)
         cross = 8.0 * k * k / (f * f * f)
-        return np.array(
-            [
-                [-common + cross * dx * dx, cross * dx * dy],
-                [cross * dx * dy, -common + cross * dy * dy],
-            ]
+        return (
+            (-common + cross * dx * dx, cross * dx * dy),
+            (cross * dx * dy, -common + cross * dy * dy),
         )
 
 
-def hamiltonian_field(model, z: complex) -> np.ndarray:
+def hamiltonian_field(model, z: complex) -> tuple[float, float]:
     """The projected Reeb field (-y^2 * (1/f)_y, y^2 * (1/f)_x) at z."""
     gx, gy = model.grad_inv_f(z)
     y2 = z.imag * z.imag
-    return np.array([-y2 * gy, y2 * gx])
+    return -y2 * gy, y2 * gx
 
 
-def field_jacobian(model, z: complex) -> np.ndarray:
-    """Exact Jacobian of the projected field at z."""
+def field_jacobian(model, z: complex) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Exact Jacobian of the projected field at z, as rows."""
     gx, gy = model.grad_inv_f(z)
     hess = model.hess_inv_f(z)
     y = z.imag
     y2 = y * y
-    return np.array(
-        [
-            [-y2 * hess[1, 0], -2.0 * y * gy - y2 * hess[1, 1]],
-            [y2 * hess[0, 0], 2.0 * y * gx + y2 * hess[0, 1]],
-        ]
+    return (
+        (-y2 * hess[1][0], -2.0 * y * gy - y2 * hess[1][1]),
+        (y2 * hess[0][0], 2.0 * y * gx + y2 * hess[0][1]),
     )
 
 
@@ -142,14 +144,107 @@ _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 
 _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
-def _rkf_step(deriv, state, h):
-    k = [deriv(state)]
-    for nodes in _RKF_A:
-        stage = state + h * sum(a * ki for a, ki in zip(nodes, k))
-        k.append(deriv(stage))
-    fifth = state + h * sum(b * ki for b, ki in zip(_RKF_B5, k))
-    fourth = state + h * sum(b * ki for b, ki in zip(_RKF_B4, k))
-    return fifth, float(np.max(np.abs(fifth - fourth)))
+(_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43), \
+    (_A50, _A51, _A52, _A53, _A54) = _RKF_A
+_B50, _B51, _B52, _B53, _B54, _B55 = _RKF_B5
+_B40, _B41, _B42, _B43, _B44, _B45 = _RKF_B4
+
+
+def _variation(model, x, y, a, b, c, d):
+    """d/dt of the state (z, M) = (x + iy, ((a, b), (c, d))): (X(z), dX(z) M)."""
+    z = complex(x, y)
+    fx, fy = hamiltonian_field(model, z)
+    (j0, j1), (j2, j3) = field_jacobian(model, z)
+    return fx, fy, j0 * a + j1 * c, j0 * b + j1 * d, j2 * a + j3 * c, j2 * b + j3 * d
+
+
+def _abs_max(values) -> float:
+    """max |v| over values, NaN when any value is NaN (as numpy's max would)."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(map(abs, values))
+
+
+def _rkf_step(model, state, h):
+    """One Fehlberg 4(5) step from the 6-float state: (fifth-order state, error).
+
+    The six stages are written out: component by component, each stage
+    state adds h * (0 + a0*k0 + a1*k1 + ...) in tableau order, as
+    ``sum`` over the tableau would.
+    """
+    x, y, a, b, c, d = state
+    k0x, k0y, k0a, k0b, k0c, k0d = _variation(model, x, y, a, b, c, d)
+    k1x, k1y, k1a, k1b, k1c, k1d = _variation(
+        model,
+        x + h * (0 + _A10 * k0x),
+        y + h * (0 + _A10 * k0y),
+        a + h * (0 + _A10 * k0a),
+        b + h * (0 + _A10 * k0b),
+        c + h * (0 + _A10 * k0c),
+        d + h * (0 + _A10 * k0d),
+    )
+    k2x, k2y, k2a, k2b, k2c, k2d = _variation(
+        model,
+        x + h * (0 + _A20 * k0x + _A21 * k1x),
+        y + h * (0 + _A20 * k0y + _A21 * k1y),
+        a + h * (0 + _A20 * k0a + _A21 * k1a),
+        b + h * (0 + _A20 * k0b + _A21 * k1b),
+        c + h * (0 + _A20 * k0c + _A21 * k1c),
+        d + h * (0 + _A20 * k0d + _A21 * k1d),
+    )
+    k3x, k3y, k3a, k3b, k3c, k3d = _variation(
+        model,
+        x + h * (0 + _A30 * k0x + _A31 * k1x + _A32 * k2x),
+        y + h * (0 + _A30 * k0y + _A31 * k1y + _A32 * k2y),
+        a + h * (0 + _A30 * k0a + _A31 * k1a + _A32 * k2a),
+        b + h * (0 + _A30 * k0b + _A31 * k1b + _A32 * k2b),
+        c + h * (0 + _A30 * k0c + _A31 * k1c + _A32 * k2c),
+        d + h * (0 + _A30 * k0d + _A31 * k1d + _A32 * k2d),
+    )
+    k4x, k4y, k4a, k4b, k4c, k4d = _variation(
+        model,
+        x + h * (0 + _A40 * k0x + _A41 * k1x + _A42 * k2x + _A43 * k3x),
+        y + h * (0 + _A40 * k0y + _A41 * k1y + _A42 * k2y + _A43 * k3y),
+        a + h * (0 + _A40 * k0a + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+        b + h * (0 + _A40 * k0b + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+        c + h * (0 + _A40 * k0c + _A41 * k1c + _A42 * k2c + _A43 * k3c),
+        d + h * (0 + _A40 * k0d + _A41 * k1d + _A42 * k2d + _A43 * k3d),
+    )
+    k5x, k5y, k5a, k5b, k5c, k5d = _variation(
+        model,
+        x + h * (0 + _A50 * k0x + _A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+        y + h * (0 + _A50 * k0y + _A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+        a + h * (0 + _A50 * k0a + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+        b + h * (0 + _A50 * k0b + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+        c + h * (0 + _A50 * k0c + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
+        d + h * (0 + _A50 * k0d + _A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d),
+    )
+    x5 = x + h * (0 + _B50 * k0x + _B51 * k1x + _B52 * k2x + _B53 * k3x
+                  + _B54 * k4x + _B55 * k5x)
+    y5 = y + h * (0 + _B50 * k0y + _B51 * k1y + _B52 * k2y + _B53 * k3y
+                  + _B54 * k4y + _B55 * k5y)
+    a5 = a + h * (0 + _B50 * k0a + _B51 * k1a + _B52 * k2a + _B53 * k3a
+                  + _B54 * k4a + _B55 * k5a)
+    b5 = b + h * (0 + _B50 * k0b + _B51 * k1b + _B52 * k2b + _B53 * k3b
+                  + _B54 * k4b + _B55 * k5b)
+    c5 = c + h * (0 + _B50 * k0c + _B51 * k1c + _B52 * k2c + _B53 * k3c
+                  + _B54 * k4c + _B55 * k5c)
+    d5 = d + h * (0 + _B50 * k0d + _B51 * k1d + _B52 * k2d + _B53 * k3d
+                  + _B54 * k4d + _B55 * k5d)
+    x4 = x + h * (0 + _B40 * k0x + _B41 * k1x + _B42 * k2x + _B43 * k3x
+                  + _B44 * k4x + _B45 * k5x)
+    y4 = y + h * (0 + _B40 * k0y + _B41 * k1y + _B42 * k2y + _B43 * k3y
+                  + _B44 * k4y + _B45 * k5y)
+    a4 = a + h * (0 + _B40 * k0a + _B41 * k1a + _B42 * k2a + _B43 * k3a
+                  + _B44 * k4a + _B45 * k5a)
+    b4 = b + h * (0 + _B40 * k0b + _B41 * k1b + _B42 * k2b + _B43 * k3b
+                  + _B44 * k4b + _B45 * k5b)
+    c4 = c + h * (0 + _B40 * k0c + _B41 * k1c + _B42 * k2c + _B43 * k3c
+                  + _B44 * k4c + _B45 * k5c)
+    d4 = d + h * (0 + _B40 * k0d + _B41 * k1d + _B42 * k2d + _B43 * k3d
+                  + _B44 * k4d + _B45 * k5d)
+    err = _abs_max([x5 - x4, y5 - y4, a5 - a4, b5 - b4, c5 - c4, d5 - d4])
+    return (x5, y5, a5, b5, c5, d5), err
 
 
 @dataclass
@@ -174,30 +269,27 @@ def integrate_monodromy(
     using an adaptive Fehlberg 4(5) pair. The rotation of the first column
     of M is accumulated step by step (steps are kept small enough that the
     per-step turn stays well under pi, so the unwrap is unambiguous).
+
+    The state is six Python floats (x, y and M row by row) and every stage
+    is written out in plain float arithmetic, so no step calls numpy or
+    BLAS and the result is IEEE-deterministic. Each stage evaluates
+    ``hamiltonian_field`` once.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     z0 = model.v if start is None else start
-
-    def deriv(state):
-        z = complex(state[0], state[1])
-        x_field = hamiltonian_field(model, z)
-        jac = field_jacobian(model, z)
-        m = state[2:].reshape(2, 2)
-        return np.concatenate([x_field, (jac @ m).ravel()])
-
-    state = np.array([z0.real, z0.imag, 1.0, 0.0, 0.0, 1.0])
     if T == 0.0:
         return MonodromyResult(matrix=np.eye(2), rotation=0.0, endpoint=z0, steps=0)
 
     # keep per-step rotation bounded for the unwrap
-    spin = float(np.abs(field_jacobian(model, z0)).max())
+    spin = _abs_max([entry for row in field_jacobian(model, z0) for entry in row])
     cap = T
     if max_step is not None:
         cap = min(cap, max_step)
     if spin > 0:
         cap = min(cap, 0.5 / spin)
 
+    state = (z0.real, z0.imag, 1.0, 0.0, 0.0, 1.0)
     t = 0.0
     h = min(cap, T / 8.0)
     rotation = 0.0
@@ -205,8 +297,8 @@ def integrate_monodromy(
     steps = 0
     while t < T:
         h = min(h, T - t, cap)
-        new_state, err = _rkf_step(deriv, state, h)
-        scale = step_tol * max(1.0, float(np.max(np.abs(state))))
+        new_state, err = _rkf_step(model, state, h)
+        scale = step_tol * max(1.0, _abs_max(state))
         if err > scale and h > 1e-13 * T:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             continue
@@ -225,10 +317,11 @@ def integrate_monodromy(
             h = min(cap, h * min(5.0, 0.9 * (scale / err) ** 0.2))
         else:
             h = min(cap, h * 5.0)
+    x, y, m0, m1, m2, m3 = state
     return MonodromyResult(
-        matrix=state[2:].reshape(2, 2),
+        matrix=np.array([[m0, m1], [m2, m3]]),
         rotation=rotation,
-        endpoint=complex(state[0], state[1]),
+        endpoint=complex(x, y),
         steps=steps,
     )
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brieskorn import dynamics, tolerances
 from brieskorn.dynamics import (
     LocalModel,
     analytic_return,
@@ -17,6 +18,8 @@ from brieskorn.dynamics import (
     linearized_return_map,
 )
 from brieskorn.errors import NondegeneracyFailure
+from brieskorn.polygon import build_polygon_group
+from rkf_reference import reference_monodromy
 
 
 def test_unperturbed_field_vanishes():
@@ -79,12 +82,14 @@ def test_field_jacobian_matches_differences():
     z = 0.7 + 0.9j
     step = 1e-6
     jac = field_jacobian(model, z)
+
+    def field(w):
+        return np.asarray(hamiltonian_field(model, w))
+
     fd = np.column_stack(
         [
-            (hamiltonian_field(model, z + step) - hamiltonian_field(model, z - step))
-            / (2 * step),
-            (hamiltonian_field(model, z + 1j * step) - hamiltonian_field(model, z - 1j * step))
-            / (2 * step),
+            (field(z + step) - field(z - step)) / (2 * step),
+            (field(z + 1j * step) - field(z - 1j * step)) / (2 * step),
         ]
     )
     assert np.abs(jac - fd).max() < 1e-6
@@ -174,3 +179,78 @@ def test_analytic_return_rate():
     model = LocalModel(0.5 + 2j, 3.0, 1e-2)
     _, angle = analytic_return(model, 1.0)
     assert angle == pytest.approx(-2 * 1e-2 * 4.0 * 9.0)
+
+
+def _lab_models(fuzz_corpus, seed):
+    """(model, period, requested epsilon) at the polygon vertices of a few fuzz
+    tuples, iterates 1..3, one requested epsilon drawn large enough to clamp
+    to the window limit and one drawn small."""
+    rng = random.Random(seed)
+    corpus = [data for data in fuzz_corpus if len(data.orbifold_counts) <= 4][:6]
+    for data in corpus:
+        group = build_polygon_group(data.params)
+        for j, (_, t_j) in enumerate(data.orbifold_counts, start=1):
+            for n in range(1, 4):
+                ratio = Fraction(data.d, data.m * t_j) * n
+                for requested in (rng.uniform(0.05, 0.5), rng.uniform(1e-6, 1e-5)):
+                    model = LocalModel.in_window(group.vertices[j - 1], ratio, requested)
+                    yield model, 2 * math.pi * float(ratio), requested
+
+
+STEP_TOL = tolerances.resolve(None)["ode_step"]
+
+
+def test_integrator_matches_the_numpy_reference_bit_for_bit_at_the_zero(fuzz_corpus):
+    # at the zero the Jacobian is antidiagonal, so each entry of dX * M has
+    # one nonzero product and the two-term float sums equal the reference's
+    # matrix product exactly
+    clamped = free = 0
+    for model, period, requested in _lab_models(fuzz_corpus, seed=5):
+        clamped += model.epsilon < requested
+        free += model.epsilon == requested
+        got = integrate_monodromy(model, period, step_tol=STEP_TOL)
+        matrix, rotation, endpoint, steps, _ = reference_monodromy(
+            model, period, step_tol=STEP_TOL
+        )
+        assert got.matrix.tolist() == matrix.tolist()
+        assert (got.rotation, got.endpoint, got.steps) == (rotation, endpoint, steps)
+    assert clamped and free
+
+
+def test_integrator_matches_the_numpy_reference_off_the_zero(fuzz_corpus):
+    # off the zero all four Jacobian entries are nonzero; the reference's 2x2
+    # matrix product goes through BLAS, and OpenBLAS's x86-64 kernel fuses the
+    # multiply-add, fma(a1, b1, a0*b0), where the float step rounds
+    # a0*b0 + a1*b1 twice, so the two agree to roundoff, not bit for bit
+    rng = random.Random(6)
+    for model, period, _ in _lab_models(fuzz_corpus, seed=5):
+        offset = complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        start = model.v + offset * model.v.imag
+        got = integrate_monodromy(model, period, start=start, step_tol=STEP_TOL)
+        matrix, rotation, endpoint, _, _ = reference_monodromy(
+            model, period, start=start, step_tol=STEP_TOL
+        )
+        assert np.abs(got.matrix - matrix).max() <= 1e-12
+        assert abs(got.rotation - rotation) <= 1e-12
+        assert abs(got.endpoint - endpoint) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, T, start",
+    [(LocalModel(1j, 1.0, 0.2), 1.0, None), (LocalModel(0.3 + 1.4j, 1.2, 0.2), 5.0, 0.9 + 0.8j)],
+)
+def test_each_attempted_step_evaluates_the_field_six_times(monkeypatch, model, T, start):
+    # bench/spans.py counts dynamics.rhs_evals at dynamics.hamiltonian_field
+    calls = []
+    real = dynamics.hamiltonian_field
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "hamiltonian_field", counted)
+    integrate_monodromy(model, T, start=start)
+    monkeypatch.undo()
+    _, _, _, steps, rejected = reference_monodromy(model, T, start=start)
+    assert rejected > 0
+    assert len(calls) == 6 * (steps + rejected)
