@@ -261,7 +261,10 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
                 result = outcomes[model.epsilon]
                 if isinstance(result, NondegeneracyFailure):
                     row["error"] = str(result)
-                    failures.append(result)
+                    failures.append(NondegeneracyFailure(
+                        str(result), result.result, check=f"{path}.ode_angle",
+                        value=result.value, tolerance=result.tolerance,
+                    ))
                     continue
                 row.update(
                     {

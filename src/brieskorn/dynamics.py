@@ -389,14 +389,14 @@ def linearized_return_map(
         raise NondegeneracyFailure(
             f"perturbed rotation {ode.rotation:.3e} is a multiple of 2*pi; "
             "perturb epsilon",
-            result,
+            result, value=wrapped, tolerance=tols["degenerate_rotation"],
         )
     gap = two_pi * (1.0 - fractional) if fractional > 0.0 else two_pi
     if not 0.0 < correction < gap:
         raise NondegeneracyFailure(
             f"rotation correction {correction:.3e} leaves the window (0, {gap:.3e}); "
             "shrink epsilon",
-            result,
+            result, value=correction, tolerance=gap,
         )
 
     if period_ratio is not None:

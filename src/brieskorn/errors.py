@@ -100,11 +100,12 @@ class NondegeneracyFailure(BrieskornError):
     """The linearized return map is too close to a full rotation to grade.
 
     The partially computed result (monodromy, rotation angle) is attached
-    as ``result`` so callers can still inspect it.
+    as ``result`` so callers can still inspect it; ``value`` and
+    ``tolerance`` hold the measure that missed its bound.
     """
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
+    def __init__(self, message, result=None, **missed):
+        super().__init__(message, **missed)
         self.result = result
 
 

@@ -151,6 +151,23 @@ def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
         assert row == rows[keys.index(key)]
 
 
+def test_each_nondegeneracy_entry_names_its_rotation_row():
+    code, report = run_cli(
+        ["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "0",
+         "--iterates", "2"]
+    )
+    assert code == EXIT_TOLERANCE
+    rows = report["verification"]["rotation_table"]
+    errors = [e for e in report["errors"] if e["type"] == "NondegeneracyFailure"]
+    assert len(errors) == len(rows) == 6
+    for i, (row, error) in enumerate(zip(rows, errors)):
+        assert error["check"] == f"verification.rotation_table[{i}].ode_angle"
+        assert error["message"] == row["error"]
+        # zero epsilon: the wrapped rotation 0 is within degenerate_rotation
+        assert error["value"] == 0.0
+        assert error["tolerance"] == tolerances.resolve(None)["degenerate_rotation"]
+
+
 def test_json_reports_are_deterministic():
     outputs = set()
     for _ in range(2):

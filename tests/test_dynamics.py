@@ -161,6 +161,22 @@ def test_oversized_epsilon_fails_loudly():
         linearized_return_map(model, 2 * math.pi, period_ratio=Fraction(1))
 
 
+def test_nondegeneracy_failures_carry_the_missed_measure():
+    tols = tolerances.resolve(None)
+    with pytest.raises(NondegeneracyFailure) as excinfo:
+        linearized_return_map(LocalModel(1j, 1.0, 0.0), 2 * math.pi)
+    assert (excinfo.value.value, excinfo.value.tolerance) == (0.0, tols["degenerate_rotation"])
+    with pytest.raises(NondegeneracyFailure) as excinfo:
+        linearized_return_map(
+            LocalModel(1j, 1.0, 0.2), 2 * math.pi * 1.5, period_ratio=Fraction(3, 2)
+        )
+    # correction 2*eps*T = 1.2*pi leaves the window (0, pi)
+    failure = excinfo.value
+    assert failure.value == -failure.result.rotation_angle
+    assert failure.value == pytest.approx(1.2 * math.pi, rel=1e-6)
+    assert failure.tolerance == pytest.approx(math.pi)
+
+
 def test_monodromy_preserves_the_hyperbolic_area_form():
     # the flow preserves dx dy / y^2, so the Euclidean determinant of the
     # derivative equals the square of the conformal factor ratio; on the
