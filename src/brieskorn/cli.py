@@ -259,10 +259,13 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
                 path = f"verification.rotation_table[{len(table)}]"
                 table.append(row)
                 result = outcomes[model.epsilon]
-                if isinstance(result, NondegeneracyFailure):
+                failed = isinstance(result, NondegeneracyFailure)
+                integrated = result.result if failed else result
+                row.update(steps=integrated.steps, rejected_steps=integrated.rejected_steps)
+                if failed:
                     row["error"] = str(result)
                     failures.append(NondegeneracyFailure(
-                        str(result), result.result, check=f"{path}.ode_angle",
+                        str(result), integrated, check=f"{path}.ode_angle",
                         value=result.value, tolerance=result.tolerance,
                     ))
                     continue

@@ -252,7 +252,8 @@ class MonodromyResult:
     matrix: np.ndarray
     rotation: float  # unwrapped signed rotation of the first column
     endpoint: complex
-    steps: int
+    steps: int  # accepted steps
+    rejected: int  # steps retried with a smaller h
 
 
 def integrate_monodromy(
@@ -279,7 +280,9 @@ def integrate_monodromy(
         raise ValueError("T must be >= 0")
     z0 = model.v if start is None else start
     if T == 0.0:
-        return MonodromyResult(matrix=np.eye(2), rotation=0.0, endpoint=z0, steps=0)
+        return MonodromyResult(
+            matrix=np.eye(2), rotation=0.0, endpoint=z0, steps=0, rejected=0
+        )
 
     # keep per-step rotation bounded for the unwrap
     spin = _abs_max([entry for row in field_jacobian(model, z0) for entry in row])
@@ -294,13 +297,14 @@ def integrate_monodromy(
     h = min(cap, T / 8.0)
     rotation = 0.0
     prev_angle = 0.0
-    steps = 0
+    steps = rejected = 0
     while t < T:
         h = min(h, T - t, cap)
         new_state, err = _rkf_step(model, state, h)
         scale = step_tol * max(1.0, _abs_max(state))
         if err > scale and h > 1e-13 * T:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+            rejected += 1
             continue
         state = new_state
         t += h
@@ -323,6 +327,7 @@ def integrate_monodromy(
         rotation=rotation,
         endpoint=complex(x, y),
         steps=steps,
+        rejected=rejected,
     )
 
 
@@ -337,6 +342,8 @@ class LinearizedReturn:
     determinant: float
     relative_error: float
     cz_index: int | None
+    steps: int  # accepted integrator steps
+    rejected_steps: int
 
 
 def linearized_return_map(
@@ -381,6 +388,8 @@ def linearized_return_map(
         determinant=determinant,
         relative_error=relative_error,
         cz_index=None,
+        steps=ode.steps,
+        rejected_steps=ode.rejected,
     )
 
     two_pi = 2.0 * math.pi

@@ -168,6 +168,26 @@ def test_each_nondegeneracy_entry_names_its_rotation_row():
         assert error["tolerance"] == tolerances.resolve(None)["degenerate_rotation"]
 
 
+def test_rotation_rows_report_the_integrator_work(monkeypatch):
+    integrations = []
+    real = dynamics.integrate_monodromy
+
+    def recorded(*args, **kwargs):
+        integrations.append(real(*args, **kwargs))
+        return integrations[-1]
+
+    monkeypatch.setattr(dynamics, "integrate_monodromy", recorded)
+    _, report = run_cli(["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "5"])
+    # one integration per distinct row, in row order
+    distinct = {}
+    for row in report["verification"]["rotation_table"]:
+        key = (row["vertex"], row["iterate"], row["epsilon"])
+        distinct.setdefault(key, (row["steps"], row["rejected_steps"]))
+    work = [(r.steps, r.rejected) for r in integrations]
+    assert list(distinct.values()) == work
+    assert any(rejected for _, rejected in work)
+
+
 def test_json_reports_are_deterministic():
     outputs = set()
     for _ in range(2):
