@@ -197,6 +197,9 @@ def test_analytic_return_rate():
     assert angle == pytest.approx(-2 * 1e-2 * 4.0 * 9.0)
 
 
+STEP_TOL = tolerances.resolve(None)["ode_step"]
+
+
 def _lab_models(fuzz_corpus, seed):
     """(model, period, requested epsilon) at the polygon vertices of a few fuzz
     tuples, iterates 1..3, one requested epsilon drawn large enough to clamp
@@ -211,9 +214,6 @@ def _lab_models(fuzz_corpus, seed):
                 for requested in (rng.uniform(0.05, 0.5), rng.uniform(1e-6, 1e-5)):
                     model = LocalModel.in_window(group.vertices[j - 1], ratio, requested)
                     yield model, 2 * math.pi * float(ratio), requested
-
-
-STEP_TOL = tolerances.resolve(None)["ode_step"]
 
 
 def test_integrator_matches_the_numpy_reference_bit_for_bit_at_the_zero(fuzz_corpus):
