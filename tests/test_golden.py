@@ -24,7 +24,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 FORMATS = ("json", "tsv", "text")
 
-# (case name, argv without --format); floors stay >= -20 and samples <= 50
+# (case name, argv without --format); floors stay >= -20 and samples <= 50,
+# except the default 1000 samples of the lab's invariance block
 CASES = (
     ("invariants-2-3-7", ["invariants", "--exponents", "2,3,7"]),
     ("invariants-2-2-2-3", ["invariants", "--exponents", "2,2,2,3"]),
@@ -46,6 +47,9 @@ CASES = (
       "--tol", "invariance=1e-7"]),
     ("verify-dynamics-2-3-7",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "50", "--seed", "7"]),
+    ("verify-dynamics-default-samples", ["verify-dynamics", "--exponents", "2,3,7"]),
+    ("verify-dynamics-no-samples",
+     ["verify-dynamics", "--exponents", "2,3,7", "--samples", "0"]),
     ("verify-dynamics-epsilons",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "10", "--epsilon", "0.5",
       "--epsilon", "1e-4", "--iterates", "3"]),
