@@ -49,7 +49,7 @@ from .errors import (
     NondegeneracyFailure,
     RelationFailure,
 )
-from .halfplane import LiftedIsometry, invariance_residuals, random_mobius, random_point
+from .halfplane import invariance_residuals, random_samples
 from .homology import poincare_series
 from .invariants import seifert_data, validate_params
 from .orbits import EXCEPTIONAL, build_complex, conley_zehnder, enumerate_generators
@@ -217,14 +217,10 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
 
 def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
     tols = config.tolerances
-    rng = random.Random(config.rng_seed)
-    elements, points = [], []
-    for _ in range(config.samples):
-        elements.append(LiftedIsometry.canonical(random_mobius(rng)))
-        points.append(random_point(rng))
+    matrices, points = random_samples(random.Random(config.rng_seed), config.samples)
     # an array maximum carries a NaN through, where Python's max would drop it
     worst_form, worst_frame = (
-        float(r.max(initial=0.0)) for r in invariance_residuals(elements, points)
+        float(r.max(initial=0.0)) for r in invariance_residuals(matrices, points)
     )
     failures = []
     _hold(failures, "verification.invariance.max_form_residual", worst_form, tols["invariance"])

@@ -12,23 +12,31 @@ and an element of the universal cover group is such a matrix together
 with a continuous choice of the argument, recorded here as the exact
 t-shift the element applies at the reference point w = i.
 
-The invariance block of ``verify-dynamics`` draws its elements and points
-from ``--seed`` alone (``--samples`` of each; the exponents play no part)
-and computes all its residuals in one call of ``invariance_residuals``,
-over arrays. The residuals are rounding noise, pinned in reports, so that
-call reproduces ``contact_invariance_residual`` and
-``frame_invariance_residual`` bit for bit: complex squares are built from
-real and imaginary parts, because numpy's complex array multiply may fuse
+The invariance block of ``verify-dynamics`` draws its samples from
+``--seed`` alone (``--samples`` of each; the exponents play no part), as
+rows of floats: ``random_samples`` gives each matrix as (a, b, c, d) and
+each point as (x, y, t), with the same ``rng`` calls and the same
+rescaling to determinant one as ``MobiusElement`` and ``random_point``.
+``invariance_residuals`` then computes all the residuals in one call. They
+are rounding noise, pinned in reports, so that call reproduces
+``contact_invariance_residual`` and ``frame_invariance_residual`` of the
+canonical lifts bit for bit: complex squares are built from real and
+imaginary parts, because numpy's complex array multiply may fuse
 operations; dot products and norms run as stacked ``np.matmul``, the BLAS
-kernels the scalar ``@`` and ``np.linalg.norm`` use (``einsum`` or sums
-of squares need not round the same way); phases, cosines and sines stay on
-``cmath`` and ``math`` per point, so they do not depend on numpy's SIMD
-dispatch.
+kernels the scalar ``@`` and ``np.linalg.norm`` use (``einsum`` or sums of
+squares need not round the same way); phases, cosines and sines stay on
+``math`` per point, so they do not depend on numpy's SIMD dispatch.
+
+The lifts' t-shifts (``continued_arg``) run per point on Python floats,
+with no numpy scalar: c*w + d is formed by components, and the quotient of
+two such values by ``_quotient``, which is numpy's complex128 division
+written out (Smith's method, R. L. Smith, *Algorithm 116: Complex
+division*, CACM 1962, scaled by a reciprocal as numpy scales it), so every
+shift keeps the bits it had when it was computed on numpy scalars.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -183,6 +191,31 @@ def mobius_apply(g: MobiusElement, z: complex) -> complex:
     return g.apply(z)
 
 
+def _phase(c: float, d: float, z: complex) -> float:
+    """The principal argument of c*z + d, formed as ``continued_arg`` forms it."""
+    return math.atan2(c * z.imag + 0.0, c * z.real + d)
+
+
+def _quotient(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    """(ar + ai*i) / (br + bi*i), rounded as numpy's complex128 division rounds it.
+
+    Smith's method: divide through by the larger part of the divisor, then
+    multiply by the reciprocal of the scale. A zero divisor gives numpy's
+    infinities and NaNs, where Python's float division would raise.
+    """
+    if abs(br) >= abs(bi):
+        if br == 0.0:  # and so bi == 0.0
+            return ar * math.inf, ai * math.inf
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    if bi == 0.0:  # reached only when br is NaN
+        return math.nan, math.nan
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
 def continued_arg(c: float, d: float, z_to: complex, *, z_from: complex = _REF,
                   arg_from: float | None = None, _depth: int = 0) -> float:
     """Continuous branch of arg(c*w + d) along the segment from z_from to z_to.
@@ -192,11 +225,15 @@ def continued_arg(c: float, d: float, z_to: complex, *, z_from: complex = _REF,
     the half-plane never wraps around zero, so the recursion terminates
     immediately; the scheme stays correct for perturbed inputs.
     """
-    w0 = c * z_from + d
-    w1 = c * z_to + d
+    # c*w + d by components, rounded as numpy's complex128 product and sum
+    # round it: adding 0.0 turns a -0.0 imaginary part into 0.0, as the
+    # product's cross term does, which keeps the sign atan2 reads on the cut
+    re0, im0 = c * z_from.real + d, c * z_from.imag + 0.0
+    re1, im1 = c * z_to.real + d, c * z_to.imag + 0.0
     if arg_from is None:
-        arg_from = cmath.phase(w0)
-    turn = cmath.phase(w1 / w0)
+        arg_from = math.atan2(im0, re0)
+    q_re, q_im = _quotient(re1, im1, re0, im0)
+    turn = math.atan2(q_im, q_re)
     if abs(turn) < 0.5 * math.pi or _depth > 60:
         return arg_from + turn
     mid = 0.5 * (z_from + z_to)
@@ -225,11 +262,6 @@ class LiftedIsometry:
         return cls(MobiusElement.identity(), 2.0 * math.pi * k)
 
     @classmethod
-    def canonical(cls, base: MobiusElement) -> "LiftedIsometry":
-        """The lift whose shift at i is the principal value -2*Arg(c*i + d)."""
-        return cls(base, -2.0 * cmath.phase(base.c * 1j + base.d))
-
-    @classmethod
     def with_shift_at(cls, base: MobiusElement, z0: complex, shift: float) -> "LiftedIsometry":
         """The lift whose t-shift at z0 equals ``shift`` exactly.
 
@@ -237,16 +269,13 @@ class LiftedIsometry:
         element's angular action at z0; callers are expected to verify
         the resulting group relations.
         """
-        ref_arg = cmath.phase(base.c * 1j + base.d)
-        at_z0 = continued_arg(base.c, base.d, z0)
-        offset = shift + 2.0 * (at_z0 - ref_arg)
-        return cls(base, offset)
+        c, d = float(base.c), float(base.d)
+        return cls(base, shift + 2.0 * (continued_arg(c, d, z0) - _phase(c, d, _REF)))
 
     def theta_shift(self, z: complex) -> float:
         """The continuous t-shift this element applies over the point z."""
-        c, d = self.base.c, self.base.d
-        ref_arg = cmath.phase(c * 1j + d)
-        return self.winding_offset - 2.0 * (continued_arg(c, d, z) - ref_arg)
+        c, d = float(self.base.c), float(self.base.d)
+        return self.winding_offset - 2.0 * (continued_arg(c, d, z) - _phase(c, d, _REF))
 
     def apply(self, p: UpperHalfPoint) -> UpperHalfPoint:
         image = self.base.apply(p.z)
@@ -330,7 +359,9 @@ def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))
 
 
-def _frame_columns(y: np.ndarray, t: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _frame_columns(
+    y: np.ndarray, t: list[float] | tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
     """``frame_at`` for many points, as two (N, 3, 1) stacks of column vectors."""
     cos_t = np.array([math.cos(v) for v in t])
     sin_t = np.array([math.sin(v) for v in t])
@@ -354,37 +385,49 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def invariance_residuals(
-    elements: list[LiftedIsometry], points: list[UpperHalfPoint]
+    matrices: list[tuple[float, float, float, float]],
+    points: list[tuple[float, float, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The contact and frame residuals of each element at its point, as two arrays.
+    """The contact and frame residuals of the canonical lift of each matrix
+    at its point, as two arrays.
 
-    Entry k equals ``contact_invariance_residual(elements[k], points[k])``
-    and ``frame_invariance_residual(elements[k], points[k])`` bit for bit,
-    by the rules in the module docstring, except that a frame residual
-    keeps a NaN from either frame vector.
+    ``matrices`` holds rows (a, b, c, d) of determinant one and ``points``
+    rows (x, y, t). The canonical lift of a matrix shifts t at i by the
+    principal value -2*Arg(c*i + d) = -2*atan2(c, d). With h that lift and
+    p the point, entry k equals ``contact_invariance_residual(h, p)`` and
+    ``frame_invariance_residual(h, p)`` bit for bit, by the rules in the
+    module docstring, except that a frame residual keeps a NaN from either
+    frame vector.
 
     Raises DegenerateInput at the first point whose Moebius denominator
     collapses or whose image leaves the upper half-plane.
     """
-    if len(elements) != len(points):
-        raise ValueError("need one point per element")
+    if len(matrices) != len(points):
+        raise ValueError("need one point per matrix")
     if not points:
         return np.zeros(0), np.zeros(0)
-    a, b, c, d = np.array([h.base.matrix for h in elements]).reshape(-1, 4).T
-    z = np.array([p.z for p in points])
+    a, b, c, d = np.array(matrices).T
+    xs, ys, ts = zip(*points)
+    z = np.empty(len(points), dtype=complex)
+    z.real, z.imag = xs, ys
     den = c * z + d
     collapsed = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
     if collapsed.any():
-        z_bad = points[int(collapsed.argmax())].z
-        raise DegenerateInput(f"Moebius denominator collapsed at z = {z_bad}")
+        k = int(collapsed.argmax())
+        raise DegenerateInput(f"Moebius denominator collapsed at z = {complex(xs[k], ys[k])}")
     image = (a * z + b) / den
     outside = ~(image.imag > 0)
     if outside.any():
         k = int(outside.argmax())
         raise DegenerateInput(
-            f"image of z = {points[k].z} has y = {image.imag[k]}, outside the upper half-plane"
+            f"image of z = {complex(xs[k], ys[k])} has y = {image.imag[k]}, "
+            "outside the upper half-plane"
         )
-    image_t = [p.t + h.theta_shift(p.z) for h, p in zip(elements, points)]
+    image_t = []  # t + LiftedIsometry.theta_shift of the canonical lift, per point
+    for (_, _, c_k, d_k), (x_k, y_k, t_k) in zip(matrices, points):
+        ref = _phase(c_k, d_k, _REF)
+        shift = -2.0 * ref - 2.0 * (continued_arg(c_k, d_k, complex(x_k, y_k)) - ref)
+        image_t.append(t_k + shift)
 
     dr, di = den.real, den.imag
     square = np.empty_like(den)
@@ -402,21 +445,40 @@ def invariance_residuals(
 
     y = z.imag
     form = _norms(np.matmul(_covector_rows(image.imag), jac) - _covector_rows(y))
-    here = _frame_columns(y, [p.t for p in points])
+    here = _frame_columns(y, ts)
     there = _frame_columns(image.imag, image_t)
     frame = np.maximum(*(_norms(np.matmul(jac, e) - f) for e, f in zip(here, there)))
     return form, frame
 
 
-def random_mobius(rng: random.Random, *, entry_bound: float = 2.0,
-                  det_floor: float = 0.05) -> MobiusElement:
-    """Matrix with entries uniform in [-bound, bound], renormalized to det 1."""
+def random_matrix(rng: random.Random, *, entry_bound: float = 2.0,
+                  det_floor: float = 0.05) -> tuple[float, float, float, float]:
+    """Entries (a, b, c, d) uniform in [-bound, bound] with determinant above
+    ``det_floor``, divided by sqrt(det) as ``MobiusElement`` divides them."""
+    uniform, low, high = rng.uniform, -entry_bound, entry_bound
     while True:
-        a, b, c, d = (rng.uniform(-entry_bound, entry_bound) for _ in range(4))
+        a, b, c, d = uniform(low, high), uniform(low, high), uniform(low, high), uniform(low, high)
         det = a * d - b * c
         if det > det_floor:
-            return MobiusElement([[a, b], [c, d]])
+            if abs(det - 1.0) > MobiusElement.DET_SLACK:
+                root = math.sqrt(det)
+                return a / root, b / root, c / root, d / root
+            return a, b, c, d
+
+
+def _coordinates(rng: random.Random) -> tuple[float, float, float]:
+    return rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0), rng.uniform(-6.0, 6.0)
 
 
 def random_point(rng: random.Random) -> UpperHalfPoint:
-    return UpperHalfPoint(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0), rng.uniform(-6.0, 6.0))
+    return UpperHalfPoint(*_coordinates(rng))
+
+
+def random_samples(rng: random.Random, count: int) -> tuple[list, list]:
+    """``count`` matrix rows (a, b, c, d) and point rows (x, y, t), drawn in
+    turn: the draws of ``random_matrix`` and ``random_point``, in their order."""
+    matrices, points = [], []
+    for _ in range(count):
+        matrices.append(random_matrix(rng))
+        points.append(_coordinates(rng))
+    return matrices, points

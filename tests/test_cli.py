@@ -2,10 +2,13 @@
 
 import json
 import math
+import random
 
 import pytest
 
 from brieskorn import cli, dynamics, polygon, tolerances
+from brieskorn.halfplane import random_point
+from halfplane_reference import random_mobius
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 
@@ -130,16 +133,28 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
-    elements = _count_calls(monkeypatch, cli, "random_mobius")
-    points = _count_calls(monkeypatch, cli, "random_point")
+    states = []
+    real = cli.random_samples
+
+    def drawn(rng, count):
+        rows = real(rng, count)
+        states.append(rng.getstate())
+        return rows
+
+    monkeypatch.setattr(cli, "random_samples", drawn)
     residuals = _count_calls(monkeypatch, cli, "invariance_residuals")
     integrations = _count_calls(monkeypatch, dynamics, "integrate_monodromy")
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
     )
     assert code == EXIT_TOLERANCE
-    # 30 draws of each kind, all handed to one array call
-    assert len(elements) == len(points) == 30
+    # one draw call leaves the generator where 30 matrix and point draws
+    # would, and hands all 30 samples to one array call
+    rng = random.Random(3)
+    for _ in range(30):
+        random_mobius(rng)
+        random_point(rng)
+    assert states == [rng.getstate()]
     assert [tuple(map(len, args)) for args in residuals] == [(30, 30)]
     rows = report["verification"]["rotation_table"]
     keys = [(row["vertex"], row["iterate"], row["epsilon"]) for row in rows]

@@ -1,27 +1,36 @@
 """Moebius actions, lifts, the invariant frame, and invariance residuals."""
 
+import cmath
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from brieskorn import validate_params
 from brieskorn.errors import DegenerateInput
 from brieskorn.halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
+    _quotient,
     contact_covector,
     contact_invariance_residual,
+    continued_arg,
     frame_at,
     frame_invariance_residual,
     invariance_residuals,
     lifted_jacobian,
     mobius_apply,
-    random_mobius,
+    random_matrix,
     random_point,
+    random_samples,
     rotation_about_i,
 )
+from brieskorn.polygon import build_polygon_group
+import halfplane_reference as reference
+from halfplane_reference import canonical, random_mobius
 
 
 def test_identity_fixes_points():
@@ -65,7 +74,7 @@ def test_lifted_identity_and_center():
 
 
 def test_lifted_translation_leaves_t_alone():
-    lift = LiftedIsometry.canonical(MobiusElement([[1.0, 0.7], [0.0, 1.0]]))
+    lift = canonical(MobiusElement([[1.0, 0.7], [0.0, 1.0]]))
     p = UpperHalfPoint(0.1, 1.0, 0.5)
     q = lift.apply(p)
     assert (q.x, q.y, q.t) == pytest.approx((0.8, 1.0, 0.5))
@@ -74,8 +83,8 @@ def test_lifted_translation_leaves_t_alone():
 def test_lifted_action_is_a_group_action():
     rng = random.Random(1)
     for _ in range(200):
-        h1 = LiftedIsometry.canonical(random_mobius(rng))
-        h2 = LiftedIsometry.canonical(random_mobius(rng))
+        h1 = canonical(random_mobius(rng))
+        h2 = canonical(random_mobius(rng))
         p = random_point(rng)
         lhs = h1.compose(h2).apply(p)
         rhs = h1.apply(h2.apply(p))
@@ -107,47 +116,129 @@ def test_frame_lies_in_contact_planes_and_is_positive():
 def test_invariance_residuals_random_elements():
     rng = random.Random(3)
     for _ in range(100):
-        h = LiftedIsometry.canonical(random_mobius(rng))
+        h = canonical(random_mobius(rng))
         p = random_point(rng)
         assert contact_invariance_residual(h, p) < 1e-8
         assert frame_invariance_residual(h, p) < 1e-8
 
 
 def _draws(seed, samples):
-    """The elements and points verify-dynamics draws for ``seed``, in its order."""
+    """The rows verify-dynamics draws for ``seed``, and their canonical lifts
+    and points drawn as objects, one by one, from the same seed."""
+    matrices, points = random_samples(random.Random(seed), samples)
     rng = random.Random(seed)
-    elements, points = [], []
+    elements, objects = [], []
     for _ in range(samples):
-        elements.append(LiftedIsometry.canonical(random_mobius(rng)))
-        points.append(random_point(rng))
-    return elements, points
+        elements.append(canonical(random_mobius(rng)))
+        objects.append(random_point(rng))
+    assert [tuple(h.base.matrix.ravel().tolist()) for h in elements] == matrices
+    assert [(p.x, p.y, p.t) for p in objects] == points
+    return matrices, points, elements, objects
 
 
 def test_array_residuals_equal_the_scalar_residuals_bit_for_bit():
     for seed in range(20):
         for samples in (0, 1, 5, 50, 1000):
-            elements, points = _draws(seed, samples)
-            form, frame = invariance_residuals(elements, points)
+            matrices, points, elements, objects = _draws(seed, samples)
+            form, frame = invariance_residuals(matrices, points)
             assert form.shape == frame.shape == (samples,)
             assert form.tolist() == [
-                contact_invariance_residual(h, p) for h, p in zip(elements, points)]
+                contact_invariance_residual(h, p) for h, p in zip(elements, objects)]
             assert frame.tolist() == [
-                frame_invariance_residual(h, p) for h, p in zip(elements, points)]
+                frame_invariance_residual(h, p) for h, p in zip(elements, objects)]
 
 
 def test_array_residuals_refuse_degenerate_samples():
-    elements, points = _draws(11, 5)
-    collapsing = LiftedIsometry.canonical(MobiusElement([[1e13, 0.0], [1e-13, 1e-13]]))
-    bad = UpperHalfPoint(0.0, 1.0, 0.5)
+    matrices, points, _, _ = _draws(11, 5)
+    collapsing = (1e13, 0.0, 1e-13, 1e-13)
+    bad = (0.0, 1.0, 0.5)
     with pytest.raises(DegenerateInput):
-        collapsing.apply(bad)
+        canonical(MobiusElement([collapsing[:2], collapsing[2:]])).apply(UpperHalfPoint(*bad))
     with pytest.raises(DegenerateInput, match=r"collapsed at z = 1j$"):
-        invariance_residuals([*elements[:2], collapsing, *elements[2:]],
+        invariance_residuals([*matrices[:2], collapsing, *matrices[2:]],
                              [*points[:2], bad, *points[2:]])
     # an image y that underflows to 0 is refused with the same type
-    crushing = LiftedIsometry(MobiusElement([[0.0, -1e-200], [1e200, 0.0]]), 0.0)
+    crushing = (0.0, -1e-200, 1e200, 0.0)
     with pytest.raises(DegenerateInput, match="outside the upper half-plane"):
-        invariance_residuals([elements[0], crushing], [points[0], UpperHalfPoint(0.3, 1.0, 0.0)])
+        invariance_residuals([matrices[0], crushing], [points[0], (0.3, 1.0, 0.0)])
+
+
+def test_random_matrix_is_the_mobius_element_of_its_draws():
+    for seed in range(50):
+        rng, raw = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            while True:
+                a, b, c, d = (raw.uniform(-2.0, 2.0) for _ in range(4))
+                if a * d - b * c > 0.05:
+                    break
+            expected = MobiusElement([[a, b], [c, d]]).matrix.ravel().tolist()
+            assert list(random_matrix(rng)) == expected
+        assert rng.getstate() == raw.getstate()
+
+
+def _bits(x):
+    """A float's value and sign, with every NaN alike."""
+    return "nan" if math.isnan(x) else (x, math.copysign(1.0, x))
+
+
+def _numpy_quotient(ar, ai, br, bi):
+    with np.errstate(all="ignore"):
+        q = np.complex128(complex(ar, ai)) / np.complex128(complex(br, bi))
+    return float(q.real), float(q.imag)
+
+
+def test_quotient_is_numpy_complex_division_bit_for_bit():
+    rng = random.Random(6)
+    branches = set()
+    for _ in range(20000):
+        parts = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-150, 150) for _ in range(4)]
+        branches.add(abs(parts[2]) >= abs(parts[3]))
+        assert _quotient(*parts) == _numpy_quotient(*parts), parts
+    assert branches == {True, False}
+    # overflow and underflow of the scale, signed zeros, zero and NaN divisors
+    specials = (0.0, -0.0, 1.0, -3.5, 1e-310, 1e308, -1e308, math.inf, math.nan)
+    for parts in itertools.product(specials, repeat=4):
+        assert list(map(_bits, _quotient(*parts))) == list(
+            map(_bits, _numpy_quotient(*parts))), parts
+
+
+def test_continued_arg_equals_the_numpy_scalar_reference_bit_for_bit():
+    matrices, points = random_samples(random.Random(0), 1000)
+    recursive = 0
+    for (_, _, c, d), (x, y, _) in zip(matrices, points):
+        z = complex(x, y)
+        assert continued_arg(c, d, z) == reference.continued_arg(c, d, z)
+        recursive += abs(cmath.phase((c * z + d) / (c * 1j + d))) >= 0.5 * math.pi
+    # 12 of these samples turn by pi/2 or more and subdivide their segment
+    assert recursive >= 10
+    # bottom rows on the branch cut and with signed zeros
+    for c, d in itertools.product((0.0, -0.0, 1e-300, -0.75), (-2.0, -0.0, 0.0, 1.5)):
+        if (c, d) == (0.0, 0.0):
+            continue
+        for z in (0.5j, -3.0 + 0.1j, 2.0 + 4.0j, -0.0 + 1.0j):
+            assert _bits(continued_arg(c, d, z)) == _bits(reference.continued_arg(c, d, z))
+
+
+def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():
+    for exponents in ((2, 3, 7), (2, 3, 5, 7), (50, 60, 70)):
+        group = build_polygon_group(validate_params(exponents))
+        angles = [math.pi / a for a in exponents]
+        for lift, rotation, vertex, angle in zip(
+                group.lifted_generators, group.rotation_generators, group.vertices, angles):
+            c, d = rotation.c, rotation.d
+            expected = 2.0 * angle + 2.0 * (
+                reference.continued_arg(c, d, vertex) - cmath.phase(c * 1j + d))
+            assert lift.winding_offset == expected
+        product = LiftedIsometry.identity()
+        for a_j, lift in zip(exponents, group.lifted_generators):
+            power = LiftedIsometry.identity()
+            for _ in range(a_j):
+                offset = power.winding_offset + reference.theta_shift(lift, power.base.apply(1j))
+                power = lift.compose(power)
+                assert power.winding_offset == offset
+            offset = lift.winding_offset + reference.theta_shift(product, lift.base.apply(1j))
+            product = product.compose(lift)
+            assert product.winding_offset == offset
 
 
 def test_invariance_identity_and_vertical_shift():
@@ -176,7 +267,7 @@ def lifted_jacobian_fd(h: LiftedIsometry, p: UpperHalfPoint, step: float = 1e-6)
 def test_finite_difference_jacobian_agrees():
     rng = random.Random(4)
     for _ in range(20):
-        h = LiftedIsometry.canonical(random_mobius(rng))
+        h = canonical(random_mobius(rng))
         p = random_point(rng)
         analytic, differenced = lifted_jacobian(h, p), lifted_jacobian_fd(h, p)
         assert np.max(np.abs(analytic - differenced)) < 1e-7 * max(1.0, np.max(np.abs(analytic)))
@@ -188,12 +279,10 @@ def test_point_requires_positive_y():
 
 
 def test_canonical_lift_projects_to_the_base_action():
-    import cmath
-
     rng = random.Random(5)
     for _ in range(100):
         g = random_mobius(rng)
-        lift = LiftedIsometry.canonical(g)
+        lift = canonical(g)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
         shift = lift.theta_shift(z)
         principal = -2.0 * cmath.phase(g.c * z + g.d)
