@@ -15,11 +15,13 @@ rotation. In the invariant frame, which turns counterclockwise at unit
 rate along the fiber, the return map therefore rotates by -(T + eps'),
 and the grading of the orbit follows from floor((rotation)/2pi).
 
-The field, its Jacobian and the model's Hessian are plain float tuples,
-and the variational flow is integrated on six Python floats with the
-Fehlberg tableau unrolled stage by stage: no step calls numpy or BLAS, so
-the integration is IEEE-deterministic. Only the finished monodromy and the
-closed-form map are numpy arrays.
+The field, its Jacobian and the model's Hessian are plain float tuples.
+The return map is integrated at the zero, where X(v) = 0: the base point
+never moves and the variational system is M' = A M with the constant
+A = dX(v), evaluated once per integration. M is integrated on four Python
+floats with the Fehlberg tableau unrolled stage by stage: no step calls
+numpy or BLAS, so the integration is IEEE-deterministic. Only the finished
+monodromy and the closed-form map are numpy arrays.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ class LocalModel:
     def f(self, z: complex) -> float:
         return 1.0 + self._k * abs(z - self.v) ** 2
 
-    def inv_f(self, z: complex) -> float:
-        return 1.0 / self.f(z)
-
     def grad_inv_f(self, z: complex) -> tuple[float, float]:
         f = self.f(z)
         scale = -2.0 * self._k / (f * f)
@@ -102,21 +101,6 @@ def field_jacobian(model, z: complex) -> tuple[tuple[float, float], tuple[float,
     )
 
 
-def contraction_residual(model, z: complex, step: float = 1e-5) -> float:
-    """Check i_X omega = -d(1/f) with centrally differenced 1/f."""
-    x_field = hamiltonian_field(model, z)
-    y2 = z.imag * z.imag
-    d_inv_f = np.array(
-        [
-            (model.inv_f(z + step) - model.inv_f(z - step)) / (2.0 * step),
-            (model.inv_f(z + 1j * step) - model.inv_f(z - 1j * step)) / (2.0 * step),
-        ]
-    )
-    # (i_X omega)(e_x) = -X_y / y^2, (i_X omega)(e_y) = X_x / y^2
-    contraction = np.array([-x_field[1] / y2, x_field[0] / y2])
-    return float(np.linalg.norm(contraction + d_inv_f))
-
-
 def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
     """Closed-form linearized return map at the zero of the local model.
 
@@ -150,14 +134,6 @@ _B50, _B51, _B52, _B53, _B54, _B55 = _RKF_B5
 _B40, _B41, _B42, _B43, _B44, _B45 = _RKF_B4
 
 
-def _variation(model, x, y, a, b, c, d):
-    """d/dt of the state (z, M) = (x + iy, ((a, b), (c, d))): (X(z), dX(z) M)."""
-    z = complex(x, y)
-    fx, fy = hamiltonian_field(model, z)
-    (j0, j1), (j2, j3) = field_jacobian(model, z)
-    return fx, fy, j0 * a + j1 * c, j0 * b + j1 * d, j2 * a + j3 * c, j2 * b + j3 * d
-
-
 def _abs_max(values) -> float:
     """max |v| over values, NaN when any value is NaN (as numpy's max would)."""
     if any(v != v for v in values):
@@ -165,64 +141,42 @@ def _abs_max(values) -> float:
     return max(map(abs, values))
 
 
-def _rkf_step(model, state, h):
-    """One Fehlberg 4(5) step from the 6-float state: (fifth-order state, error).
+def _rkf_step(jac, state, h):
+    """One Fehlberg 4(5) step of M' = A M, A = ``jac``: (fifth-order M, error).
 
-    The six stages are written out: component by component, each stage
-    state adds h * (0 + a0*k0 + a1*k1 + ...) in tableau order, as
-    ``sum`` over the tableau would.
+    The state is M as four floats, row by row. The six stages are written
+    out: entry by entry, each stage adds h * (0 + a0*k0 + a1*k1 + ...) in
+    tableau order, as ``sum`` over the tableau would, and each k is A M as
+    four two-term sums.
     """
-    x, y, a, b, c, d = state
-    k0x, k0y, k0a, k0b, k0c, k0d = _variation(model, x, y, a, b, c, d)
-    k1x, k1y, k1a, k1b, k1c, k1d = _variation(
-        model,
-        x + h * (0 + _A10 * k0x),
-        y + h * (0 + _A10 * k0y),
-        a + h * (0 + _A10 * k0a),
-        b + h * (0 + _A10 * k0b),
-        c + h * (0 + _A10 * k0c),
-        d + h * (0 + _A10 * k0d),
-    )
-    k2x, k2y, k2a, k2b, k2c, k2d = _variation(
-        model,
-        x + h * (0 + _A20 * k0x + _A21 * k1x),
-        y + h * (0 + _A20 * k0y + _A21 * k1y),
-        a + h * (0 + _A20 * k0a + _A21 * k1a),
-        b + h * (0 + _A20 * k0b + _A21 * k1b),
-        c + h * (0 + _A20 * k0c + _A21 * k1c),
-        d + h * (0 + _A20 * k0d + _A21 * k1d),
-    )
-    k3x, k3y, k3a, k3b, k3c, k3d = _variation(
-        model,
-        x + h * (0 + _A30 * k0x + _A31 * k1x + _A32 * k2x),
-        y + h * (0 + _A30 * k0y + _A31 * k1y + _A32 * k2y),
-        a + h * (0 + _A30 * k0a + _A31 * k1a + _A32 * k2a),
-        b + h * (0 + _A30 * k0b + _A31 * k1b + _A32 * k2b),
-        c + h * (0 + _A30 * k0c + _A31 * k1c + _A32 * k2c),
-        d + h * (0 + _A30 * k0d + _A31 * k1d + _A32 * k2d),
-    )
-    k4x, k4y, k4a, k4b, k4c, k4d = _variation(
-        model,
-        x + h * (0 + _A40 * k0x + _A41 * k1x + _A42 * k2x + _A43 * k3x),
-        y + h * (0 + _A40 * k0y + _A41 * k1y + _A42 * k2y + _A43 * k3y),
-        a + h * (0 + _A40 * k0a + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-        b + h * (0 + _A40 * k0b + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-        c + h * (0 + _A40 * k0c + _A41 * k1c + _A42 * k2c + _A43 * k3c),
-        d + h * (0 + _A40 * k0d + _A41 * k1d + _A42 * k2d + _A43 * k3d),
-    )
-    k5x, k5y, k5a, k5b, k5c, k5d = _variation(
-        model,
-        x + h * (0 + _A50 * k0x + _A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-        y + h * (0 + _A50 * k0y + _A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-        a + h * (0 + _A50 * k0a + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-        b + h * (0 + _A50 * k0b + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-        c + h * (0 + _A50 * k0c + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
-        d + h * (0 + _A50 * k0d + _A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d),
-    )
-    x5 = x + h * (0 + _B50 * k0x + _B51 * k1x + _B52 * k2x + _B53 * k3x
-                  + _B54 * k4x + _B55 * k5x)
-    y5 = y + h * (0 + _B50 * k0y + _B51 * k1y + _B52 * k2y + _B53 * k3y
-                  + _B54 * k4y + _B55 * k5y)
+    (j0, j1), (j2, j3) = jac
+    a, b, c, d = state
+    k0a, k0b, k0c, k0d = j0 * a + j1 * c, j0 * b + j1 * d, j2 * a + j3 * c, j2 * b + j3 * d
+    sa = a + h * (0 + _A10 * k0a)
+    sb = b + h * (0 + _A10 * k0b)
+    sc = c + h * (0 + _A10 * k0c)
+    sd = d + h * (0 + _A10 * k0d)
+    k1a, k1b, k1c, k1d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
+    sa = a + h * (0 + _A20 * k0a + _A21 * k1a)
+    sb = b + h * (0 + _A20 * k0b + _A21 * k1b)
+    sc = c + h * (0 + _A20 * k0c + _A21 * k1c)
+    sd = d + h * (0 + _A20 * k0d + _A21 * k1d)
+    k2a, k2b, k2c, k2d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
+    sa = a + h * (0 + _A30 * k0a + _A31 * k1a + _A32 * k2a)
+    sb = b + h * (0 + _A30 * k0b + _A31 * k1b + _A32 * k2b)
+    sc = c + h * (0 + _A30 * k0c + _A31 * k1c + _A32 * k2c)
+    sd = d + h * (0 + _A30 * k0d + _A31 * k1d + _A32 * k2d)
+    k3a, k3b, k3c, k3d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
+    sa = a + h * (0 + _A40 * k0a + _A41 * k1a + _A42 * k2a + _A43 * k3a)
+    sb = b + h * (0 + _A40 * k0b + _A41 * k1b + _A42 * k2b + _A43 * k3b)
+    sc = c + h * (0 + _A40 * k0c + _A41 * k1c + _A42 * k2c + _A43 * k3c)
+    sd = d + h * (0 + _A40 * k0d + _A41 * k1d + _A42 * k2d + _A43 * k3d)
+    k4a, k4b, k4c, k4d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
+    sa = a + h * (0 + _A50 * k0a + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
+    sb = b + h * (0 + _A50 * k0b + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
+    sc = c + h * (0 + _A50 * k0c + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
+    sd = d + h * (0 + _A50 * k0d + _A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
+    k5a, k5b, k5c, k5d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
     a5 = a + h * (0 + _B50 * k0a + _B51 * k1a + _B52 * k2a + _B53 * k3a
                   + _B54 * k4a + _B55 * k5a)
     b5 = b + h * (0 + _B50 * k0b + _B51 * k1b + _B52 * k2b + _B53 * k3b
@@ -231,10 +185,6 @@ def _rkf_step(model, state, h):
                   + _B54 * k4c + _B55 * k5c)
     d5 = d + h * (0 + _B50 * k0d + _B51 * k1d + _B52 * k2d + _B53 * k3d
                   + _B54 * k4d + _B55 * k5d)
-    x4 = x + h * (0 + _B40 * k0x + _B41 * k1x + _B42 * k2x + _B43 * k3x
-                  + _B44 * k4x + _B45 * k5x)
-    y4 = y + h * (0 + _B40 * k0y + _B41 * k1y + _B42 * k2y + _B43 * k3y
-                  + _B44 * k4y + _B45 * k5y)
     a4 = a + h * (0 + _B40 * k0a + _B41 * k1a + _B42 * k2a + _B43 * k3a
                   + _B44 * k4a + _B45 * k5a)
     b4 = b + h * (0 + _B40 * k0b + _B41 * k1b + _B42 * k2b + _B43 * k3b
@@ -243,56 +193,46 @@ def _rkf_step(model, state, h):
                   + _B44 * k4c + _B45 * k5c)
     d4 = d + h * (0 + _B40 * k0d + _B41 * k1d + _B42 * k2d + _B43 * k3d
                   + _B44 * k4d + _B45 * k5d)
-    err = _abs_max([x5 - x4, y5 - y4, a5 - a4, b5 - b4, c5 - c4, d5 - d4])
-    return (x5, y5, a5, b5, c5, d5), err
+    err = _abs_max([a5 - a4, b5 - b4, c5 - c4, d5 - d4])
+    return (a5, b5, c5, d5), err
 
 
 @dataclass
 class MonodromyResult:
     matrix: np.ndarray
     rotation: float  # unwrapped signed rotation of the first column
-    endpoint: complex
     steps: int  # accepted steps
     rejected: int  # steps retried with a smaller h
 
 
-def integrate_monodromy(
-    model,
-    T: float,
-    *,
-    start: complex | None = None,
-    step_tol: float = 1e-10,
-    max_step: float | None = None,
-) -> MonodromyResult:
-    """Monodromy of the variational system over [0, T].
+def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> MonodromyResult:
+    """Monodromy of the variational system over [0, T] at the model's zero.
 
-    Integrates dz/dt = X(z) jointly with dM/dt = dX(z) M from M = identity,
-    using an adaptive Fehlberg 4(5) pair. The rotation of the first column
-    of M is accumulated step by step (steps are kept small enough that the
-    per-step turn stays well under pi, so the unwrap is unambiguous).
+    X(v) = 0, so the base point stays at v and the variational system is
+    M' = A M with the constant A = dX(v), integrated from M = identity with
+    an adaptive Fehlberg 4(5) pair. A is evaluated once per call. The
+    rotation of the first column of M is accumulated step by step (steps
+    are kept small enough that the per-step turn stays well under pi, so
+    the unwrap is unambiguous).
 
-    The state is six Python floats (x, y and M row by row) and every stage
-    is written out in plain float arithmetic, so no step calls numpy or
-    BLAS and the result is IEEE-deterministic. Each stage evaluates
-    ``hamiltonian_field`` once.
+    The state is M as four Python floats and every stage is written out in
+    plain float arithmetic, so no step calls numpy or BLAS and the result
+    is IEEE-deterministic. The step size is scaled by the largest of 1,
+    |Re v|, |Im v| and the entries of M, as when the base point was
+    integrated along with M.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    z0 = model.v if start is None else start
     if T == 0.0:
-        return MonodromyResult(
-            matrix=np.eye(2), rotation=0.0, endpoint=z0, steps=0, rejected=0
-        )
+        return MonodromyResult(matrix=np.eye(2), rotation=0.0, steps=0, rejected=0)
 
+    jac = field_jacobian(model, model.v)
+    base = (model.v.real, model.v.imag)
     # keep per-step rotation bounded for the unwrap
-    spin = _abs_max([entry for row in field_jacobian(model, z0) for entry in row])
-    cap = T
-    if max_step is not None:
-        cap = min(cap, max_step)
-    if spin > 0:
-        cap = min(cap, 0.5 / spin)
+    spin = _abs_max([entry for row in jac for entry in row])
+    cap = min(T, 0.5 / spin) if spin > 0 else T
 
-    state = (z0.real, z0.imag, 1.0, 0.0, 0.0, 1.0)
+    state = (1.0, 0.0, 0.0, 1.0)
     t = 0.0
     h = min(cap, T / 8.0)
     rotation = 0.0
@@ -300,8 +240,8 @@ def integrate_monodromy(
     steps = rejected = 0
     while t < T:
         h = min(h, T - t, cap)
-        new_state, err = _rkf_step(model, state, h)
-        scale = step_tol * max(1.0, _abs_max(state))
+        new_state, err = _rkf_step(jac, state, h)
+        scale = step_tol * max(1.0, _abs_max(base + state))
         if err > scale and h > 1e-13 * T:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             rejected += 1
@@ -309,7 +249,7 @@ def integrate_monodromy(
         state = new_state
         t += h
         steps += 1
-        angle = math.atan2(state[4], state[2])
+        angle = math.atan2(state[2], state[0])
         delta = angle - prev_angle
         while delta > math.pi:
             delta -= 2.0 * math.pi
@@ -321,13 +261,9 @@ def integrate_monodromy(
             h = min(cap, h * min(5.0, 0.9 * (scale / err) ** 0.2))
         else:
             h = min(cap, h * 5.0)
-    x, y, m0, m1, m2, m3 = state
+    m0, m1, m2, m3 = state
     return MonodromyResult(
-        matrix=np.array([[m0, m1], [m2, m3]]),
-        rotation=rotation,
-        endpoint=complex(x, y),
-        steps=steps,
-        rejected=rejected,
+        matrix=np.array([[m0, m1], [m2, m3]]), rotation=rotation, steps=steps, rejected=rejected
     )
 
 

@@ -2,9 +2,12 @@
 
 The same adaptive Fehlberg 4(5) integration of the variational system
 dz/dt = X(z), dM/dt = dX(z) M, written over numpy arrays: the state is one
-6-vector, each stage sums the tableau with Python's ``sum`` over arrays and
-forms dX(z) M with ``@``. It shares the field, the Jacobian and the tableau
-with the package and nothing of its float-by-float step.
+6-vector, each stage evaluates the field and the Jacobian at its own base
+point, sums the tableau with Python's ``sum`` over arrays and forms dX(z) M
+with ``@``. It shares the field, the Jacobian and the tableau with the
+package and nothing of its float-by-float step. Unlike the package, which
+integrates M' = dX(v) M at the model's zero v only, it also starts off the
+zero.
 """
 
 import math
@@ -24,7 +27,7 @@ def _rkf_step(deriv, state, h):
     return fifth, float(np.max(np.abs(fifth - fourth)))
 
 
-def reference_monodromy(model, T, *, start=None, step_tol=1e-10, max_step=None):
+def reference_monodromy(model, T, *, start=None, step_tol=1e-10):
     """(matrix, rotation, endpoint, accepted steps, rejected steps) over [0, T]."""
     z0 = model.v if start is None else start
 
@@ -41,8 +44,6 @@ def reference_monodromy(model, T, *, start=None, step_tol=1e-10, max_step=None):
 
     spin = float(np.abs(np.array(field_jacobian(model, z0))).max())
     cap = T
-    if max_step is not None:
-        cap = min(cap, max_step)
     if spin > 0:
         cap = min(cap, 0.5 / spin)
 
