@@ -116,7 +116,6 @@ def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
 
 
 # Fehlberg 4(5) embedded pair
-_RKF_NODES = (0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
 _RKF_A = (
     (0.25,),
     (3.0 / 32.0, 9.0 / 32.0),
@@ -217,9 +216,9 @@ def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> Monodrom
 
     The state is M as four Python floats and every stage is written out in
     plain float arithmetic, so no step calls numpy or BLAS and the result
-    is IEEE-deterministic. The step size is scaled by the largest of 1,
-    |Re v|, |Im v| and the entries of M, as when the base point was
-    integrated along with M.
+    is IEEE-deterministic. The error tolerance is scaled by the largest of
+    1, |Re v|, |Im v| and the entries of M, the size of the whole state
+    (z, M) of the variational system, whose z stays at v.
     """
     if T < 0:
         raise ValueError("T must be >= 0")

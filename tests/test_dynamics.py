@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brieskorn import dynamics, tolerances
+from brieskorn import dynamics, seifert_data, tolerances, validate_params
 from brieskorn.dynamics import (
     LocalModel,
     analytic_return,
@@ -156,9 +156,6 @@ def test_grading_extraction_2_3_7(epsilon):
 
 def test_grading_extraction_off_the_reference_point():
     # same ratios computed at an actual polygon vertex with c != 1
-    from brieskorn import seifert_data, validate_params
-    from brieskorn.polygon import build_polygon_group
-
     data = seifert_data(validate_params([2, 3, 7]))
     group = build_polygon_group(data.params)
     for j, (_, t_j) in enumerate(data.orbifold_counts, start=1):
@@ -237,8 +234,6 @@ def _workload_models():
     """(model, period, requested epsilon) for every rotation row that
     verify-dynamics integrates at its defaults (iterates 1..2, epsilons 1e-2
     and 1e-3) on (2,3,5,7) and (50,60,70), the lab workload's fixed tuples."""
-    from brieskorn import seifert_data, validate_params
-
     for exponents in ((2, 3, 5, 7), (50, 60, 70)):
         data = seifert_data(validate_params(list(exponents)))
         group = build_polygon_group(data.params)
