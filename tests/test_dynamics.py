@@ -281,11 +281,18 @@ def test_integrator_matches_the_numpy_reference_bit_for_bit_at_the_zero(fuzz_cor
 )
 def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch, model, T):
     calls = {"hamiltonian_field": [], "field_jacobian": []}
-    for name, log in calls.items():
+
+    def recording(name):
         real = getattr(dynamics, name)
-        monkeypatch.setattr(
-            dynamics, name, lambda *args, log=log, real=real: log.append(args) or real(*args)
-        )
+
+        def recorded(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        return recorded
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, recording(name))
     result = integrate_monodromy(model, T)
     monkeypatch.undo()
     _, _, _, steps, rejected = reference_monodromy(model, T)
