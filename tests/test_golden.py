@@ -50,6 +50,10 @@ CASES = (
     ("verify-dynamics-default-samples", ["verify-dynamics", "--exponents", "2,3,7"]),
     ("verify-dynamics-no-samples",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "0"]),
+    # a five-vertex lab tuple: its polygon is shot as a fan of three triangles
+    ("verify-geometry-5-5-9-6-3", ["verify-geometry", "--exponents", "5,5,9,6,3"]),
+    ("verify-dynamics-5-5-9-6-3",
+     ["verify-dynamics", "--exponents", "5,5,9,6,3", "--samples", "20"]),
     ("verify-dynamics-epsilons",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "10", "--epsilon", "0.5",
       "--epsilon", "1e-4", "--iterates", "3"]),
