@@ -27,12 +27,17 @@ kernels the scalar ``@`` and ``np.linalg.norm`` use (``einsum`` or sums of
 squares need not round the same way); phases, cosines and sines stay on
 ``math`` per point, so they do not depend on numpy's SIMD dispatch.
 
-The lifts' t-shifts (``continued_arg``) run per point on Python floats,
-with no numpy scalar: c*w + d is formed by components, and the quotient of
-two such values by ``_quotient``, which is numpy's complex128 division
-written out (Smith's method, R. L. Smith, *Algorithm 116: Complex
-division*, CACM 1962, scaled by a reciprocal as numpy scales it), so every
-shift keeps the bits it had when it was computed on numpy scalars.
+A lift's t-shift (``continued_arg``) runs on Python floats, with no numpy
+scalar: c*w + d is formed by components, and the quotient of two such
+values by ``_quotient``, which is numpy's complex128 division written out
+(Smith's method, R. L. Smith, *Algorithm 116: Complex division*, CACM
+1962, scaled by a reciprocal as numpy scales it), so every shift keeps the
+bits it had when it was computed on numpy scalars. ``invariance_residuals``
+takes the same operations over arrays (``_canonical_shifts``): c*i + d,
+c*z + d and their quotient as array arithmetic, ``_quotient``'s two
+branches chosen by ``np.where``, and the phases per point with
+``math.atan2``. The few rows whose first turn is pi/2 or more (or NaN) go
+through ``continued_arg`` itself, which subdivides their segment.
 """
 
 from __future__ import annotations
@@ -359,12 +364,11 @@ def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))
 
 
-def _frame_columns(
-    y: np.ndarray, t: list[float] | tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _frame_columns(y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``frame_at`` for many points, as two (N, 3, 1) stacks of column vectors."""
-    cos_t = np.array([math.cos(v) for v in t])
-    sin_t = np.array([math.sin(v) for v in t])
+    t = t.tolist()
+    cos_t = np.array(list(map(math.cos, t)))
+    sin_t = np.array(list(map(math.sin, t)))
     e1 = np.stack([y * cos_t, y * sin_t, -cos_t], axis=1)
     e2 = np.stack([-y * sin_t, y * cos_t, sin_t], axis=1)
     return e1[:, :, None], e2[:, :, None]
@@ -382,6 +386,35 @@ def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each vector of an (N, 1, 3) or (N, 3, 1) stack."""
     rows = v.reshape(len(v), 1, 3)
     return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)))[:, 0, 0]
+
+
+def _canonical_shifts(c: np.ndarray, d: np.ndarray, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """The t-shift of the canonical lift of each bottom row (c, d) over x + y*i.
+
+    Entry k equals -2*r - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r), with
+    r the principal argument of c_k*i + d_k, bit for bit: both values
+    c*w + d and their ``_quotient`` are formed as arrays, by the same
+    operations in the same order, and the phases are taken per point with
+    ``math.atan2``. A row whose first turn is pi/2 or more, or NaN (a zero
+    or NaN divisor, where ``_quotient`` leaves Smith's formula), goes
+    through ``continued_arg`` itself, which subdivides its segment.
+    """
+    # the branch np.where does not select may divide by zero or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        re0, im0 = c * 0.0 + d, c * 1.0 + 0.0
+        re1, im1 = c * x + d, c * y + 0.0
+        real_first = np.abs(re0) >= np.abs(im0)
+        rat = np.where(real_first, im0 / re0, re0 / im0)
+        scl = 1.0 / np.where(real_first, re0 + im0 * rat, im0 + re0 * rat)
+        q_re = np.where(real_first, (re1 + im1 * rat) * scl, (re1 * rat + im1) * scl)
+        q_im = np.where(real_first, (im1 - re1 * rat) * scl, (im1 * rat - re1) * scl)
+    ref = np.array(list(map(math.atan2, im0.tolist(), re0.tolist())))
+    turn = np.array(list(map(math.atan2, q_im.tolist(), q_re.tolist())))
+    arg = ref + turn
+    for k in np.flatnonzero(~(np.abs(turn) < 0.5 * math.pi)).tolist():
+        arg[k] = continued_arg(float(c[k]), float(d[k]), complex(x[k], y[k]))
+    return -2.0 * ref - 2.0 * (arg - ref)
 
 
 def invariance_residuals(
@@ -407,27 +440,23 @@ def invariance_residuals(
     if not points:
         return np.zeros(0), np.zeros(0)
     a, b, c, d = np.array(matrices).T
-    xs, ys, ts = zip(*points)
+    x, y, t = np.array(points).T
     z = np.empty(len(points), dtype=complex)
-    z.real, z.imag = xs, ys
+    z.real, z.imag = x, y
     den = c * z + d
     collapsed = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
     if collapsed.any():
         k = int(collapsed.argmax())
-        raise DegenerateInput(f"Moebius denominator collapsed at z = {complex(xs[k], ys[k])}")
+        raise DegenerateInput(f"Moebius denominator collapsed at z = {complex(x[k], y[k])}")
     image = (a * z + b) / den
     outside = ~(image.imag > 0)
     if outside.any():
         k = int(outside.argmax())
         raise DegenerateInput(
-            f"image of z = {complex(xs[k], ys[k])} has y = {image.imag[k]}, "
+            f"image of z = {complex(x[k], y[k])} has y = {image.imag[k]}, "
             "outside the upper half-plane"
         )
-    image_t = []  # t + LiftedIsometry.theta_shift of the canonical lift, per point
-    for (_, _, c_k, d_k), (x_k, y_k, t_k) in zip(matrices, points):
-        ref = _phase(c_k, d_k, _REF)
-        shift = -2.0 * ref - 2.0 * (continued_arg(c_k, d_k, complex(x_k, y_k)) - ref)
-        image_t.append(t_k + shift)
+    image_t = t + _canonical_shifts(c, d, x, y)
 
     dr, di = den.real, den.imag
     square = np.empty_like(den)
@@ -443,9 +472,8 @@ def invariance_residuals(
     jac[:, 2, 1] = -2.0 * q.real
     jac[:, 2, 2] = 1.0
 
-    y = z.imag
     form = _norms(np.matmul(_covector_rows(image.imag), jac) - _covector_rows(y))
-    here = _frame_columns(y, ts)
+    here = _frame_columns(y, t)
     there = _frame_columns(image.imag, image_t)
     frame = np.maximum(*(_norms(np.matmul(jac, e) - f) for e, f in zip(here, there)))
     return form, frame
@@ -455,9 +483,11 @@ def random_matrix(rng: random.Random, *, entry_bound: float = 2.0,
                   det_floor: float = 0.05) -> tuple[float, float, float, float]:
     """Entries (a, b, c, d) uniform in [-bound, bound] with determinant above
     ``det_floor``, divided by sqrt(det) as ``MobiusElement`` divides them."""
-    uniform, low, high = rng.uniform, -entry_bound, entry_bound
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), written out
+    draw, low, span = rng.random, -entry_bound, 2.0 * entry_bound
     while True:
-        a, b, c, d = uniform(low, high), uniform(low, high), uniform(low, high), uniform(low, high)
+        a, b, c, d = (low + span * draw(), low + span * draw(),
+                      low + span * draw(), low + span * draw())
         det = a * d - b * c
         if det > det_floor:
             if abs(det - 1.0) > MobiusElement.DET_SLACK:
@@ -467,7 +497,9 @@ def random_matrix(rng: random.Random, *, entry_bound: float = 2.0,
 
 
 def _coordinates(rng: random.Random) -> tuple[float, float, float]:
-    return rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0), rng.uniform(-6.0, 6.0)
+    """x, y, t uniform in [-2, 2], [0.2, 3] and [-6, 6], as ``rng.uniform`` draws them."""
+    draw = rng.random
+    return -2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw()
 
 
 def random_point(rng: random.Random) -> UpperHalfPoint:

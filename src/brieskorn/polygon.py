@@ -8,7 +8,10 @@ triangles from v_n; the angle at each interior fan vertex is split in
 half between its two triangles, and the one remaining parameter, the
 length of the first fan diagonal, is shot so the apex angles sum to
 pi/a_n. That closing defect runs from positive (collapsing fan, by
-hyperbolicity) to negative (diverging fan), so a root always exists.
+hyperbolicity) to negative (diverging fan), so a root always exists. It
+is found by bisection twice over: over the indices of a fixed log grid of
+diagonals, for the cell where the defect changes sign, then over the
+floats of that cell, until the bracket's midpoint is one of its ends.
 
 Each rotation generator is the product of the reflections in the two
 edges meeting at its vertex (outgoing edge first), a counterclockwise
@@ -98,46 +101,48 @@ def _trace_fan(angles: list[float], first_diagonal: float):
     return betas, cosh_to_vertex
 
 
+# the log grid that brackets the fan's closing diagonal, ~1.2e-4 .. 4e2
+_FAN_GRID = tuple(math.exp(-9.0 + 15.0 * k / 420) for k in range(421))
+
+
 def _solve_fan(angles: list[float]) -> float:
-    """Diagonal length closing the fan, by log-grid scan and bisection.
+    """Diagonal length closing the fan, by bisection on a log grid, then on floats.
 
     The defect sum(apex angles) - pi/a_n decreases from positive at a
-    collapsing fan to negative at a diverging one; the first sign change
-    from the left is bisected to machine precision.
+    collapsing fan to negative at a diverging one. Bisecting over the
+    grid's indices finds the grid cell where it changes sign; bisecting
+    that cell runs until its midpoint is one of its ends, the root to the
+    last float.
     """
     target = angles[-1]
 
-    def defect(diagonal: float) -> float | None:
+    def defect(diagonal: float) -> float:
         traced = _trace_fan(angles, diagonal)
         if traced is None:
-            return None
+            raise ConstructionFailure(
+                f"fan degenerates at diagonal {diagonal!r}; construction failed")
         return sum(traced[0]) - target
 
-    grid = [math.exp(lo) for lo in
-            [-9.0 + 15.0 * k / 420 for k in range(421)]]  # ~1.2e-4 .. 4e2
-    bracket = None
-    previous = None
-    for diagonal in grid:
-        value = defect(diagonal)
-        if value is None:
-            previous = None
-            continue
-        if value == 0.0:
-            return diagonal
-        if previous is not None and previous[1] * value < 0:
-            bracket = (previous[0], diagonal)
-            break
-        previous = (diagonal, value)
-    if bracket is None:
+    lo, hi = 0, len(_FAN_GRID) - 1
+    ha = defect(_FAN_GRID[lo])
+    if not ha > 0.0 > defect(_FAN_GRID[hi]):
         raise ConstructionFailure("fan closing defect has no sign change; construction failed")
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        hk = defect(_FAN_GRID[k])
+        if hk == 0.0:
+            return _FAN_GRID[k]
+        if hk > 0.0:
+            lo, ha = k, hk
+        else:
+            hi = k
 
-    a, b = bracket
-    ha = defect(a)
+    a, b = _FAN_GRID[lo], _FAN_GRID[hi]
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
         hm = defect(mid)
-        if hm is None:
-            raise ConstructionFailure("fan bisection left the valid region")
         if hm == 0.0 or (b - a) < 1e-16 * max(1.0, a):
             return mid
         if ha * hm <= 0:

@@ -14,6 +14,8 @@ from brieskorn.halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
+    _canonical_shifts,
+    _phase,
     _quotient,
     contact_covector,
     contact_invariance_residual,
@@ -217,6 +219,58 @@ def test_continued_arg_equals_the_numpy_scalar_reference_bit_for_bit():
             continue
         for z in (0.5j, -3.0 + 0.1j, 2.0 + 4.0j, -0.0 + 1.0j):
             assert _bits(continued_arg(c, d, z)) == _bits(reference.continued_arg(c, d, z))
+
+
+def _point_shifts(rows):
+    """The canonical lift's t-shift over each (c, d, x, y), by ``continued_arg``."""
+    out = []
+    for c, d, x, y in rows:
+        ref = _phase(c, d, 1j)
+        out.append(-2.0 * ref - 2.0 * (continued_arg(c, d, complex(x, y)) - ref))
+    return out
+
+
+def _array_shifts(rows):
+    return _canonical_shifts(*np.array(rows, dtype=float).reshape(-1, 4).T).tolist()
+
+
+def test_array_shifts_equal_the_continued_arg_of_each_point_bit_for_bit():
+    recursive = []
+    for seed in range(50):
+        matrices, points = random_samples(random.Random(seed), 1000)
+        rows = [(c, d, x, y) for (_, _, c, d), (x, y, _) in zip(matrices, points)]
+        assert list(map(_bits, _array_shifts(rows))) == list(map(_bits, _point_shifts(rows)))
+        recursive += [(c, d, x, y) for c, d, x, y in rows
+                      if abs(cmath.phase((c * complex(x, y) + d) / (c * 1j + d)))
+                      >= 0.5 * math.pi]
+    # about 1.2% of the rows turn by pi/2 or more and subdivide their segment
+    assert len(recursive) >= 300
+    assert list(map(_bits, _array_shifts(recursive))) == list(
+        map(_bits, _point_shifts(recursive)))
+
+
+def test_array_shifts_keep_signed_zeros_the_cut_and_extreme_entries():
+    # c*i + d on the negative real axis (c a signed zero, d < 0), signed
+    # zeros in c, d and x, huge and tiny entries and coordinates. Rows whose
+    # turn is NaN or pi at every subdivision (a product that overflows or
+    # underflows to zero, a subnormal divisor) are left out: continued_arg
+    # would subdivide their segment 2**61 times
+    entries = (0.0, -0.0, -2.0, 1.5, 1e-300, -1e-300, 1e150, -1e150)
+    points = ((0.5, 1.0), (-3.0, 0.1), (-0.0, 1.0), (2.0, 4.0), (-1e150, 1e150),
+              (1e-3, 1e-300), (-0.5, 1e150))
+    rows = [(c, d, x, y) for c, d in itertools.product(entries, repeat=2)
+            if (c, d) != (0.0, 0.0) for x, y in points]
+    assert list(map(_bits, _array_shifts(rows))) == list(map(_bits, _point_shifts(rows)))
+    assert _array_shifts([]) == []
+
+
+def test_random_point_is_the_uniform_draw_of_each_coordinate():
+    rng, raw = random.Random(8), random.Random(8)
+    for _ in range(100):
+        p = random_point(rng)
+        assert (p.x, p.y, p.t) == (
+            raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0))
+    assert rng.getstate() == raw.getstate()
 
 
 def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():

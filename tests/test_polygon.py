@@ -2,19 +2,27 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
-from brieskorn import NotHyperbolic, validate_params
+from brieskorn import NotHyperbolic, polygon, validate_params
 from brieskorn.errors import RelationFailure
 from brieskorn.halfplane import MobiusElement
 from brieskorn.polygon import (
+    _FAN_GRID,
+    _solve_fan,
     build_polygon_group,
     check_relations,
     expected_area,
     measured_area,
     measured_interior_angles,
 )
+from fan_reference import solve_fan
+from test_lab_reports import LAB_TUPLES
+
+# fans far from the fuzz family: many right angles, large and mixed exponents
+EXTREME_FANS = ((2,) * 60, (100, 100, 100, 100), (50, 60, 70, 80), (2, 2, 2, 3))
 
 
 def group_for(*exponents):
@@ -126,3 +134,58 @@ def test_relation_failure_raises_with_report():
         check_relations(group)
     assert excinfo.value.report is not None
     assert excinfo.value.report.max_residual > 0.1
+
+
+def fan_tuples(seed, count):
+    """Seeded hyperbolic tuples with n = 4..9 and a_j = 2..15."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 9)
+        exponents = tuple(rng.randint(2, 15) for _ in range(n))
+        if sum(1.0 / a for a in exponents) < n - 2:
+            out.append(exponents)
+    return out
+
+
+def fan_angles(exponents):
+    return [math.pi / a for a in exponents]
+
+
+def test_fan_solver_matches_the_grid_scan_bit_for_bit():
+    for exponents in [*fan_tuples(20261019, 2000), *EXTREME_FANS]:
+        angles = fan_angles(exponents)
+        assert _solve_fan(angles).hex() == solve_fan(angles).hex(), exponents
+
+
+def test_fan_defect_is_defined_on_the_whole_grid_and_changes_sign_once():
+    # the premise of bisecting over the grid's indices: the first sign
+    # change the scan finds is the only one, and no probe degenerates
+    for exponents in [*fan_tuples(7, 300), *EXTREME_FANS,
+                      *(t for t in LAB_TUPLES if len(t) > 3)]:
+        angles = fan_angles(exponents)
+        signs = []
+        for diagonal in _FAN_GRID:
+            traced = polygon._trace_fan(angles, diagonal)
+            assert traced is not None, (exponents, diagonal)
+            defect = sum(traced[0]) - angles[-1]
+            signs.append("+" if defect > 0.0 else "-" if defect < 0.0 else "0")
+        positive = signs.count("+")
+        assert 0 < positive < len(signs), exponents
+        assert signs == ["+"] * positive + ["-"] * (len(signs) - positive), exponents
+
+
+def test_fan_solver_traces_at_most_64_fans_per_solve(monkeypatch):
+    calls = []
+    trace_fan = polygon._trace_fan
+
+    def counted(angles, diagonal):
+        calls.append(diagonal)
+        return trace_fan(angles, diagonal)
+
+    monkeypatch.setattr(polygon, "_trace_fan", counted)
+    for exponents in [t for t in LAB_TUPLES if len(t) > 3]:
+        calls.clear()
+        _solve_fan(fan_angles(exponents))
+        # about nine grid probes and one bisection step per bit of the root
+        assert len(calls) <= 64, (exponents, len(calls))
