@@ -45,6 +45,9 @@ CASES = (
     ("verify-geometry-loose-tol",
      ["verify-geometry", "--exponents", "2,3,7", "--tol", "area=1e-6",
       "--tol", "invariance=1e-7"]),
+    # the relation check's sample points at a non-default count and seed
+    ("verify-geometry-2-3-7-samples",
+     ["verify-geometry", "--exponents", "2,3,7", "--samples", "50", "--seed", "7"]),
     ("verify-dynamics-2-3-7",
      ["verify-dynamics", "--exponents", "2,3,7", "--samples", "50", "--seed", "7"]),
     ("verify-dynamics-default-samples", ["verify-dynamics", "--exponents", "2,3,7"]),
@@ -68,6 +71,10 @@ CASES = (
     ("verify-geometry-area-tol",
      ["verify-geometry", "--exponents", "2,3,7", "--tol", "area=1e-30"]),
     ("verify-geometry-50-60-70", ["verify-geometry", "--exponents", "50,60,70"]),
+    ("verify-geometry-50-60-70-samples",
+     ["verify-geometry", "--exponents", "50,60,70", "--samples", "50", "--seed", "7"]),
+    # exits 3 on its matrix and lifted relations
+    ("verify-geometry-100-100-100", ["verify-geometry", "--exponents", "100,100,100"]),
     ("verify-dynamics-2-3-5-7",
      ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "50"]),
     ("verify-dynamics-zero-epsilon",
