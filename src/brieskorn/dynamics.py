@@ -133,13 +133,6 @@ _B50, _B51, _B52, _B53, _B54, _B55 = _RKF_B5
 _B40, _B41, _B42, _B43, _B44, _B45 = _RKF_B4
 
 
-def _abs_max(values) -> float:
-    """max |v| over values, NaN when any value is NaN (as numpy's max would)."""
-    if any(v != v for v in values):
-        return math.nan
-    return max(map(abs, values))
-
-
 def _rkf_step(jac, state, h):
     """One Fehlberg 4(5) step of M' = A M, A = ``jac``: (fifth-order M, error).
 
@@ -192,7 +185,11 @@ def _rkf_step(jac, state, h):
                   + _B44 * k4c + _B45 * k5c)
     d4 = d + h * (0 + _B40 * k0d + _B41 * k1d + _B42 * k2d + _B43 * k3d
                   + _B44 * k4d + _B45 * k5d)
-    err = _abs_max([a5 - a4, b5 - b4, c5 - c4, d5 - d4])
+    ea, eb, ec, ed = abs(a5 - a4), abs(b5 - b4), abs(c5 - c4), abs(d5 - d4)
+    # the largest, or NaN if one is NaN: the sum is NaN exactly then
+    err = ea + eb + ec + ed
+    if err == err:
+        err = max(ea, eb, ec, ed)
     return (a5, b5, c5, d5), err
 
 
@@ -226,9 +223,9 @@ def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> Monodrom
         return MonodromyResult(matrix=np.eye(2), rotation=0.0, steps=0, rejected=0)
 
     jac = field_jacobian(model, model.v)
-    base = (model.v.real, model.v.imag)
+    vx, vy = abs(model.v.real), abs(model.v.imag)
     # keep per-step rotation bounded for the unwrap
-    spin = _abs_max([entry for row in jac for entry in row])
+    spin = tol_mod.worst(abs(entry) for row in jac for entry in row)
     cap = min(T, 0.5 / spin) if spin > 0 else T
 
     state = (1.0, 0.0, 0.0, 1.0)
@@ -240,7 +237,12 @@ def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> Monodrom
     while t < T:
         h = min(h, T - t, cap)
         new_state, err = _rkf_step(jac, state, h)
-        scale = step_tol * max(1.0, _abs_max(base + state))
+        s0, s1, s2, s3 = abs(state[0]), abs(state[1]), abs(state[2]), abs(state[3])
+        # the largest of |v| and |M|, or NaN if one is NaN, as in _rkf_step
+        size = vx + vy + s0 + s1 + s2 + s3
+        if size == size:
+            size = max(vx, vy, s0, s1, s2, s3)
+        scale = step_tol * max(1.0, size)
         if err > scale and h > 1e-13 * T:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             rejected += 1

@@ -14,30 +14,41 @@ t-shift the element applies at the reference point w = i.
 
 The invariance block of ``verify-dynamics`` draws its samples from
 ``--seed`` alone (``--samples`` of each; the exponents play no part), as
-rows of floats: ``random_samples`` gives each matrix as (a, b, c, d) and
-each point as (x, y, t), with the same ``rng`` calls and the same
-rescaling to determinant one as ``MobiusElement`` and ``random_point``.
-``invariance_residuals`` then computes all the residuals in one call. They
-are rounding noise, pinned in reports, so that call reproduces
-``contact_invariance_residual`` and ``frame_invariance_residual`` of the
-canonical lifts bit for bit: complex squares are built from real and
-imaginary parts, because numpy's complex array multiply may fuse
-operations; dot products and norms run as stacked ``np.matmul``, the BLAS
-kernels the scalar ``@`` and ``np.linalg.norm`` use (``einsum`` or sums of
-squares need not round the same way); phases, cosines and sines stay on
-``math`` per point, so they do not depend on numpy's SIMD dispatch.
+arrays: ``random_samples`` gives an (N, 4) array of matrices (a, b, c, d)
+and an (N, 3) array of points (x, y, t), drawn in turn by ``rng.random``
+calls, each matrix rescaled to determinant one as ``MobiusElement``
+rescales it. ``invariance_residuals`` then computes all the residuals in
+one call. They are rounding noise, pinned in reports, so that call
+reproduces ``contact_invariance_residual`` and
+``frame_invariance_residual`` of the canonical lifts bit for bit: complex
+squares are built from real and imaginary parts, because numpy's complex
+array multiply may fuse operations; dot products and norms run as stacked
+``np.matmul``, the BLAS kernels the scalar ``@`` and ``np.linalg.norm``
+use (``einsum`` or sums of squares need not round the same way); phases,
+cosines and sines stay on ``math`` per point, so they do not depend on
+numpy's SIMD dispatch.
+
+The relation check of ``verify-geometry`` works on arrays too. Its sample
+points come from ``random_points``. ``lifted_power`` builds a lifted
+power by the chain of ``MobiusElement.compose`` calls that repeated
+``LiftedIsometry.compose`` makes, and computes the t-shifts along the
+chain as one array; ``LiftedIsometry.apply_many`` applies a lift to all
+the points in one call. Each keeps the bits of its point-by-point form.
+Every array of Moebius images goes through ``_mobius_images``, which
+refuses a collapsed denominator or an image off the half-plane.
 
 A lift's t-shift (``continued_arg``) runs on Python floats, with no numpy
 scalar: c*w + d is formed by components, and the quotient of two such
 values by ``_quotient``, which is numpy's complex128 division written out
 (Smith's method, R. L. Smith, *Algorithm 116: Complex division*, CACM
 1962, scaled by a reciprocal as numpy scales it), so every shift keeps the
-bits it had when it was computed on numpy scalars. ``invariance_residuals``
-takes the same operations over arrays (``_canonical_shifts``): c*i + d,
-c*z + d and their quotient as array arithmetic, ``_quotient``'s two
-branches chosen by ``np.where``, and the phases per point with
-``math.atan2``. The few rows whose first turn is pi/2 or more (or NaN) go
-through ``continued_arg`` itself, which subdivides their segment.
+bits it had when it was computed on numpy scalars. ``_lift_shifts`` takes
+the same operations over arrays, for one bottom row (c, d) per point or
+one for all points: c*i + d, c*z + d and their quotient as array
+arithmetic, ``_quotient``'s two branches chosen by ``np.where``, and the
+phases per point with ``math.atan2``. The few rows whose first turn is
+pi/2 or more (or NaN) go through ``continued_arg`` itself, which halves
+their segment, a bounded number of times.
 """
 
 from __future__ import annotations
@@ -221,29 +232,52 @@ def _quotient(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]
     return (ar * rat + ai) * scl, (ai * rat - ar) * scl
 
 
-def continued_arg(c: float, d: float, z_to: complex, *, z_from: complex = _REF,
-                  arg_from: float | None = None, _depth: int = 0) -> float:
-    """Continuous branch of arg(c*w + d) along the segment from z_from to z_to.
+_MAX_DEPTH = 60  # halvings of a piece before its turn is taken as it stands
+# for real (c, d) at most one half of a halved piece is halved again, so a
+# segment takes at most 1 + 2*61 pieces
+_MAX_PIECES = 2 * _MAX_DEPTH + 3
 
-    The segment is subdivided until successive principal arguments differ
-    by less than pi/2, which pins the lift. For real (c, d) the image of
-    the half-plane never wraps around zero, so the recursion terminates
-    immediately; the scheme stays correct for perturbed inputs.
+
+def continued_arg(c: float, d: float, z_to: complex) -> float:
+    """Continuous branch of arg(c*w + d) along the segment from i to z_to.
+
+    The segment is halved until successive principal arguments differ by
+    less than pi/2, which pins the lift. For real (c, d) the image of the
+    segment is a line segment that misses zero, so the argument is monotone
+    along it and turns by less than pi in all: the first turn is taken
+    whole for all but a few segments, and a piece still turning by pi/2
+    or more after 61 halvings is taken as it stands.
+
+    Raises DegenerateInput when a turn is NaN (a product that overflows, a
+    divisor that underflows to zero) or when the segment needs more than
+    ``_MAX_PIECES`` pieces, so every call ends after at most that many
+    quotients.
     """
     # c*w + d by components, rounded as numpy's complex128 product and sum
     # round it: adding 0.0 turns a -0.0 imaginary part into 0.0, as the
     # product's cross term does, which keeps the sign atan2 reads on the cut
+    z_from = _REF
     re0, im0 = c * z_from.real + d, c * z_from.imag + 0.0
-    re1, im1 = c * z_to.real + d, c * z_to.imag + 0.0
-    if arg_from is None:
-        arg_from = math.atan2(im0, re0)
-    q_re, q_im = _quotient(re1, im1, re0, im0)
-    turn = math.atan2(q_im, q_re)
-    if abs(turn) < 0.5 * math.pi or _depth > 60:
-        return arg_from + turn
-    mid = 0.5 * (z_from + z_to)
-    half = continued_arg(c, d, mid, z_from=z_from, arg_from=arg_from, _depth=_depth + 1)
-    return continued_arg(c, d, z_to, z_from=mid, arg_from=half, _depth=_depth + 1)
+    arg = math.atan2(im0, re0)
+    pending = [(z_to, 0)]  # ends of the pieces still to walk, last one first
+    for _ in range(_MAX_PIECES):
+        z, depth = pending.pop()
+        re1, im1 = c * z.real + d, c * z.imag + 0.0
+        q_re, q_im = _quotient(re1, im1, re0, im0)
+        turn = math.atan2(q_im, q_re)
+        if turn != turn:
+            raise DegenerateInput(
+                f"arg(c*w + d) for c = {c!r}, d = {d!r} turns by NaN toward z = {z}")
+        if abs(turn) < 0.5 * math.pi or depth > _MAX_DEPTH:
+            arg += turn
+            if not pending:
+                return arg
+            z_from, re0, im0 = z, re1, im1
+        else:
+            pending += ((z, depth + 1), (0.5 * (z_from + z), depth + 1))
+    raise DegenerateInput(
+        f"arg(c*w + d) for c = {c!r}, d = {d!r} does not settle along the segment "
+        f"from i to z = {z_to} in {_MAX_PIECES} pieces")
 
 
 class LiftedIsometry:
@@ -286,6 +320,16 @@ class LiftedIsometry:
         image = self.base.apply(p.z)
         return UpperHalfPoint(float(image.real), float(image.imag), float(p.t + self.theta_shift(p.z)))
 
+    def apply_many(self, x: np.ndarray, y: np.ndarray,
+                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``apply`` to each point (x_k, y_k, t_k), bit for bit, as three
+        arrays of image coordinates; a degenerate point raises
+        DegenerateInput (see ``_mobius_images``)."""
+        m = self.base.matrix
+        image, _ = _mobius_images(m[0, 0], m[0, 1], m[1, 0], m[1, 1], x, y)
+        shifts = _lift_shifts(float(m[1, 0]), float(m[1, 1]), x, y, self.winding_offset)
+        return image.real, image.imag, t + shifts
+
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         """Composition acting as self after other, with the lift chained
         so the t-shift of the product is the sum of shifts along the way."""
@@ -293,16 +337,26 @@ class LiftedIsometry:
         offset = other.winding_offset + self.theta_shift(other.base.apply(_REF))
         return LiftedIsometry(base, offset)
 
-    def power(self, k: int) -> "LiftedIsometry":
-        if k < 0:
-            raise ValueError("negative powers are not needed here")
-        out = LiftedIsometry.identity()
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
     def __repr__(self):
         return f"LiftedIsometry({self.base!r}, winding_offset={self.winding_offset:.6g})"
+
+
+def lifted_power(h: LiftedIsometry, k: int) -> LiftedIsometry:
+    """h composed with itself k >= 0 times, bit for bit as k calls of
+    ``h.compose`` from the identity build it: the same chain of matrices,
+    and the t-shifts of h over the chain's images of i as one array, added
+    to the offset from left to right."""
+    bases = [MobiusElement.identity()]
+    for _ in range(k):
+        bases.append(h.base.compose(bases[-1]))
+    m = np.array([base.matrix for base in bases[:-1]]).reshape(k, 2, 2)
+    images, _ = _mobius_images(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1],
+                               np.full(k, _REF.real), np.full(k, _REF.imag))
+    c, d = float(h.base.c), float(h.base.d)
+    offset = 0.0
+    for shift in _lift_shifts(c, d, images.real, images.imag, h.winding_offset).tolist():
+        offset += shift
+    return LiftedIsometry(bases[-1], offset)
 
 
 def frame_at(p: UpperHalfPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -388,60 +442,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)))[:, 0, 0]
 
 
-def _canonical_shifts(c: np.ndarray, d: np.ndarray, x: np.ndarray,
-                      y: np.ndarray) -> np.ndarray:
-    """The t-shift of the canonical lift of each bottom row (c, d) over x + y*i.
+def _mobius_images(a, b, c, d, x: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image (a*z + b)/(c*z + d) of each point z = x + y*i and its
+    denominator, rounded as ``MobiusElement.apply`` rounds them; the entries
+    are one matrix for all points or one per point.
 
-    Entry k equals -2*r - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r), with
-    r the principal argument of c_k*i + d_k, bit for bit: both values
-    c*w + d and their ``_quotient`` are formed as arrays, by the same
-    operations in the same order, and the phases are taken per point with
-    ``math.atan2``. A row whose first turn is pi/2 or more, or NaN (a zero
-    or NaN divisor, where ``_quotient`` leaves Smith's formula), goes
-    through ``continued_arg`` itself, which subdivides its segment.
+    Raises DegenerateInput at the first point whose denominator collapses
+    or whose image leaves the upper half-plane.
     """
-    # the branch np.where does not select may divide by zero or overflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        re0, im0 = c * 0.0 + d, c * 1.0 + 0.0
-        re1, im1 = c * x + d, c * y + 0.0
-        real_first = np.abs(re0) >= np.abs(im0)
-        rat = np.where(real_first, im0 / re0, re0 / im0)
-        scl = 1.0 / np.where(real_first, re0 + im0 * rat, im0 + re0 * rat)
-        q_re = np.where(real_first, (re1 + im1 * rat) * scl, (re1 * rat + im1) * scl)
-        q_im = np.where(real_first, (im1 - re1 * rat) * scl, (im1 * rat - re1) * scl)
-    ref = np.array(list(map(math.atan2, im0.tolist(), re0.tolist())))
-    turn = np.array(list(map(math.atan2, q_im.tolist(), q_re.tolist())))
-    arg = ref + turn
-    for k in np.flatnonzero(~(np.abs(turn) < 0.5 * math.pi)).tolist():
-        arg[k] = continued_arg(float(c[k]), float(d[k]), complex(x[k], y[k]))
-    return -2.0 * ref - 2.0 * (arg - ref)
-
-
-def invariance_residuals(
-    matrices: list[tuple[float, float, float, float]],
-    points: list[tuple[float, float, float]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The contact and frame residuals of the canonical lift of each matrix
-    at its point, as two arrays.
-
-    ``matrices`` holds rows (a, b, c, d) of determinant one and ``points``
-    rows (x, y, t). The canonical lift of a matrix shifts t at i by the
-    principal value -2*Arg(c*i + d) = -2*atan2(c, d). With h that lift and
-    p the point, entry k equals ``contact_invariance_residual(h, p)`` and
-    ``frame_invariance_residual(h, p)`` bit for bit, by the rules in the
-    module docstring, except that a frame residual keeps a NaN from either
-    frame vector.
-
-    Raises DegenerateInput at the first point whose Moebius denominator
-    collapses or whose image leaves the upper half-plane.
-    """
-    if len(matrices) != len(points):
-        raise ValueError("need one point per matrix")
-    if not points:
-        return np.zeros(0), np.zeros(0)
-    a, b, c, d = np.array(matrices).T
-    x, y, t = np.array(points).T
-    z = np.empty(len(points), dtype=complex)
+    z = np.empty(len(x), dtype=complex)
     z.real, z.imag = x, y
     den = c * z + d
     collapsed = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
@@ -456,7 +466,64 @@ def invariance_residuals(
             f"image of z = {complex(x[k], y[k])} has y = {image.imag[k]}, "
             "outside the upper half-plane"
         )
-    image_t = t + _canonical_shifts(c, d, x, y)
+    return image, den
+
+
+def _lift_shifts(c, d, x: np.ndarray, y: np.ndarray, offset=None) -> np.ndarray:
+    """The t-shift over each point x + y*i of the lift of the bottom row
+    (c, d) whose shift at i is ``offset`` (the canonical lift's -2*r if
+    None); (c, d) is one row for all points or one per point.
+
+    Entry k equals offset - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r_k),
+    with r_k the principal argument of c_k*i + d_k, bit for bit: both
+    values c*w + d and their ``_quotient`` are formed as arrays, by the
+    same operations in the same order, and the phases are taken per point
+    with ``math.atan2``. A row whose first turn is pi/2 or more, or NaN (a
+    zero or NaN divisor, where ``_quotient`` leaves Smith's formula), goes
+    through ``continued_arg`` itself.
+    """
+    c, d, x, y = np.broadcast_arrays(c, d, x, y)
+    # the branch np.where does not select may divide by zero or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        re0, im0 = c * 0.0 + d, c * 1.0 + 0.0
+        re1, im1 = c * x + d, c * y + 0.0
+        real_first = np.abs(re0) >= np.abs(im0)
+        rat = np.where(real_first, im0 / re0, re0 / im0)
+        scl = 1.0 / np.where(real_first, re0 + im0 * rat, im0 + re0 * rat)
+        q_re = np.where(real_first, (re1 + im1 * rat) * scl, (re1 * rat + im1) * scl)
+        q_im = np.where(real_first, (im1 - re1 * rat) * scl, (im1 * rat - re1) * scl)
+    ref = np.array(list(map(math.atan2, im0.tolist(), re0.tolist())))
+    turn = np.array(list(map(math.atan2, q_im.tolist(), q_re.tolist())))
+    arg = ref + turn
+    for k in np.flatnonzero(~(np.abs(turn) < 0.5 * math.pi)).tolist():
+        arg[k] = continued_arg(float(c[k]), float(d[k]), complex(x[k], y[k]))
+    return (-2.0 * ref if offset is None else offset) - 2.0 * (arg - ref)
+
+
+def invariance_residuals(matrices, points) -> tuple[np.ndarray, np.ndarray]:
+    """The contact and frame residuals of the canonical lift of each matrix
+    at its point, as two arrays.
+
+    ``matrices`` holds rows (a, b, c, d) of determinant one and ``points``
+    rows (x, y, t), as the (N, 4) and (N, 3) arrays of ``random_samples``
+    or as sequences of rows. The canonical lift of a matrix shifts t at i
+    by the principal value -2*Arg(c*i + d) = -2*atan2(c, d). With h that
+    lift and p the point, entry k equals ``contact_invariance_residual(h,
+    p)`` and ``frame_invariance_residual(h, p)`` bit for bit, by the rules
+    in the module docstring, except that a frame residual keeps a NaN from
+    either frame vector.
+
+    Raises DegenerateInput at the first point whose Moebius denominator
+    collapses or whose image leaves the upper half-plane.
+    """
+    a, b, c, d = np.asarray(matrices, dtype=float).reshape(-1, 4).T
+    x, y, t = np.asarray(points, dtype=float).reshape(-1, 3).T
+    if len(a) != len(x):
+        raise ValueError("need one point per matrix")
+    if not len(x):
+        return np.zeros(0), np.zeros(0)
+    image, den = _mobius_images(a, b, c, d, x, y)
+    image_t = t + _lift_shifts(c, d, x, y)
 
     dr, di = den.real, den.imag
     square = np.empty_like(den)
@@ -464,7 +531,7 @@ def invariance_residuals(
     square.imag = dr * di + di * dr
     w = 1.0 / square
     q = c / den
-    jac = np.zeros((len(points), 3, 3))
+    jac = np.zeros((len(x), 3, 3))
     jac[:, 0, 0] = jac[:, 1, 1] = w.real
     jac[:, 0, 1] = -w.imag
     jac[:, 1, 0] = w.imag
@@ -479,38 +546,36 @@ def invariance_residuals(
     return form, frame
 
 
-def random_matrix(rng: random.Random, *, entry_bound: float = 2.0,
-                  det_floor: float = 0.05) -> tuple[float, float, float, float]:
-    """Entries (a, b, c, d) uniform in [-bound, bound] with determinant above
-    ``det_floor``, divided by sqrt(det) as ``MobiusElement`` divides them."""
-    # rng.uniform(low, high) is low + (high - low) * rng.random(), written out
-    draw, low, span = rng.random, -entry_bound, 2.0 * entry_bound
-    while True:
-        a, b, c, d = (low + span * draw(), low + span * draw(),
-                      low + span * draw(), low + span * draw())
-        det = a * d - b * c
-        if det > det_floor:
-            if abs(det - 1.0) > MobiusElement.DET_SLACK:
-                root = math.sqrt(det)
-                return a / root, b / root, c / root, d / root
-            return a, b, c, d
-
-
-def _coordinates(rng: random.Random) -> tuple[float, float, float]:
-    """x, y, t uniform in [-2, 2], [0.2, 3] and [-6, 6], as ``rng.uniform`` draws them."""
-    draw = rng.random
-    return -2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw()
-
-
-def random_point(rng: random.Random) -> UpperHalfPoint:
-    return UpperHalfPoint(*_coordinates(rng))
-
-
-def random_samples(rng: random.Random, count: int) -> tuple[list, list]:
-    """``count`` matrix rows (a, b, c, d) and point rows (x, y, t), drawn in
-    turn: the draws of ``random_matrix`` and ``random_point``, in their order."""
-    matrices, points = [], []
+def random_points(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` points as a (count, 3) array of rows (x, y, t), uniform in
+    [-2, 2] x [0.2, 3] x [-6, 6], as ``rng.uniform`` draws each coordinate."""
+    draw, flat = rng.random, []
     for _ in range(count):
-        matrices.append(random_matrix(rng))
-        points.append(_coordinates(rng))
-    return matrices, points
+        flat += (-2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw())
+    return np.array(flat).reshape(count, 3)
+
+
+def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` matrices and points, drawn in turn, as a (count, 4) array of
+    rows (a, b, c, d) and a (count, 3) array of rows (x, y, t).
+
+    Each matrix has entries uniform in [-2, 2], redrawn until its
+    determinant exceeds 0.05, and is divided by sqrt(det) as
+    ``MobiusElement`` divides it; each point is drawn as ``random_points``
+    draws it. ``rng.uniform(low, high)`` is written out as
+    low + (high - low) * rng.random().
+    """
+    draw, matrices, points = rng.random, [], []
+    for _ in range(count):
+        while True:
+            a, b, c, d = (-2.0 + 4.0 * draw(), -2.0 + 4.0 * draw(),
+                          -2.0 + 4.0 * draw(), -2.0 + 4.0 * draw())
+            det = a * d - b * c
+            if det > 0.05:
+                break
+        if abs(det - 1.0) > MobiusElement.DET_SLACK:
+            root = math.sqrt(det)
+            a, b, c, d = a / root, b / root, c / root, d / root
+        matrices += (a, b, c, d)
+        points += (-2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw())
+    return np.array(matrices).reshape(count, 4), np.array(points).reshape(count, 3)

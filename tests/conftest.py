@@ -1,9 +1,31 @@
 import random
 
+import numpy as np
 import pytest
 
 from brieskorn import seifert_data, validate_params
 from brieskorn.errors import NotHyperbolic
+
+
+def pytest_report_header(config):
+    """The numpy build that the lab's byte-identical reports rest on.
+
+    The residuals are rounding noise that BLAS kernels and SIMD loops
+    produce, so a digest that fails on one machine and passes on another
+    can be told apart from a change of the code by these lines.
+    """
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return f"numpy {np.__version__}"
+    blas = info.get("Build Dependencies", {}).get("blas", {})
+    simd = info.get("SIMD Extensions", {})
+    return [
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+        f" ({blas.get('openblas configuration', 'no build string')})",
+        f"numpy SIMD baseline: {' '.join(simd.get('baseline', []))};"
+        f" dispatch targets found: {' '.join(simd.get('found', []))}",
+    ]
 
 
 def random_valid_tuples(seed, count, max_n=5, max_exponent=9):

@@ -7,8 +7,7 @@ import random
 import pytest
 
 from brieskorn import cli, dynamics, polygon, tolerances
-from brieskorn.halfplane import random_point
-from halfplane_reference import random_mobius
+from halfplane_reference import random_mobius, random_point
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 

@@ -299,3 +299,16 @@ def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch
     assert (result.steps, result.rejected) == (steps, rejected)
     assert rejected > 0
     assert calls == {"hamiltonian_field": [], "field_jacobian": [(model, model.v)]}
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_a_nan_in_any_one_entry_of_the_step_error_gives_a_nan_error(entry):
+    # M' = 2 M on one column, from a huge entry: over h = 50 the fifth- and
+    # fourth-order values of that entry both overflow to inf, so its error
+    # entry is inf - inf, while the other three entries stay 0
+    state = [0.0] * 4
+    state[entry] = 1e300
+    jac = ((2.0, 0.0), (0.0, 0.0)) if entry < 2 else ((0.0, 0.0), (0.0, 2.0))
+    new_state, err = dynamics._rkf_step(jac, tuple(state), 50.0)
+    assert list(new_state) == [math.inf if k == entry else 0.0 for k in range(4)]
+    assert math.isnan(err)

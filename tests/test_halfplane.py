@@ -8,13 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from brieskorn import validate_params
+from brieskorn import halfplane, validate_params
 from brieskorn.errors import DegenerateInput
 from brieskorn.halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
-    _canonical_shifts,
+    _lift_shifts,
     _phase,
     _quotient,
     contact_covector,
@@ -25,14 +25,13 @@ from brieskorn.halfplane import (
     invariance_residuals,
     lifted_jacobian,
     mobius_apply,
-    random_matrix,
-    random_point,
+    random_points,
     random_samples,
     rotation_about_i,
 )
 from brieskorn.polygon import build_polygon_group
 import halfplane_reference as reference
-from halfplane_reference import canonical, random_mobius
+from halfplane_reference import canonical, random_matrix, random_mobius, random_point
 
 
 def test_identity_fixes_points():
@@ -133,8 +132,8 @@ def _draws(seed, samples):
     for _ in range(samples):
         elements.append(canonical(random_mobius(rng)))
         objects.append(random_point(rng))
-    assert [tuple(h.base.matrix.ravel().tolist()) for h in elements] == matrices
-    assert [(p.x, p.y, p.t) for p in objects] == points
+    assert [h.base.matrix.ravel().tolist() for h in elements] == matrices.tolist()
+    assert [[p.x, p.y, p.t] for p in objects] == points.tolist()
     return matrices, points, elements, objects
 
 
@@ -156,6 +155,7 @@ def test_array_residuals_refuse_degenerate_samples():
     bad = (0.0, 1.0, 0.5)
     with pytest.raises(DegenerateInput):
         canonical(MobiusElement([collapsing[:2], collapsing[2:]])).apply(UpperHalfPoint(*bad))
+    matrices, points = matrices.tolist(), points.tolist()
     with pytest.raises(DegenerateInput, match=r"collapsed at z = 1j$"):
         invariance_residuals([*matrices[:2], collapsing, *matrices[2:]],
                              [*points[:2], bad, *points[2:]])
@@ -204,8 +204,13 @@ def test_quotient_is_numpy_complex_division_bit_for_bit():
             map(_bits, _numpy_quotient(*parts))), parts
 
 
+def _sample_rows(seed, count):
+    """The rows ``random_samples`` draws, as lists of Python floats."""
+    return [rows.tolist() for rows in random_samples(random.Random(seed), count)]
+
+
 def test_continued_arg_equals_the_numpy_scalar_reference_bit_for_bit():
-    matrices, points = random_samples(random.Random(0), 1000)
+    matrices, points = _sample_rows(0, 1000)
     recursive = 0
     for (_, _, c, d), (x, y, _) in zip(matrices, points):
         z = complex(x, y)
@@ -231,13 +236,13 @@ def _point_shifts(rows):
 
 
 def _array_shifts(rows):
-    return _canonical_shifts(*np.array(rows, dtype=float).reshape(-1, 4).T).tolist()
+    return _lift_shifts(*np.array(rows, dtype=float).reshape(-1, 4).T).tolist()
 
 
 def test_array_shifts_equal_the_continued_arg_of_each_point_bit_for_bit():
     recursive = []
     for seed in range(50):
-        matrices, points = random_samples(random.Random(seed), 1000)
+        matrices, points = _sample_rows(seed, 1000)
         rows = [(c, d, x, y) for (_, _, c, d), (x, y, _) in zip(matrices, points)]
         assert list(map(_bits, _array_shifts(rows))) == list(map(_bits, _point_shifts(rows)))
         recursive += [(c, d, x, y) for c, d, x, y in rows
@@ -265,12 +270,63 @@ def test_array_shifts_keep_signed_zeros_the_cut_and_extreme_entries():
 
 
 def test_random_point_is_the_uniform_draw_of_each_coordinate():
-    rng, raw = random.Random(8), random.Random(8)
-    for _ in range(100):
+    rng, raw, rows = random.Random(8), random.Random(8), random.Random(8)
+    drawn = random_points(rows, 100)
+    assert drawn.shape == (100, 3)
+    for row in drawn.tolist():
         p = random_point(rng)
-        assert (p.x, p.y, p.t) == (
-            raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0))
-    assert rng.getstate() == raw.getstate()
+        assert [p.x, p.y, p.t] == row == [
+            raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0)]
+    assert rng.getstate() == raw.getstate() == rows.getstate()
+
+
+def test_random_samples_are_the_draws_of_random_matrix_and_random_point():
+    for seed in range(40):
+        for count in (0, 1, 30, 1000):
+            rng, objects = random.Random(seed), random.Random(seed)
+            matrices, points = random_samples(rng, count)
+            assert matrices.shape == (count, 4) and points.shape == (count, 3)
+            expected_matrices, expected_points = [], []
+            for _ in range(count):
+                expected_matrices.append(list(random_matrix(objects)))
+                p = random_point(objects)
+                expected_points.append([p.x, p.y, p.t])
+            assert matrices.tolist() == expected_matrices
+            assert points.tolist() == expected_points
+            assert rng.getstate() == objects.getstate()
+
+
+def test_continued_arg_returns_or_raises_within_a_bounded_number_of_quotients(monkeypatch):
+    quotients = []
+    real = halfplane._quotient
+
+    def counted(*parts):
+        quotients.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(halfplane, "_quotient", counted)
+    # c*w + d is a negative subnormal everywhere, so its reciprocal
+    # overflows; c*z overflows to -inf + inf*i; c*z underflows to zero, so
+    # the pieces ending at z turn by pi until a midpoint's turn is NaN
+    for c, d, z in ((0.0, -5e-324, 0.5 + 1j), (1e300, 1.5, -1e150 + 1e150j),
+                    (-1e-300, 0.0, 1e-300 + 1e-300j)):
+        quotients.clear()
+        with pytest.raises(DegenerateInput, match="turns by NaN"):
+            continued_arg(c, d, z)
+        assert 1 <= len(quotients) <= halfplane._MAX_PIECES == 123, (c, d, z)
+    # the last piece turns by pi/2 at every halving and is taken as it
+    # stands after 61 halvings: two pieces per halving, 1 + 2*61 in all
+    quotients.clear()
+    value = continued_arg(-2.0, -2.0, -1e150 + 1e150j)
+    assert len(quotients) == 123
+    assert value == reference.continued_arg(-2.0, -2.0, -1e150 + 1e150j)
+    # a quotient that turns by pi halves both halves of every piece; the
+    # walk stops at its bound, where the recursion ran 2**62 - 1 pieces
+    monkeypatch.setattr(halfplane, "_quotient", lambda *parts: counted(-1.0, 0.0, 1.0, 0.0))
+    quotients.clear()
+    with pytest.raises(DegenerateInput, match="does not settle"):
+        continued_arg(0.5, 1.0, 2.0 + 1j)
+    assert len(quotients) == 123
 
 
 def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():

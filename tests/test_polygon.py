@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from brieskorn import NotHyperbolic, polygon, validate_params
+from brieskorn import NotHyperbolic, halfplane, polygon, validate_params
 from brieskorn.errors import RelationFailure
-from brieskorn.halfplane import MobiusElement
+from brieskorn.halfplane import MobiusElement, lifted_power
 from brieskorn.polygon import (
     _FAN_GRID,
     _solve_fan,
@@ -19,6 +19,7 @@ from brieskorn.polygon import (
     measured_interior_angles,
 )
 from fan_reference import solve_fan
+from halfplane_reference import lifted_residuals, power, random_point
 from test_lab_reports import LAB_TUPLES
 
 # fans far from the fuzz family: many right angles, large and mixed exponents
@@ -74,13 +75,9 @@ def test_rotation_orders_2_3_7():
 
 
 def test_lifted_square_is_vertical_shift_2_3_7():
-    import random
-
-    from brieskorn.halfplane import random_point
-
     group = group_for(2, 3, 7)
     lift = group.lifted_generators[0]
-    squared = lift.power(2)
+    squared = lifted_power(lift, 2)
     rng = random.Random(9)
     for _ in range(20):
         p = random_point(rng)
@@ -189,3 +186,60 @@ def test_fan_solver_traces_at_most_64_fans_per_solve(monkeypatch):
         _solve_fan(fan_angles(exponents))
         # about nine grid probes and one bisection step per bit of the root
         assert len(calls) <= 64, (exponents, len(calls))
+
+
+def relation_tuples(seed, count):
+    """Seeded hyperbolic tuples with n = 3..6 and a_j = 2..15."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 6)
+        exponents = tuple(rng.randint(2, 15) for _ in range(n))
+        if sum(1.0 / a for a in exponents) < n - 2:
+            out.append(exponents)
+    return out
+
+
+def _residuals(group, **sampling):
+    try:
+        return check_relations(group, **sampling).residuals
+    except RelationFailure as exc:
+        return exc.report.residuals
+
+
+def test_relation_residuals_equal_the_point_by_point_oracle_bit_for_bit(monkeypatch):
+    # count the rows the array t-shifts send through continued_arg: one
+    # call per lifted-product composition, the rest are recursive-turn rows
+    calls = []
+    real = halfplane.continued_arg
+    monkeypatch.setattr(halfplane, "continued_arg", lambda *args: calls.append(args) or real(*args))
+    recursive = 0
+    cases = [(t, {}) for t in relation_tuples(20261019, 500)]
+    cases += [((2,) * 60, {}), ((100, 100, 100), {}),
+              ((2, 3, 7), {"samples": 50, "seed": 7}), ((50, 60, 70), {"samples": 50, "seed": 7})]
+    for exponents, sampling in cases:
+        group = group_for(*exponents)
+        for a_j, lift in zip(exponents, group.lifted_generators):
+            got, want = lifted_power(lift, a_j), power(lift, a_j)
+            assert got.base.matrix.tolist() == want.base.matrix.tolist(), exponents
+            assert got.winding_offset.hex() == want.winding_offset.hex(), exponents
+        calls.clear()
+        residuals = _residuals(group, **sampling)
+        recursive += len(calls) - len(exponents)
+        expected = lifted_residuals(group, **sampling)
+        assert {k: v.hex() for k, v in residuals.items() if k.startswith("lift")} == {
+            k: v.hex() for k, v in expected.items()}, exponents
+    assert recursive >= 100
+
+
+def test_relation_check_applies_no_matrix_point_by_point(monkeypatch):
+    calls = []
+    real = MobiusElement.apply
+    monkeypatch.setattr(MobiusElement, "apply",
+                        lambda self, z, **kw: calls.append(z) or real(self, z, **kw))
+    group = group_for(50, 60, 70)
+    calls.clear()
+    with pytest.raises(RelationFailure):
+        check_relations(group, samples=50, seed=7)
+    # one image of i per composition of the lifted product, none per point
+    assert len(calls) == 3
