@@ -237,12 +237,9 @@ def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> Monodrom
     while t < T:
         h = min(h, T - t, cap)
         new_state, err = _rkf_step(jac, state, h)
-        s0, s1, s2, s3 = abs(state[0]), abs(state[1]), abs(state[2]), abs(state[3])
-        # the largest of |v| and |M|, or NaN if one is NaN, as in _rkf_step
-        size = vx + vy + s0 + s1 + s2 + s3
-        if size == size:
-            size = max(vx, vy, s0, s1, s2, s3)
-        scale = step_tol * max(1.0, size)
+        # no NaN guard: a NaN in v or M makes err NaN, and then scale is unread
+        scale = step_tol * max(1.0, vx, vy, abs(state[0]), abs(state[1]),
+                               abs(state[2]), abs(state[3]))
         if err > scale and h > 1e-13 * T:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             rejected += 1

@@ -259,7 +259,7 @@ def continued_arg(c: float, d: float, z_to: complex) -> float:
     z_from = _REF
     re0, im0 = c * z_from.real + d, c * z_from.imag + 0.0
     arg = math.atan2(im0, re0)
-    pending = [(z_to, 0)]  # ends of the pieces still to walk, last one first
+    pending = [(z_to, 0)]  # ends of the pieces still to walk, the next one last
     for _ in range(_MAX_PIECES):
         z, depth = pending.pop()
         re1, im1 = c * z.real + d, c * z.imag + 0.0

@@ -33,8 +33,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tolerances as tol_mod
 from .errors import ConstructionFailure, RelationFailure
 from .halfplane import (
@@ -285,8 +283,8 @@ def _action_deviation(h: LiftedIsometry, vertical_shift: float, x, y, t) -> floa
     """Worst distance of h from the vertical shift on the points (x_k, y_k, t_k):
     |dx| + |dy| and |dt - vertical_shift| at each point, NaN if any is NaN."""
     image_x, image_y, image_t = h.apply_many(x, y, t)
-    return tol_mod.worst([*(np.abs(image_x - x) + np.abs(image_y - y)).tolist(),
-                          *np.abs(image_t - (t + vertical_shift)).tolist()])
+    return tol_mod.worst([*(abs(image_x - x) + abs(image_y - y)).tolist(),
+                          *abs(image_t - (t + vertical_shift)).tolist()])
 
 
 @dataclass

@@ -312,3 +312,16 @@ def test_a_nan_in_any_one_entry_of_the_step_error_gives_a_nan_error(entry):
     new_state, err = dynamics._rkf_step(jac, tuple(state), 50.0)
     assert list(new_state) == [math.inf if k == entry else 0.0 for k in range(4)]
     assert math.isnan(err)
+
+
+def test_a_nan_anywhere_in_the_jacobian_leaves_the_step_cap_at_t(monkeypatch):
+    # the spin bound reads a NaN in any entry of A, as it reads one in the first
+    model = LocalModel(1j, 1.0, 0.01)
+    steps = []
+    for entry in range(4):
+        rows = [0.5, -0.25, 0.125, 0.0]
+        rows[entry] = math.nan
+        monkeypatch.setattr(dynamics, "field_jacobian",
+                            lambda model, z, e=tuple(rows): ((e[0], e[1]), (e[2], e[3])))
+        steps.append(integrate_monodromy(model, 100.0).steps)
+    assert steps == [3] * 4

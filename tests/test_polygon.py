@@ -243,3 +243,16 @@ def test_relation_check_applies_no_matrix_point_by_point(monkeypatch):
         check_relations(group, samples=50, seed=7)
     # one image of i per composition of the lifted product, none per point
     assert len(calls) == 3
+
+
+def test_a_nan_lift_fails_its_relations():
+    group = group_for(2, 3, 7)
+    from brieskorn.halfplane import LiftedIsometry
+
+    group.lifted_generators[2] = LiftedIsometry(group.lifted_generators[2].base, math.nan)
+    with pytest.raises(RelationFailure) as excinfo:
+        check_relations(group)
+    # the t-deviations follow the space deviations; a NaN among them is kept
+    assert excinfo.value.check == "lift_order[3]"
+    assert math.isnan(excinfo.value.value)
+    assert math.isnan(excinfo.value.report.residuals["lift_product"])
