@@ -229,7 +229,8 @@ def test_relation_residuals_equal_the_point_by_point_oracle_bit_for_bit(monkeypa
         expected = lifted_residuals(group, **sampling)
         assert {k: v.hex() for k, v in residuals.items() if k.startswith("lift")} == {
             k: v.hex() for k, v in expected.items()}, exponents
-    assert recursive >= 100
+    # 9,503 rows of the 500 tuples turn by pi/2 or more at the first step
+    assert recursive >= 5000
 
 
 def test_relation_check_applies_no_matrix_point_by_point(monkeypatch):
