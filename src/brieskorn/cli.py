@@ -257,7 +257,7 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
                 result = outcomes[model.epsilon]
                 failed = isinstance(result, NondegeneracyFailure)
                 integrated = result.result if failed else result
-                row.update(steps=integrated.steps, rejected_steps=integrated.rejected_steps)
+                row["steps"] = integrated.steps
                 if failed:
                     row["error"] = str(result)
                     failures.append(NondegeneracyFailure(

@@ -18,10 +18,11 @@ and the grading of the orbit follows from floor((rotation)/2pi).
 The field, its Jacobian and the model's Hessian are plain float tuples.
 The return map is integrated at the zero, where X(v) = 0: the base point
 never moves and the variational system is M' = A M with the constant
-A = dX(v), evaluated once per integration. M is integrated on four Python
-floats with the Fehlberg tableau unrolled stage by stage: no step calls
-numpy or BLAS, so the integration is IEEE-deterministic. Only the finished
-monodromy and the closed-form map are numpy arrays.
+A = dX(v), evaluated once per integration. M is integrated by fixed
+2-stage Gauss-Legendre steps, which conserve det M = 1, on four Python
+floats: no step calls numpy or BLAS, so the integration is
+IEEE-deterministic. Only the finished monodromy and the closed-form map are
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -115,154 +116,74 @@ def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
     return matrix, -theta
 
 
-# Fehlberg 4(5) embedded pair
-_RKF_A = (
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+# Fixed step: h * spin <= _TURN, spin the largest entry of |A|. Each step
+# then turns M by at most about 0.1, far below pi for the unwrap, and the
+# Pade phase error of a step that turns by theta is theta**5/720.
+_TURN = 0.1
 
 
-(_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43), \
-    (_A50, _A51, _A52, _A53, _A54) = _RKF_A
-_B50, _B51, _B52, _B53, _B54, _B55 = _RKF_B5
-_B40, _B41, _B42, _B43, _B44, _B45 = _RKF_B4
+def _gauss_legendre_map(jac, h):
+    """The 2-stage Gauss-Legendre step of M' = A M, A = ``jac``, as four floats.
 
-
-def _rkf_step(jac, state, h):
-    """One Fehlberg 4(5) step of M' = A M, A = ``jac``: (fifth-order M, error).
-
-    The state is M as four floats, row by row. The six stages are written
-    out: entry by entry, each stage adds h * (0 + a0*k0 + a1*k1 + ...) in
-    tableau order, as ``sum`` over the tableau would, and each k is A M as
-    four two-term sums.
+    A is constant, so the stage equations are linear and the step is the
+    (2,2) Pade map S = D^-1 N of hA, N = I + hA/2 + (hA)^2/12 and
+    D = I - hA/2 + (hA)^2/12, with D^-1 = adj(D) / det(D). S is returned row
+    by row, like the state. A NaN or an infinity anywhere in A makes S NaN.
     """
-    (j0, j1), (j2, j3) = jac
-    a, b, c, d = state
-    k0a, k0b, k0c, k0d = j0 * a + j1 * c, j0 * b + j1 * d, j2 * a + j3 * c, j2 * b + j3 * d
-    sa = a + h * (0 + _A10 * k0a)
-    sb = b + h * (0 + _A10 * k0b)
-    sc = c + h * (0 + _A10 * k0c)
-    sd = d + h * (0 + _A10 * k0d)
-    k1a, k1b, k1c, k1d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
-    sa = a + h * (0 + _A20 * k0a + _A21 * k1a)
-    sb = b + h * (0 + _A20 * k0b + _A21 * k1b)
-    sc = c + h * (0 + _A20 * k0c + _A21 * k1c)
-    sd = d + h * (0 + _A20 * k0d + _A21 * k1d)
-    k2a, k2b, k2c, k2d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
-    sa = a + h * (0 + _A30 * k0a + _A31 * k1a + _A32 * k2a)
-    sb = b + h * (0 + _A30 * k0b + _A31 * k1b + _A32 * k2b)
-    sc = c + h * (0 + _A30 * k0c + _A31 * k1c + _A32 * k2c)
-    sd = d + h * (0 + _A30 * k0d + _A31 * k1d + _A32 * k2d)
-    k3a, k3b, k3c, k3d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
-    sa = a + h * (0 + _A40 * k0a + _A41 * k1a + _A42 * k2a + _A43 * k3a)
-    sb = b + h * (0 + _A40 * k0b + _A41 * k1b + _A42 * k2b + _A43 * k3b)
-    sc = c + h * (0 + _A40 * k0c + _A41 * k1c + _A42 * k2c + _A43 * k3c)
-    sd = d + h * (0 + _A40 * k0d + _A41 * k1d + _A42 * k2d + _A43 * k3d)
-    k4a, k4b, k4c, k4d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
-    sa = a + h * (0 + _A50 * k0a + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a)
-    sb = b + h * (0 + _A50 * k0b + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b)
-    sc = c + h * (0 + _A50 * k0c + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c)
-    sd = d + h * (0 + _A50 * k0d + _A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-    k5a, k5b, k5c, k5d = j0 * sa + j1 * sc, j0 * sb + j1 * sd, j2 * sa + j3 * sc, j2 * sb + j3 * sd
-    a5 = a + h * (0 + _B50 * k0a + _B51 * k1a + _B52 * k2a + _B53 * k3a
-                  + _B54 * k4a + _B55 * k5a)
-    b5 = b + h * (0 + _B50 * k0b + _B51 * k1b + _B52 * k2b + _B53 * k3b
-                  + _B54 * k4b + _B55 * k5b)
-    c5 = c + h * (0 + _B50 * k0c + _B51 * k1c + _B52 * k2c + _B53 * k3c
-                  + _B54 * k4c + _B55 * k5c)
-    d5 = d + h * (0 + _B50 * k0d + _B51 * k1d + _B52 * k2d + _B53 * k3d
-                  + _B54 * k4d + _B55 * k5d)
-    a4 = a + h * (0 + _B40 * k0a + _B41 * k1a + _B42 * k2a + _B43 * k3a
-                  + _B44 * k4a + _B45 * k5a)
-    b4 = b + h * (0 + _B40 * k0b + _B41 * k1b + _B42 * k2b + _B43 * k3b
-                  + _B44 * k4b + _B45 * k5b)
-    c4 = c + h * (0 + _B40 * k0c + _B41 * k1c + _B42 * k2c + _B43 * k3c
-                  + _B44 * k4c + _B45 * k5c)
-    d4 = d + h * (0 + _B40 * k0d + _B41 * k1d + _B42 * k2d + _B43 * k3d
-                  + _B44 * k4d + _B45 * k5d)
-    ea, eb, ec, ed = abs(a5 - a4), abs(b5 - b4), abs(c5 - c4), abs(d5 - d4)
-    # the largest, or NaN if one is NaN: the sum is NaN exactly then
-    err = ea + eb + ec + ed
-    if err == err:
-        err = max(ea, eb, ec, ed)
-    return (a5, b5, c5, d5), err
+    (a, b), (c, d) = jac
+    p, q, r, s = h * a, h * b, h * c, h * d
+    # (hA)^2 / 12
+    x0, x1 = (p * p + q * r) / 12.0, (p * q + q * s) / 12.0
+    x2, x3 = (r * p + s * r) / 12.0, (r * q + s * s) / 12.0
+    n0, n1, n2, n3 = 1.0 + p / 2.0 + x0, q / 2.0 + x1, r / 2.0 + x2, 1.0 + s / 2.0 + x3
+    d0, d1, d2, d3 = 1.0 - p / 2.0 + x0, x1 - q / 2.0, x2 - r / 2.0, 1.0 - s / 2.0 + x3
+    det = d0 * d3 - d1 * d2
+    i0, i1, i2, i3 = d3 / det, -d1 / det, -d2 / det, d0 / det
+    return i0 * n0 + i1 * n2, i0 * n1 + i1 * n3, i2 * n0 + i3 * n2, i2 * n1 + i3 * n3
 
 
 @dataclass
 class MonodromyResult:
     matrix: np.ndarray
     rotation: float  # unwrapped signed rotation of the first column
-    steps: int  # accepted steps
-    rejected: int  # steps retried with a smaller h
+    steps: int
 
 
-def integrate_monodromy(model, T: float, *, step_tol: float = 1e-10) -> MonodromyResult:
+def integrate_monodromy(model, T: float) -> MonodromyResult:
     """Monodromy of the variational system over [0, T] at the model's zero.
 
     X(v) = 0, so the base point stays at v and the variational system is
-    M' = A M with the constant A = dX(v), integrated from M = identity with
-    an adaptive Fehlberg 4(5) pair. A is evaluated once per call. The
-    rotation of the first column of M is accumulated step by step (steps
-    are kept small enough that the per-step turn stays well under pi, so
-    the unwrap is unambiguous).
+    M' = A M with the constant A = dX(v), evaluated once per call. M is
+    integrated from the identity by N fixed 2-stage Gauss-Legendre steps of
+    h = T/N, N = ceil(T * spin / 0.1). Collocation conserves quadratic
+    invariants, so det M stays 1 to rounding for the trace-free A. The
+    rotation of the first column of M is accumulated step by step.
 
-    The state is M as four Python floats and every stage is written out in
-    plain float arithmetic, so no step calls numpy or BLAS and the result
-    is IEEE-deterministic. The error tolerance is scaled by the largest of
-    1, |Re v|, |Im v| and the entries of M, the size of the whole state
-    (z, M) of the variational system, whose z stays at v.
+    The step map S is formed once, and each step is M <- S M on four Python
+    floats, so no step calls numpy or BLAS and the result is
+    IEEE-deterministic. A NaN or infinite spin gives one step, and then a
+    NaN monodromy.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     if T == 0.0:
-        return MonodromyResult(matrix=np.eye(2), rotation=0.0, steps=0, rejected=0)
+        return MonodromyResult(matrix=np.eye(2), rotation=0.0, steps=0)
 
     jac = field_jacobian(model, model.v)
-    vx, vy = abs(model.v.real), abs(model.v.imag)
-    # keep per-step rotation bounded for the unwrap
     spin = tol_mod.worst(abs(entry) for row in jac for entry in row)
-    cap = min(T, 0.5 / spin) if spin > 0 else T
+    turns = T * spin / _TURN
+    steps = math.ceil(turns) if 1.0 < turns < math.inf else 1
+    s0, s1, s2, s3 = _gauss_legendre_map(jac, T / steps)
 
-    state = (1.0, 0.0, 0.0, 1.0)
-    t = 0.0
-    h = min(cap, T / 8.0)
-    rotation = 0.0
-    prev_angle = 0.0
-    steps = rejected = 0
-    while t < T:
-        h = min(h, T - t, cap)
-        new_state, err = _rkf_step(jac, state, h)
-        # no NaN guard: a NaN in v or M makes err NaN, and then scale is unread
-        scale = step_tol * max(1.0, vx, vy, abs(state[0]), abs(state[1]),
-                               abs(state[2]), abs(state[3]))
-        if err > scale and h > 1e-13 * T:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-            rejected += 1
-            continue
-        state = new_state
-        t += h
-        steps += 1
-        angle = math.atan2(state[2], state[0])
-        delta = angle - prev_angle
-        while delta > math.pi:
-            delta -= 2.0 * math.pi
-        while delta < -math.pi:
-            delta += 2.0 * math.pi
-        rotation += delta
+    m0, m1, m2, m3 = 1.0, 0.0, 0.0, 1.0
+    rotation = prev_angle = 0.0
+    for _ in range(steps):
+        m0, m1, m2, m3 = (s0 * m0 + s1 * m2, s0 * m1 + s1 * m3,
+                          s2 * m0 + s3 * m2, s2 * m1 + s3 * m3)
+        angle = math.atan2(m2, m0)
+        rotation += math.remainder(angle - prev_angle, 2.0 * math.pi)
         prev_angle = angle
-        if err > 0:
-            h = min(cap, h * min(5.0, 0.9 * (scale / err) ** 0.2))
-        else:
-            h = min(cap, h * 5.0)
-    m0, m1, m2, m3 = state
-    return MonodromyResult(
-        matrix=np.array([[m0, m1], [m2, m3]]), rotation=rotation, steps=steps, rejected=rejected
-    )
+    return MonodromyResult(matrix=np.array([[m0, m1], [m2, m3]]), rotation=rotation, steps=steps)
 
 
 @dataclass
@@ -276,8 +197,7 @@ class LinearizedReturn:
     determinant: float
     relative_error: float
     cz_index: int | None
-    steps: int  # accepted integrator steps
-    rejected_steps: int
+    steps: int  # integrator steps
 
 
 def linearized_return_map(
@@ -304,8 +224,9 @@ def linearized_return_map(
     """
     tols = tol_mod.resolve(tolerances)
     analytic_matrix, analytic_angle = analytic_return(model, T)
-    ode = integrate_monodromy(model, T, step_tol=tols["ode_step"])
-    determinant = float(np.linalg.det(ode.matrix))
+    ode = integrate_monodromy(model, T)
+    with np.errstate(invalid="ignore"):  # a NaN monodromy has a NaN determinant
+        determinant = float(np.linalg.det(ode.matrix))
     relative_error = float(
         np.linalg.norm(ode.matrix - analytic_matrix) / np.linalg.norm(analytic_matrix)
     )
@@ -323,7 +244,6 @@ def linearized_return_map(
         relative_error=relative_error,
         cz_index=None,
         steps=ode.steps,
-        rejected_steps=ode.rejected,
     )
 
     two_pi = 2.0 * math.pi

@@ -23,8 +23,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "area": 1e-12,
     # measured interior angles against the prescribed ones
     "angle": 1e-10,
-    # per-step error target of the adaptive integrator
-    "ode_step": 1e-10,
     # relative mismatch between integrated and closed-form monodromy
     "ode_vs_analytic": 1e-6,
     # monodromy determinant drift from 1

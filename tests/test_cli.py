@@ -1,12 +1,19 @@
 """Command-line interface: exit codes, payloads, determinism."""
 
+import ast
+import contextlib
+import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from brieskorn import cli, dynamics, polygon, tolerances
+from brieskorn import cli, dynamics, polygon, tolerances, validate_params
+from brieskorn.errors import NotHyperbolic
 from halfplane_reference import random_mobius, random_point
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
@@ -146,7 +153,7 @@ def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
     )
-    assert code == EXIT_TOLERANCE
+    assert code == EXIT_OK
     # one draw call leaves the generator where 30 matrix and point draws
     # would, and hands all 30 samples to one array call
     rng = random.Random(3)
@@ -196,10 +203,44 @@ def test_rotation_rows_report_the_integrator_work(monkeypatch):
     distinct = {}
     for row in report["verification"]["rotation_table"]:
         key = (row["vertex"], row["iterate"], row["epsilon"])
-        distinct.setdefault(key, (row["steps"], row["rejected_steps"]))
-    work = [(r.steps, r.rejected) for r in integrations]
-    assert list(distinct.values()) == work
-    assert any(rejected for _, rejected in work)
+        distinct.setdefault(key, row)
+    assert [row["steps"] for row in distinct.values()] == [r.steps for r in integrations]
+    for row in distinct.values():
+        assert "rejected_steps" not in row
+        # the fewest equal steps that each turn M by at most 0.1
+        turn = abs(row["analytic_angle"])
+        assert turn / row["steps"] <= 0.1 * (1 + 1e-12)
+        assert row["steps"] == 1 or turn / (row["steps"] - 1) > 0.1
+    assert max(row["steps"] for row in distinct.values()) > 1
+
+
+NEAR_EUCLIDEAN = [(2, 3, a) for a in range(7, 13)] + [(2, 4, a) for a in range(5, 9)] \
+    + [(3, 3, a) for a in range(4, 7)]
+
+
+def _hyperbolic(exponents):
+    try:
+        validate_params(list(exponents))
+    except NotHyperbolic:
+        return False
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.one_of(
+    st.sampled_from(NEAR_EUCLIDEAN),
+    st.lists(st.integers(2, 1000), min_size=3, max_size=5).map(tuple),
+    st.integers(5, 60).map(lambda k: (2,) * k),
+))
+@example((100, 100, 100))
+@example((2,) * 60)
+def test_verify_dynamics_passes_across_the_hyperbolic_range(exponents):
+    assume(_hyperbolic(exponents))
+    argv = ["verify-dynamics", "--exponents", ",".join(map(str, exponents))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == EXIT_OK, json.loads(out.getvalue())["errors"]
 
 
 def test_json_reports_are_deterministic():
@@ -277,6 +318,11 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["compare", "--exponents", "2,3,7", "--classes", "0"], None,
      EXIT_VALIDATION, "ConfigError"),
+    # the fixed-step integrator has no step tolerance any more
+    (["verify-dynamics", "--exponents", "2,3,7", "--tol", "ode_step=1"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["verify-dynamics", "--exponents", "2,3,7"], "ode_step=1",
+     EXIT_VALIDATION, "UnknownTolerance"),
 ]
 
 
@@ -302,6 +348,18 @@ def test_tolerance_values_fail_closed(value, capsys, monkeypatch):
     monkeypatch.setenv(tolerances.ENV_VAR, f"determinant={value}")
     assert main(argv) == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().out)["errors"][0]["type"] == "ConfigError"
+
+
+def _string_literals(path):
+    return {node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_tolerance_is_read_outside_its_declaration():
+    package = Path(tolerances.__file__).parent
+    literals = set().union(*(_string_literals(path) for path in package.glob("*.py")
+                             if path.name != "tolerances.py"))
+    assert set(tolerances.DEFAULT_TOLERANCES) - literals == set()
 
 
 def test_resolve_is_idempotent_and_run_checks_direct_configs():

@@ -4,8 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brieskorn import dynamics, seifert_data, tolerances, validate_params
 from brieskorn.dynamics import (
@@ -18,7 +21,7 @@ from brieskorn.dynamics import (
 )
 from brieskorn.errors import NondegeneracyFailure
 from brieskorn.polygon import build_polygon_group
-from rkf_reference import reference_monodromy
+from collocation_reference import reference_monodromy, reference_steps
 
 
 def test_unperturbed_field_vanishes():
@@ -195,10 +198,11 @@ def test_monodromy_preserves_the_hyperbolic_area_form():
     # the flow preserves dx dy / y^2, so the Euclidean determinant of the
     # derivative equals the square of the conformal factor ratio; on the
     # closed orbit (start at the zero) that ratio is one. Only the reference
-    # integrates off the zero.
+    # integrates off the zero, where the ratio is no quadratic invariant, so
+    # it takes 200 steps rather than its own 24
     model = LocalModel(0.3 + 1.4j, 1.2, 0.2)
     start = 0.9 + 0.8j
-    matrix, _, endpoint, _, _ = reference_monodromy(model, 5.0, start=start)
+    matrix, _, endpoint, _ = reference_monodromy(model, 5.0, start=start, steps=200)
     weighted = np.linalg.det(matrix) * start.imag**2 / endpoint.imag**2
     assert abs(weighted - 1.0) < 1e-9
     on_orbit = integrate_monodromy(model, 5.0)
@@ -209,9 +213,6 @@ def test_analytic_return_rate():
     model = LocalModel(0.5 + 2j, 3.0, 1e-2)
     _, angle = analytic_return(model, 1.0)
     assert angle == pytest.approx(-2 * 1e-2 * 4.0 * 9.0)
-
-
-STEP_TOL = tolerances.resolve(None)["ode_step"]
 
 
 def _lab_models(fuzz_corpus, seed):
@@ -252,28 +253,74 @@ def test_the_base_point_never_moves_at_the_zero(fuzz_corpus):
     models = list(_lab_models(fuzz_corpus, seed=5)) + list(_workload_models())
     for model, period, _ in models:
         assert all(x == 0.0 for x in hamiltonian_field(model, model.v))
-        _, _, endpoint, _, _ = reference_monodromy(model, period, step_tol=STEP_TOL)
+        _, _, endpoint, _ = reference_monodromy(model, period)
         assert endpoint == model.v
 
 
-def test_integrator_matches_the_numpy_reference_bit_for_bit_at_the_zero(fuzz_corpus):
-    # at the zero the Jacobian is antidiagonal, so each entry of dX * M has
-    # one nonzero product and the two-term float sums equal the reference's
-    # matrix product exactly; the reference's step-size scale reads the base
-    # point too, so the package's must
+def test_integrator_matches_the_collocation_reference_at_the_zero(fuzz_corpus):
+    # the package's closed Pade map and the reference's stage equations, solved
+    # by fixed-point iteration, are one Gauss-Legendre step up to rounding
     clamped = free = 0
     models = list(_lab_models(fuzz_corpus, seed=5)) + list(_workload_models())
     for model, period, requested in models:
         clamped += model.epsilon < requested
         free += model.epsilon == requested
-        got = integrate_monodromy(model, period, step_tol=STEP_TOL)
-        matrix, rotation, _, steps, rejected = reference_monodromy(
-            model, period, step_tol=STEP_TOL
-        )
-        assert got.matrix.tolist() == matrix.tolist()
-        assert got.rotation == rotation
-        assert (got.steps, got.rejected) == (steps, rejected)
+        got = integrate_monodromy(model, period)
+        matrix, rotation, _, steps = reference_monodromy(model, period)
+        assert got.steps == steps
+        assert np.abs(got.matrix - matrix).max() <= 1e-14
+        assert abs(got.rotation - rotation) <= 1e-14
     assert clamped and free
+
+
+def _expm_error(model, T, matrix):
+    """Relative Frobenius distance of ``matrix`` from exp(T A) at 50 digits."""
+    with mpmath.workdps(50):
+        exact = mpmath.expm(T * mpmath.matrix(field_jacobian(model, model.v)))
+        return float(mpmath.mnorm(mpmath.matrix(matrix.tolist()) - exact, "f")
+                     / mpmath.mnorm(exact, "f"))
+
+
+# in_window caps the turn T * spin at pi/2, so at most 16 steps of turn theta
+# <= 0.1, each off by theta**5/720: a relative error of at most about 2.1e-7
+PADE_BOUND = 2.2e-7
+
+
+def test_the_lab_monodromies_stay_within_the_pade_bound_of_the_exponential(fuzz_corpus):
+    models = list(_lab_models(fuzz_corpus, seed=5)) + list(_workload_models())
+    # the clamped turn pi/2 takes 16 steps of turn 0.098, the worst case
+    models.append((LocalModel.in_window(1j, Fraction(1), 0.5), 2 * math.pi, 0.5))
+    errors = []
+    for model, period, _ in models:
+        got = integrate_monodromy(model, period)
+        errors.append(_expm_error(model, period, got.matrix))
+        assert abs(np.linalg.det(got.matrix) - 1.0) <= 1e-13
+    assert max(errors) <= PADE_BOUND
+    assert max(errors) > 1e-7  # the bound is met, not dodged
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    x=st.floats(-5.0, 5.0),
+    y=st.floats(0.05, 2000.0),
+    ratio=st.fractions(Fraction(1, 200), Fraction(40)),
+    requested=st.floats(1e-6, 0.99),
+)
+def test_every_windowed_model_stays_within_the_pade_bound(x, y, ratio, requested):
+    model = LocalModel.in_window(complex(x, y), ratio, requested)
+    period = 2 * math.pi * float(ratio)
+    got = integrate_monodromy(model, period)
+    assert _expm_error(model, period, got.matrix) <= PADE_BOUND
+    assert abs(np.linalg.det(got.matrix) - 1.0) <= 1e-13
+
+
+def test_the_rotation_is_unwrapped_over_several_turns():
+    # 2 * eps * T = 40 radians, six full turns of the first column
+    model = LocalModel(1j, 1.0, 0.5)
+    got = integrate_monodromy(model, 40.0)
+    _, angle = analytic_return(model, 40.0)
+    assert got.steps == 400
+    assert got.rotation == pytest.approx(angle, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -295,33 +342,33 @@ def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch
         monkeypatch.setattr(dynamics, name, recording(name))
     result = integrate_monodromy(model, T)
     monkeypatch.undo()
-    _, _, _, steps, rejected = reference_monodromy(model, T)
-    assert (result.steps, result.rejected) == (steps, rejected)
-    assert rejected > 0
     assert calls == {"hamiltonian_field": [], "field_jacobian": [(model, model.v)]}
-
-
-@pytest.mark.parametrize("entry", range(4))
-def test_a_nan_in_any_one_entry_of_the_step_error_gives_a_nan_error(entry):
-    # M' = 2 M on one column, from a huge entry: over h = 50 the fifth- and
-    # fourth-order values of that entry both overflow to inf, so its error
-    # entry is inf - inf, while the other three entries stay 0
-    state = [0.0] * 4
-    state[entry] = 1e300
-    jac = ((2.0, 0.0), (0.0, 0.0)) if entry < 2 else ((0.0, 0.0), (0.0, 2.0))
-    new_state, err = dynamics._rkf_step(jac, tuple(state), 50.0)
-    assert list(new_state) == [math.inf if k == entry else 0.0 for k in range(4)]
-    assert math.isnan(err)
+    # the fixed step count: ceil(T * spin / 0.1), more than one step here
+    assert result.steps == reference_steps(model, T) > 1
 
 
 def test_a_nan_anywhere_in_the_jacobian_leaves_the_step_cap_at_t(monkeypatch):
-    # the spin bound reads a NaN in any entry of A, as it reads one in the first
+    # a NaN spin takes one step of h = T, as a zero spin does; the monodromy
+    # is then NaN, and the return map refuses it as a typed failure
     model = LocalModel(1j, 1.0, 0.01)
-    steps = []
     for entry in range(4):
         rows = [0.5, -0.25, 0.125, 0.0]
         rows[entry] = math.nan
         monkeypatch.setattr(dynamics, "field_jacobian",
                             lambda model, z, e=tuple(rows): ((e[0], e[1]), (e[2], e[3])))
-        steps.append(integrate_monodromy(model, 100.0).steps)
-    assert steps == [3] * 4
+        got = integrate_monodromy(model, 100.0)
+        assert got.steps == 1
+        assert np.isnan(got.matrix).all() and math.isnan(got.rotation)
+        with pytest.raises(NondegeneracyFailure) as excinfo:
+            linearized_return_map(model, 100.0)
+        assert excinfo.value.result.steps == 1
+        assert math.isnan(excinfo.value.result.determinant)
+
+
+def test_an_overflowing_jacobian_takes_one_step_to_a_nan_monodromy():
+    # far up the half-plane y^2 overflows: dX(v) is ((nan, inf), (-inf, nan))
+    model = LocalModel(1e200j, 1.0, 0.5)
+    assert str(field_jacobian(model, model.v)) == "((nan, inf), (-inf, nan))"
+    got = integrate_monodromy(model, 1.0)
+    assert got.steps == 1
+    assert np.isnan(got.matrix).all() and math.isnan(got.rotation)
