@@ -163,8 +163,10 @@ def _run_compare(config: RunConfig, data, report: dict) -> list:
     chain = chain_homology(data, floor, config.classes)
     oracle = closed_form_homology(data, floor)
     comparison = compare_graded(chain, oracle, floor)
-    report["homology"] = {"dims": _dims_payload(chain)}
-    report["oracle"] = _dims_payload(oracle)
+    dims = _dims_payload(chain)
+    report["homology"] = {"dims": dims}
+    # equal dicts have equal payloads; a copy is one C-level pass
+    report["oracle"] = dict(dims) if oracle == chain else _dims_payload(oracle)
     report["comparison"] = {"equal": comparison.equal, "floor": floor}
     if comparison.equal:
         return []
@@ -334,6 +336,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return failures[0].exit_code, report
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _leaves(node, path: str = ""):
     """(path, compact JSON) for every leaf of a report, in its own key order."""
     if isinstance(node, dict) and node:
@@ -343,12 +348,81 @@ def _leaves(node, path: str = ""):
         for i, child in enumerate(node):
             yield from _leaves(child, f"{path}[{i}]")
     else:
-        yield path, json.dumps(node, separators=(",", ":"))
+        yield path, _COMPACT.encode(node)
+
+
+_INDENT = "  "
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_FLAT_ENCODERS: dict[int, json.JSONEncoder] = {}  # by depth; each is C-encoded
+
+
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """An encoder whose item separator starts a line at ``depth`` indents.
+
+    Without ``indent`` json runs its C encoder, and on a container that holds
+    only scalars this separator makes it write the lines that ``indent=2``
+    writes between the container's first and last line.
+    """
+    encoder = _FLAT_ENCODERS.get(depth)
+    if encoder is None:
+        encoder = _FLAT_ENCODERS[depth] = json.JSONEncoder(
+            sort_keys=True, separators=(",\n" + _INDENT * depth, ": ")
+        )
+    return encoder
+
+
+def _indented(node, depth: int, out: list, walking: set) -> None:
+    """Append ``json.dumps(node, indent=2, sort_keys=True)`` at ``depth`` to out.
+
+    Containers are walked in Python down to the first one that holds only
+    scalars (or nothing), which the C encoder writes whole; every other value
+    is a leaf that the C encoder writes or refuses as json would. Keys are
+    sorted first and converted after, and a container met again inside
+    itself is refused, as json does.
+    """
+    if isinstance(node, dict):
+        values, brackets = node.values(), "{}"
+    elif isinstance(node, (list, tuple)):
+        values, brackets = node, "[]"
+    else:
+        out.append(_COMPACT.encode(node))
+        return
+    inner = _INDENT * (depth + 1)
+    if _SCALARS.issuperset(map(type, values)):
+        text = _flat_encoder(depth + 1).encode(node)
+        if node:
+            text = f"{brackets[0]}\n{inner}{text[1:-1]}\n{_INDENT * depth}{brackets[1]}"
+        out.append(text)
+        return
+    if id(node) in walking:
+        raise ValueError("Circular reference detected")
+    walking.add(id(node))
+    out.append(brackets[0])
+    separator = "\n" + inner
+    if brackets == "{}":
+        for key, value in sorted(node.items()):
+            if isinstance(key, (int, float)) or key is None:
+                key = _COMPACT.encode(key)
+            elif not isinstance(key, str):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out.append(f"{separator}{_COMPACT.encode(key)}: ")
+            _indented(value, depth + 1, out, walking)
+            separator = ",\n" + inner
+    else:
+        for value in node:
+            out.append(separator)
+            _indented(value, depth + 1, out, walking)
+            separator = ",\n" + inner
+    walking.discard(id(node))
+    out.append(f"\n{_INDENT * depth}{brackets[1]}")
 
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        out: list[str] = []
+        _indented(report, 0, out, set())
+        return "".join(out)
     separator = "\t" if fmt == "tsv" else " = "
     return "\n".join(f"{path}{separator}{value}" for path, value in _leaves(report))
 

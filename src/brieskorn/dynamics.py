@@ -58,7 +58,7 @@ class LocalModel:
         """
         period = 2.0 * math.pi * float(period_ratio)
         gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
-        limit = 0.25 * gap / (2.0 * v.imag**2 * period)
+        limit = 0.25 * gap / (2.0 * _square(v.imag) * period)
         return cls(v, 1.0, min(epsilon, limit))
 
     def f(self, z: complex) -> float:
@@ -102,18 +102,32 @@ def field_jacobian(model, z: complex) -> tuple[tuple[float, float], tuple[float,
     )
 
 
+def _square(y: float) -> float:
+    """``y ** 2``, or inf where the float power overflows (|y| above about 1.3e154).
+
+    The power, not ``y * y``: the two differ in the last bit for some y, and
+    every rotation row rests on this one.
+    """
+    try:
+        return y ** 2
+    except OverflowError:
+        return math.inf
+
+
 def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
     """Closed-form linearized return map at the zero of the local model.
 
     Returns the matrix and the signed rotation angle (negative, i.e.
-    clockwise, for positive epsilon).
+    clockwise, for positive epsilon). An infinite angle has no rotation
+    matrix, so the matrix is NaN there, as the integrated one is.
     """
-    rate = 2.0 * model.epsilon * model.v.imag ** 2 * abs(model.coefficient) ** 2
+    rate = 2.0 * model.epsilon * _square(model.v.imag) * abs(model.coefficient) ** 2
     theta = rate * T
-    matrix = np.array(
-        [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
-    )
-    return matrix, -theta
+    if math.isinf(theta):  # math.cos and math.sin refuse it
+        cos = sin = math.nan
+    else:
+        cos, sin = math.cos(theta), math.sin(theta)
+    return np.array([[cos, sin], [-sin, cos]]), -theta
 
 
 # Fixed step: h * spin <= _TURN, spin the largest entry of |A|. Each step

@@ -10,6 +10,9 @@ package.
 ``long_closed_form`` enumerates the closed form one exceptional iterate of
 one orbifold point, and one fiber class, at a time down to the floor,
 where ``closed_form_answer`` tiles one period.
+
+``loop_tile`` repeats every block entry one grading at a time, where
+``closedform._tile`` writes each run of equal values in one update.
 """
 
 import math
@@ -23,6 +26,17 @@ from brieskorn.orbits import build_complex, orbifold_points
 def _add(dims, grading, amount=1):
     if amount:
         dims[grading] = dims.get(grading, 0) + amount
+
+
+def loop_tile(blocks, period, grading_floor) -> dict[int, int]:
+    """Every dimension of the blocks repeated ``period`` gradings apart, down to the floor."""
+    total: dict[int, int] = {}
+    for block in blocks:
+        for grading, dim in block.items():
+            if dim:
+                for shifted in range(grading, grading_floor - 1, -period):
+                    total[shifted] = total.get(shifted, 0) + dim
+    return total
 
 
 def singleton_grading(data, j, k) -> int:

@@ -1,6 +1,8 @@
 """Closed-form dimensions and the chain-level cross-check."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brieskorn import (
     InconsistentComplex,
@@ -20,6 +22,7 @@ from brieskorn.orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
 from chain_oracle import (
     long_chain_homology,
     long_closed_form,
+    loop_tile,
     singleton_classes,
     singleton_grading,
 )
@@ -101,6 +104,45 @@ def test_compare_flags_mismatch():
 def test_compare_identical_inputs_equal():
     dims = {-2: 3, -5: 1}
     assert compare_graded(dims, dict(dims), -8).equal
+
+
+def test_compare_ignores_explicit_zeros_and_entries_below_the_floor():
+    # unequal dicts that agree at every grading of the window take the scan
+    oracle = {-2: 3, -5: 1}
+    for chain in ({-2: 3, -5: 1, -4: 0}, {-2: 3, -5: 1, -9: 2}, {-2: 3, -5: 1, -4: 0, -20: 1}):
+        report = compare_graded(chain, oracle, -8)
+        assert report.equal and report.first_mismatch is None, chain
+        assert compare_graded(oracle, chain, -8).equal, chain
+    report = compare_graded({-2: 3, -5: 1, -8: 2}, oracle, -8)
+    assert report.first_mismatch == (-8, 2, 0)
+
+
+@st.composite
+def _tiling_cases(draw):
+    """Blocks, a period and a floor; some entries sit below the floor and some
+    a whole number of periods apart, and some dimensions are 0."""
+    period = draw(st.integers(1, 12))
+    floor = draw(st.integers(-200, 0))
+    gradings = st.integers(floor - 3 * period - 5, 0)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.dictionaries(gradings, st.integers(0, 5), max_size=8))
+        for grading, dim in list(block.items()):
+            for k in draw(st.lists(st.integers(1, 4), max_size=2)):
+                block.setdefault(grading - k * period, dim + k % 2)
+        blocks.append(block)
+    return blocks, period, floor
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_tiling_cases())
+# two entries one residue apart, the lower one a period and more below the floor
+@example(([{-2: 1, -10: 1}], 2, -5))
+@example(([{-3: 0, -4: 2}, {-4: 1, -14: 3}], 10, -30))
+@example(([{}], 1, 0))
+def test_run_tiling_equals_the_loop_oracle(case):
+    blocks, period, floor = case
+    assert closedform._tile(blocks, period, floor) == loop_tile(blocks, period, floor)
 
 
 def test_required_classes_matches_window():

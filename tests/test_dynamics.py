@@ -372,3 +372,28 @@ def test_an_overflowing_jacobian_takes_one_step_to_a_nan_monodromy():
     got = integrate_monodromy(model, 1.0)
     assert got.steps == 1
     assert np.isnan(got.matrix).all() and math.isnan(got.rotation)
+
+
+def test_an_overflowing_rate_ends_in_a_nondegeneracy_failure():
+    # Im v ** 2 overflows (1e200j), or the product of the rate does (1e100j with
+    # |c| = 1e60): the closed-form angle is -inf with a NaN matrix, not an
+    # OverflowError or math.cos's ValueError, and the NaN monodromy is refused
+    for model in (LocalModel(1e200j, 1.0, 0.5), LocalModel(1e100j, 1e60, 0.5)):
+        matrix, angle = analytic_return(model, 1.0)
+        assert angle == -math.inf and np.isnan(matrix).all()
+        with pytest.raises(NondegeneracyFailure) as excinfo:
+            linearized_return_map(model, 1.0)
+        result = excinfo.value.result
+        assert result.analytic_angle == -math.inf and result.steps == 1
+        assert math.isnan(result.rotation_angle) and math.isnan(result.relative_error)
+
+
+def test_a_window_far_up_the_half_plane_caps_epsilon_at_zero():
+    # Im v ** 2 overflows in the cap itself, which then reads 0: the model has
+    # no perturbation, and its NaN return map is refused
+    ratio = Fraction(7, 3)
+    model = LocalModel.in_window(1e200j, ratio, 0.01)
+    assert model.epsilon == 0.0
+    with pytest.raises(NondegeneracyFailure) as excinfo:
+        linearized_return_map(model, 2.0 * math.pi * float(ratio), period_ratio=ratio)
+    assert math.isnan(excinfo.value.result.analytic_angle)

@@ -1,0 +1,124 @@
+"""``render(report, "json")`` is ``json.dumps(report, indent=2, sort_keys=True)``.
+
+The renderer walks containers in Python only down to the first one that
+holds nothing but scalars and hands that one to json's C encoder. The oracle
+is the call it replaces, whose ``indent`` runs json's pure-Python encoder.
+The trees below mix every type that call accepts (non-``str`` keys, NaN and
+infinities, non-ASCII strings, tuples, empty containers, ``int`` and
+``float`` subclasses such as ``np.float64``), and the trees it refuses must
+be refused with the same exception type.
+"""
+
+import enum
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from brieskorn import cli
+from brieskorn.cli import render
+
+
+def oracle(tree) -> str:
+    return json.dumps(tree, indent=2, sort_keys=True)
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+class Measure(float):
+    def __repr__(self):  # json writes float.__repr__, never this
+        return "Measure(...)"
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_text = st.text(st.characters(blacklist_categories=()), max_size=6)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**30), 10**30), _floats, _text,
+    _floats.map(np.float64), _floats.map(Measure), st.sampled_from(list(Level)),
+)
+# keys of one dict must compare with each other for sort_keys
+_key_kinds = st.sampled_from([
+    st.text(max_size=4),
+    _text,
+    st.one_of(st.integers(-50, 50), st.booleans(), _floats, _floats.map(np.float64),
+              st.sampled_from(list(Level))),
+    st.none(),
+])
+
+
+def _containers(children):
+    dicts = _key_kinds.flatmap(lambda keys: st.dictionaries(keys, children, max_size=5))
+    return st.one_of(dicts, st.lists(children, max_size=5),
+                     st.lists(children, max_size=4).map(tuple))
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_trees)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": ()})
+@example({"dims": {"-10": 1, "-2": 3}, "x": [[1, 2], [3]], "é": "ü\n\"", "n": None})
+@example({2.5: [math.nan, -math.inf], 1: {True: "t", 0.5: -0.0}, math.nan: ()})
+@example([np.float64(0.1), Measure(1e300), Level.HIGH, {"k": np.float64(-0.0)}])
+@example({None: {"z": 1, "a": {"m": [1, {"q": math.inf}]}}})
+def test_render_equals_json_dumps_with_indent(tree):
+    assert render(tree, "json") == oracle(tree)
+
+
+_refused = [
+    {"a": 1, 2: 3},                      # keys that do not sort
+    {"a": {"b": 1}, 2: 3},
+    {(1, 2): "tuple key"},
+    {"x": {(1, 2): [1]}},
+    {np.int64(3): 1},                    # not an int subclass
+    {"v": np.int64(3)},
+    {"v": [1, {2, 3}]},
+    [object()],
+    {"v": np.bool_(True)},
+]
+
+
+@pytest.mark.parametrize("tree", _refused, ids=range(len(_refused)))
+def test_render_refuses_what_json_dumps_refuses(tree):
+    with pytest.raises(Exception) as expected:
+        oracle(tree)
+    with pytest.raises(expected.type):
+        render(tree, "json")
+
+
+def test_render_refuses_a_circular_report():
+    inner: dict = {"n": 1}
+    tree = {"a": [inner, 2]}
+    inner["loop"] = tree
+    for cycle in (tree, [tree], {"list": (lambda x: (x.append(x), x)[1])([1])}):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            oracle(cycle)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            render(cycle, "json")
+
+
+def test_flat_containers_go_to_the_c_encoder_whole(monkeypatch):
+    # a deep report walks only the few containers above its dims dicts
+    walked = []
+    real = cli._indented
+
+    def counting(node, depth, out, walking):
+        walked.append(type(node).__name__)
+        return real(node, depth, out, walking)
+
+    monkeypatch.setattr(cli, "_indented", counting)
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
+                                         grading_floor=-4000))
+    assert code == cli.EXIT_OK and len(report["oracle"]) == 2000
+    assert render(report, "json") == oracle(report)
+    assert len(walked) < 40
