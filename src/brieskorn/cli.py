@@ -20,12 +20,13 @@ comparison mismatch, 3 failed computation or numerical tolerance, as each
 class in ``brieskorn.errors`` declares. Reports are deterministic for a
 fixed configuration and seed.
 
-JSON prints the report with sorted keys. Text and TSV print one line per
-leaf of the report, in its own key order: the leaf's path (``seifert.d``,
-``generators[0].cz``), then `` = `` for text or a tab for TSV, then the
-value as compact JSON. Dicts and lists that hold a dict are walked; any
-other value, an empty container included, is one leaf, so a matrix stays
-on one line.
+JSON prints the report with sorted keys, byte for byte as
+``json.dumps(report, indent=2, sort_keys=True)`` would. Text and TSV print
+one line per leaf of the report, in its own key order: the leaf's path
+(``seifert.d``, ``generators[0].cz``), then `` = `` for text or a tab for
+TSV, then the value as compact JSON. Dicts and lists that hold a dict are
+walked; any other value, an empty container included, is one leaf, so a
+matrix stays on one line.
 """
 
 from __future__ import annotations
