@@ -15,14 +15,12 @@ from .closedform import (
     closed_form_answer,
     closed_form_homology,
     compare_graded,
-    required_classes,
 )
 from .errors import (
     BrieskornError,
     ConfigError,
     ConstructionFailure,
     DegenerateInput,
-    IncompleteWindow,
     InconsistentComplex,
     InvalidExponent,
     NondegeneracyFailure,
@@ -83,7 +81,6 @@ __all__ = [
     "DegenerateInput",
     "GradedComplex",
     "GradedDims",
-    "IncompleteWindow",
     "InconsistentComplex",
     "InvalidExponent",
     "LiftedIsometry",
@@ -122,7 +119,6 @@ __all__ = [
     "measured_interior_angles",
     "mobius_apply",
     "poincare_series",
-    "required_classes",
     "seifert_data",
     "validate_params",
 ]

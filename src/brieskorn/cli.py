@@ -38,6 +38,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NoReturn
 
 from . import tolerances as tol_mod
 from .closedform import chain_homology, closed_form_homology, compare_graded
@@ -74,7 +75,7 @@ class RunConfig:
     mode: str
     grading_floor: int = -10
     action_bound: Fraction | None = None
-    classes: int | None = None
+    classes: int = 1  # read by the complex mode only
     format: str = "json"
     tolerances: dict[str, float] = field(default_factory=dict)
     rng_seed: int = 0
@@ -132,9 +133,8 @@ def _run_generators(config: RunConfig, data, report: dict) -> list:
 
 
 def _run_complex(config: RunConfig, data, report: dict) -> list:
-    classes = config.classes if config.classes is not None else 1
     payload = []
-    for n in range(1, classes + 1):
+    for n in range(1, config.classes + 1):
         complex_ = build_complex(data, n)
         entry = {
             "class": complex_.class_label,
@@ -153,7 +153,7 @@ def _run_complex(config: RunConfig, data, report: dict) -> list:
 
 
 def _run_homology(config: RunConfig, data, report: dict) -> list:
-    dims = chain_homology(data, config.grading_floor, config.classes)
+    dims = chain_homology(data, config.grading_floor)
     series = poincare_series(dims, config.grading_floor)
     report["homology"] = {"dims": _dims_payload(dims), "series": series.text}
     return []
@@ -161,7 +161,7 @@ def _run_homology(config: RunConfig, data, report: dict) -> list:
 
 def _run_compare(config: RunConfig, data, report: dict) -> list:
     floor = config.grading_floor
-    chain = chain_homology(data, floor, config.classes)
+    chain = chain_homology(data, floor)
     oracle = closed_form_homology(data, floor)
     comparison = compare_graded(chain, oracle, floor)
     dims = _dims_payload(chain)
@@ -324,7 +324,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         for name in ("samples", "iterates"):
             if getattr(config, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
-        if config.classes is not None and config.classes < 1:
+        if config.classes < 1:
             raise ConfigError(f"classes must be >= 1, got {config.classes}")
         data = seifert_data(validate_params(config.exponents))
         report["seifert"] = _seifert_payload(data)
@@ -428,8 +428,18 @@ def render(report: dict, fmt: str) -> str:
     return "\n".join(f"{path}{separator}{value}" for path, value in _leaves(report))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad argument with ``ConfigError``, as do its subparsers (same class)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
+FORMATS = ("json", "tsv", "text")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brieskorn",
         description="Graded Reeb-orbit homology of Brieskorn 3-manifolds of "
         "hyperbolic type, with numerical verification of the geometry behind it.",
@@ -439,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--exponents", required=True,
                        help="comma separated exponents, e.g. 2,3,7")
-        p.add_argument("--format", choices=("json", "tsv", "text"), default="json")
+        p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--seed", type=int, default=0, dest="rng_seed")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override; repeatable "
@@ -465,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         common(p)
         p.add_argument("--grading-floor", type=int, dest="grading_floor", default=-10)
-        p.add_argument("--classes", type=int, default=None)
 
     p = sub.add_parser("verify-geometry", help="polygon area, angles, group relations")
     common(p)
@@ -496,7 +505,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         mode=mode,
         grading_floor=-10 if grading_floor is None else grading_floor,
         action_bound=action_bound,
-        classes=getattr(args, "classes", None),
+        classes=getattr(args, "classes", 1),
         format=args.format,
         tolerances=tol_mod.parse_pairs(args.tol),
         rng_seed=args.rng_seed,
@@ -506,13 +515,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _requested_format(argv) -> str:
+    """The ``--format`` an argv asks for, or json when none can be read."""
+    probe = _Parser(add_help=False)
+    probe.add_argument("--format", choices=FORMATS, default="json")
     try:
-        config = config_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        return probe.parse_known_args(argv)[0].format
+    except ConfigError:
+        return "json"
+
+
+def main(argv=None) -> int:
+    try:
+        config = config_from_args(build_parser().parse_args(argv))
+    except (ValueError, ZeroDivisionError) as exc:  # ConfigError is a ValueError
         refused = ConfigError(str(exc))
-        print(render({"errors": [refused.payload()]}, args.format))
+        print(render({"errors": [refused.payload()]}, _requested_format(argv)))
         return refused.exit_code
     code, report = run(config)
     print(render(report, config.format))

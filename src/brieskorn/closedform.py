@@ -32,11 +32,9 @@ reads the closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ConfigError, InconsistentComplex, IncompleteWindow
+from .errors import ConfigError, InconsistentComplex
 from .homology import GradedDims, graded_homology
 from .invariants import SeifertData
 from .orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
@@ -48,14 +46,14 @@ class ClosedFormAnswer:
 
     ``g_block`` holds the fundamental window of exceptional iterates
     (k = 1 .. t_j - 1 per orbifold point); its total dimension is
-    sum_j s_j * (t_j - 1). ``surface_blocks`` maps fiber class 1 to its
-    copy of the surface homology; class n is that block shifted down by
-    2w(n - 1). ``combined`` is the full truncated answer: the two blocks
-    repeated every 2w gradings down to the floor.
+    sum_j s_j * (t_j - 1). ``surface_block`` is fiber class 1's copy of
+    the surface homology; class n is that block shifted down by 2w(n - 1).
+    ``combined`` is the full truncated answer: the two blocks repeated every
+    2w gradings down to the floor.
     """
 
     g_block: GradedDims
-    surface_blocks: dict[int, GradedDims]
+    surface_block: GradedDims
     combined: GradedDims
 
 
@@ -110,7 +108,7 @@ def closed_form_answer(data: SeifertData, grading_floor: int) -> ClosedFormAnswe
     _add(surface, -2 * w - 2, 1)
 
     combined = _tile([g_block, surface], 2 * w, grading_floor)
-    return ClosedFormAnswer(g_block=g_block, surface_blocks={1: surface}, combined=combined)
+    return ClosedFormAnswer(g_block=g_block, surface_block=surface, combined=combined)
 
 
 def closed_form_homology(data: SeifertData, grading_floor: int) -> GradedDims:
@@ -118,14 +116,7 @@ def closed_form_homology(data: SeifertData, grading_floor: int) -> GradedDims:
     return closed_form_answer(data, grading_floor).combined
 
 
-def required_classes(data: SeifertData, grading_floor: int) -> int:
-    """Fiber classes needed for the chain side to be complete above the floor."""
-    return math.ceil(Fraction(-grading_floor * data.m, 2 * data.d)) + 1
-
-
-def chain_homology(
-    data: SeifertData, grading_floor: int, classes: int | None = None
-) -> GradedDims:
+def chain_homology(data: SeifertData, grading_floor: int) -> GradedDims:
     """Graded homology from the chain complexes, summed over the classes.
 
     Builds the class-1 fiber complex once and runs the exact elimination
@@ -137,20 +128,11 @@ def chain_homology(
     a copy of the base block shifted down by a multiple of it, so the block
     is tiled down to the floor. Nothing outlives the call.
 
-    Raises IncompleteWindow if an explicit ``classes`` count is too small
-    for the requested floor, and InconsistentComplex if iterate k + t_j of
-    some orbifold point does not sit one period below iterate k.
+    Raises InconsistentComplex if iterate k + t_j of some orbifold point
+    does not sit one period below iterate k.
     """
     if grading_floor > -2:
         raise ConfigError("grading_floor must be <= -2")
-    needed = required_classes(data, grading_floor)
-    if classes is None:
-        classes = needed
-    elif classes < needed:
-        raise IncompleteWindow(
-            f"floor {grading_floor} needs {needed} fiber classes, got {classes}"
-        )
-
     period = conley_zehnder(data, MAXIMUM, 1) - conley_zehnder(data, MAXIMUM, 2)
     singletons: GradedDims = {}
     for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):

@@ -44,11 +44,11 @@ class LocalModel:
         if not 0.0 <= epsilon < 1.0:
             raise ConfigError("epsilon must lie in [0, 1)")
         if v.imag <= 0:
-            raise ValueError("the zero must lie in the upper half-plane")
+            raise ConfigError("the zero must lie in the upper half-plane")
         self.v = complex(v)
         self.coefficient = complex(coefficient)
         self.epsilon = float(epsilon)
-        self._k = self.epsilon * abs(coefficient) ** 2
+        self._k = self.epsilon * _square(abs(coefficient))
 
     @classmethod
     def in_window(cls, v: complex, period_ratio: Fraction, epsilon: float) -> LocalModel:
@@ -121,7 +121,7 @@ def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
     clockwise, for positive epsilon). An infinite angle has no rotation
     matrix, so the matrix is NaN there, as the integrated one is.
     """
-    rate = 2.0 * model.epsilon * _square(model.v.imag) * abs(model.coefficient) ** 2
+    rate = 2.0 * model.epsilon * _square(model.v.imag) * _square(abs(model.coefficient))
     theta = rate * T
     if math.isinf(theta):  # math.cos and math.sin refuse it
         cos = sin = math.nan

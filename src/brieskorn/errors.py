@@ -115,9 +115,3 @@ class InconsistentComplex(BrieskornError):
     A generator sits off its stated grading, a differential has the wrong
     shape, or consecutive differentials do not compose to zero.
     """
-
-
-class IncompleteWindow(BrieskornError):
-    """Too few fiber classes were requested to cover the grading window."""
-
-    exit_code = 1

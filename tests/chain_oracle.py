@@ -5,7 +5,8 @@ every singleton class above the floor and eliminates each one, where
 ``chain_homology`` builds the class-1 complex once and tiles one period.
 The loop bound of its singleton classes is the exceptional grading
 evaluated as an exact rational floor, not the integer division of the
-package.
+package, and it counts its fiber classes itself: class n reaches the floor
+exactly when its top grading -2nw does.
 
 ``long_closed_form`` enumerates the closed form one exceptional iterate of
 one orbifold point, and one fiber class, at a time down to the floor,
@@ -17,8 +18,9 @@ where ``closed_form_answer`` tiles one period.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from brieskorn.closedform import ClosedFormAnswer, exceptional_grading, required_classes
+from brieskorn.closedform import exceptional_grading
 from brieskorn.homology import graded_homology
 from brieskorn.orbits import build_complex, orbifold_points
 
@@ -56,10 +58,22 @@ def singleton_classes(data, grading_floor):
             k += 1
 
 
+def fiber_classes(data, grading_floor) -> int:
+    """The fiber classes n whose top grading -2nw is >= the floor."""
+    n = 0
+    while -2 * (n + 1) * data.fiber_winding >= grading_floor:
+        n += 1
+    return n
+
+
 def long_chain_homology(data, grading_floor, classes=None) -> dict[int, int]:
-    """Sum of the homology of every class complex, truncated at the floor."""
+    """Sum of the homology of every class complex, truncated at the floor.
+
+    ``classes`` fiber classes are summed, by default every one that reaches
+    the floor.
+    """
     if classes is None:
-        classes = required_classes(data, grading_floor)
+        classes = fiber_classes(data, grading_floor)
     total: dict[int, int] = {}
     for n in range(1, classes + 1):
         for grading, dim in graded_homology(build_complex(data, n)).items():
@@ -71,7 +85,13 @@ def long_chain_homology(data, grading_floor, classes=None) -> dict[int, int]:
     return total
 
 
-def long_closed_form(data, grading_floor) -> ClosedFormAnswer:
+class LongClosedForm(NamedTuple):
+    g_block: dict[int, int]
+    surface_blocks: dict[int, dict[int, int]]  # one block per fiber class n
+    combined: dict[int, int]
+
+
+def long_closed_form(data, grading_floor) -> LongClosedForm:
     """The closed form with one surface block per fiber class down to the floor."""
     g_block: dict[int, int] = {}
     combined: dict[int, int] = {}
@@ -104,4 +124,4 @@ def long_closed_form(data, grading_floor) -> ClosedFormAnswer:
                 _add(combined, grading, dim)
         n += 1
 
-    return ClosedFormAnswer(g_block=g_block, surface_blocks=surface_blocks, combined=combined)
+    return LongClosedForm(g_block=g_block, surface_blocks=surface_blocks, combined=combined)

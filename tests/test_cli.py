@@ -6,13 +6,14 @@ import io
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brieskorn import cli, dynamics, polygon, tolerances, validate_params
+from brieskorn import cli, dynamics, errors, polygon, tolerances, validate_params
 from brieskorn.errors import NotHyperbolic
 from halfplane_reference import random_mobius, random_point
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
@@ -86,14 +87,6 @@ def test_generators_filters_mutually_exclusive():
     )
     with pytest.raises(ValueError):
         cli.config_from_args(args)
-
-
-def test_incomplete_window_exit_code():
-    code, report = run_cli(
-        ["homology", "--exponents", "2,3,7", "--grading-floor", "-10", "--classes", "2"]
-    )
-    assert code == EXIT_VALIDATION
-    assert report["errors"][0]["type"] == "IncompleteWindow"
 
 
 def test_complex_mode_payload():
@@ -316,6 +309,7 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["complex", "--exponents", "2,3,7", "--classes", "0"], None,
      EXIT_VALIDATION, "ConfigError"),
+    # homology and compare take no --classes: argparse refuses it
     (["compare", "--exponents", "2,3,7", "--classes", "0"], None,
      EXIT_VALIDATION, "ConfigError"),
     # the fixed-step integrator has no step tolerance any more
@@ -323,6 +317,11 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["verify-dynamics", "--exponents", "2,3,7"], "ode_step=1",
      EXIT_VALIDATION, "UnknownTolerance"),
+    # argparse's own refusals
+    (["compare", "--exponents", "2,3,7", "--bogus"], None,
+     EXIT_VALIDATION, "ConfigError"),
+    (["compare", "--exponents", "2,3,7", "--grading-floor", "abc"], None,
+     EXIT_VALIDATION, "ConfigError"),
 ]
 
 
@@ -337,6 +336,42 @@ def test_failures_end_in_typed_exit_codes(
     out, err = capsys.readouterr()
     assert json.loads(out)["errors"][0]["type"] == error_type
     assert err == ""
+
+
+def test_a_refused_argument_prints_in_the_requested_format(capsys):
+    argv = ["compare", "--exponents", "2,3,7", "--bogus", "--format", "tsv"]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        'errors[0].type\t"ConfigError"\n'
+        'errors[0].message\t"unrecognized arguments: --bogus"\n', "")
+    # a --format that cannot be read falls back to json
+    assert main(["compare", "--exponents", "2,3,7", "--format", "yaml"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert json.loads(out)["errors"][0]["type"] == "ConfigError" and err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "--help"])
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: brieskorn compare") and err == ""
+
+
+def test_readme_exit_table_lists_every_error_class():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| error | exit | raised when |")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[2:]:  # after the header's separator row
+        names, code = row.split("|")[1:3]
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = int(code)
+    declared = {
+        cls.__name__: cls.exit_code for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.BrieskornError)
+        and cls is not errors.BrieskornError
+    }
+    assert listed == declared
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "tiny"])

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from brieskorn import (
     InconsistentComplex,
-    IncompleteWindow,
     RationalMatrix,
     chain_homology,
     closed_form_answer,
     closed_form_homology,
     compare_graded,
-    required_classes,
     seifert_data,
     validate_params,
 )
@@ -20,6 +18,7 @@ from brieskorn import cli, closedform
 from brieskorn.homology import graded_homology
 from brieskorn.orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
 from chain_oracle import (
+    fiber_classes,
     long_chain_homology,
     long_closed_form,
     loop_tile,
@@ -74,18 +73,18 @@ def test_surface_blocks_shape():
     # one base block: fiber class n is class 1 shifted down by 2w(n - 1)
     data = data_for(2, 2, 3, 3, 3)
     answer = closed_form_answer(data, -30)
-    assert answer.surface_blocks == {1: {-12: 1, -13: 20, -14: 1}}
+    assert answer.surface_block == {-12: 1, -13: 20, -14: 1}
     per_class = long_closed_form(data, -30).surface_blocks
     assert set(per_class) == {1, 2}
     for n, block in per_class.items():
         shift = -2 * data.fiber_winding * (n - 1)
-        assert block == {g + shift: dim for g, dim in answer.surface_blocks[1].items()}
+        assert block == {g + shift: dim for g, dim in answer.surface_block.items()}
 
 
 def test_chain_equals_closed_form_on_window():
     data = data_for(2, 3, 7)
     floor = -10
-    chain = chain_homology(data, floor, classes=6)
+    chain = chain_homology(data, floor)
     oracle = closed_form_homology(data, floor)
     report = compare_graded(chain, oracle, floor)
     assert report.equal and report.first_mismatch is None
@@ -143,13 +142,6 @@ def _tiling_cases(draw):
 def test_run_tiling_equals_the_loop_oracle(case):
     blocks, period, floor = case
     assert closedform._tile(blocks, period, floor) == loop_tile(blocks, period, floor)
-
-
-def test_required_classes_matches_window():
-    data = data_for(2, 3, 7)
-    assert required_classes(data, -10) == 6
-    with pytest.raises(IncompleteWindow):
-        chain_homology(data, -10, classes=4)
 
 
 def test_odd_gradings_carry_exactly_the_handle_dimensions(fuzz_corpus):
@@ -232,7 +224,7 @@ def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatc
         return [(m.rows, m.cols, m.entries) for m in matrices if m.rows and m.cols]
 
     data, floor = data_for(2, 2, 3, 3, 3), -40
-    assert required_classes(data, floor) >= 3
+    assert fiber_classes(data, floor) >= 3
     results = []
     for _ in range(2):  # the second call eliminates again: nothing outlives a call
         built.clear()
@@ -247,11 +239,11 @@ def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatc
 
 
 def test_deep_window_builds_one_complex(monkeypatch):
-    # over 20,000 singleton and fiber classes reach the floor; one complex is built
+    # 20,000 singleton and fiber classes reach the floor; one complex is built
     built, _ = _count_builds_and_ranks(monkeypatch)
     data, floor = data_for(2, 3, 7), -4000
     singletons = sum(1 for _ in singleton_classes(data, floor))
-    assert singletons + required_classes(data, floor) > 20_000
+    assert singletons + fiber_classes(data, floor) == 20_000
     chain = chain_homology(data, floor)
     assert len(built) == 1
     assert compare_graded(chain, closed_form_homology(data, floor), floor).equal
@@ -262,8 +254,27 @@ def test_chain_homology_equals_the_class_by_class_oracle(fuzz_corpus):
         for floor in (-2, -9, -30):
             assert chain_homology(data, floor) == long_chain_homology(data, floor), (
                 data.params.exponents, floor)
-        classes = required_classes(data, -9) + 3
-        assert chain_homology(data, -9, classes) == long_chain_homology(data, -9, classes)
+
+
+def test_the_oracle_needs_every_fiber_class_it_counts(fuzz_corpus):
+    # the oracle's class count is tight: dropping its last class loses the
+    # top of that class's surface homology, one dimension at -2nw
+    data = data_for(*[2] * 7)
+    assert fiber_classes(data, -20) == 3 == 20 // (2 * data.fiber_winding)
+    cases = [(data, -20)] + [
+        (data, floor) for data in fuzz_corpus[400:440]
+        for floor in (-2, -9, -30, -2 * data.fiber_winding, -4 * data.fiber_winding - 1)
+    ]
+    checked = 0
+    for data, floor in cases:
+        classes = fiber_classes(data, floor)
+        chain = chain_homology(data, floor)
+        assert long_chain_homology(data, floor) == chain, (data.params.exponents, floor)
+        if classes:
+            checked += 1
+            assert long_chain_homology(data, floor, classes - 1) != chain, (
+                data.params.exponents, floor)
+    assert checked >= 80
 
 
 def test_fiber_class_complexes_are_class_one_shifted(fuzz_corpus):
@@ -302,9 +313,6 @@ def test_both_sides_equal_their_long_oracles(fuzz_corpus):
             assert answer.combined == long.combined, label
             assert answer.g_block == long.g_block, label
             assert chain_homology(data, floor) == long_chain_homology(data, floor), label
-        floor = -2 * w - 3
-        classes = required_classes(data, floor) + 3
-        assert chain_homology(data, floor, classes) == long_chain_homology(data, floor, classes)
 
 
 def test_answer_repeats_every_two_w_below_grading_minus_two(fuzz_corpus):

@@ -19,9 +19,16 @@ from brieskorn.dynamics import (
     integrate_monodromy,
     linearized_return_map,
 )
-from brieskorn.errors import NondegeneracyFailure
+from brieskorn.errors import ConfigError, NondegeneracyFailure
 from brieskorn.polygon import build_polygon_group
 from collocation_reference import reference_monodromy, reference_steps
+
+
+def test_a_model_outside_its_domain_is_a_config_error():
+    # a zero on or below the real axis, or epsilon outside [0, 1)
+    for v, epsilon in ((-1j, 0.5), (2.0 + 0j, 0.5), (1j, 1.0), (1j, -0.1)):
+        with pytest.raises(ConfigError):
+            LocalModel(v, 1.0, epsilon)
 
 
 def test_unperturbed_field_vanishes():
@@ -375,10 +382,12 @@ def test_an_overflowing_jacobian_takes_one_step_to_a_nan_monodromy():
 
 
 def test_an_overflowing_rate_ends_in_a_nondegeneracy_failure():
-    # Im v ** 2 overflows (1e200j), or the product of the rate does (1e100j with
-    # |c| = 1e60): the closed-form angle is -inf with a NaN matrix, not an
-    # OverflowError or math.cos's ValueError, and the NaN monodromy is refused
-    for model in (LocalModel(1e200j, 1.0, 0.5), LocalModel(1e100j, 1e60, 0.5)):
+    # Im v ** 2 overflows (1e200j), or |c| ** 2 does (|c| = 1e200), or the
+    # product of the rate does (1e100j with |c| = 1e60): the closed-form angle
+    # is -inf with a NaN matrix, not an OverflowError or math.cos's
+    # ValueError, and the NaN monodromy is refused
+    for model in (LocalModel(1e200j, 1.0, 0.5), LocalModel(1j, 1e200, 0.5),
+                  LocalModel(1e100j, 1e60, 0.5)):
         matrix, angle = analytic_return(model, 1.0)
         assert angle == -math.inf and np.isnan(matrix).all()
         with pytest.raises(NondegeneracyFailure) as excinfo:

@@ -37,8 +37,7 @@ CASES = (
     ("compute-homology",
      ["compute-homology", "--exponents", "2,3,11", "--grading-floor", "-6"]),
     ("compare", ["compare", "--exponents", "2,2,2,3", "--grading-floor", "-12"]),
-    ("compare-extra-classes",
-     ["compare", "--exponents", "2,3,7", "--grading-floor", "-20", "--classes", "12"]),
+    ("compare-2-3-7-floor-20", ["compare", "--exponents", "2,3,7", "--grading-floor", "-20"]),
     ("verify-geometry-2-3-7", ["verify-geometry", "--exponents", "2,3,7"]),
     ("verify-geometry-2-3-5-7",
      ["verify-geometry", "--exponents", "2,3,5,7", "--samples", "10", "--seed", "3"]),
@@ -63,6 +62,7 @@ CASES = (
     # failing configurations
     ("not-hyperbolic", ["invariants", "--exponents", "2,3,5"]),
     ("invalid-exponent", ["invariants", "--exponents", "1,3,7"]),
+    # homology and compare take no --classes: an unrecognized argument
     ("incomplete-window",
      ["homology", "--exponents", "2,3,7", "--grading-floor", "-10", "--classes", "2"]),
     ("exclusive-filters",
