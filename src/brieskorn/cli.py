@@ -338,22 +338,34 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_RECORD = "\x1e"  # json escapes every control character inside a string
+_RECORDS = json.JSONEncoder(separators=(_RECORD, ":"))
 
 
-def _leaves(node, path: str = ""):
-    """(path, compact JSON) for every leaf of a report, in its own key order."""
+def _leaf_lines(node, path: str, separator: str, out: list) -> None:
+    """Append ``path``, separator, compact JSON for every leaf of node to out.
+
+    A dict of scalars is encoded in one C encoder call over its values,
+    joined by a record separator that no encoded scalar contains, and
+    split back into one value per key.
+    """
     if isinstance(node, dict) and node:
-        for key, child in node.items():
-            yield from _leaves(child, f"{path}.{key}" if path else str(key))
+        prefix = f"{path}." if path else ""
+        if _SCALARS.issuperset(map(type, node.values())):
+            values = _RECORDS.encode(list(node.values()))[1:-1].split(_RECORD)
+            out += [f"{prefix}{key}{separator}{value}" for key, value in zip(node, values)]
+        else:
+            for key, child in node.items():
+                _leaf_lines(child, f"{prefix}{key}", separator, out)
     elif isinstance(node, list) and any(isinstance(child, dict) for child in node):
         for i, child in enumerate(node):
-            yield from _leaves(child, f"{path}[{i}]")
+            _leaf_lines(child, f"{path}[{i}]", separator, out)
     else:
-        yield path, _COMPACT.encode(node)
+        out.append(f"{path}{separator}{_COMPACT.encode(node)}")
 
 
 _INDENT = "  "
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 _FLAT_ENCODERS: dict[int, json.JSONEncoder] = {}  # by depth; each is C-encoded
 
 
@@ -424,8 +436,9 @@ def render(report: dict, fmt: str) -> str:
         out: list[str] = []
         _indented(report, 0, out, set())
         return "".join(out)
-    separator = "\t" if fmt == "tsv" else " = "
-    return "\n".join(f"{path}{separator}{value}" for path, value in _leaves(report))
+    lines: list[str] = []
+    _leaf_lines(report, "", "\t" if fmt == "tsv" else " = ", lines)
+    return "\n".join(lines)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -77,7 +77,8 @@ class ComparisonMismatch(BrieskornError):
 
 
 class ConstructionFailure(BrieskornError):
-    """A geometric construction did not converge or missed its prescribed shape."""
+    """A construction did not converge, missed its prescribed shape, or broke
+    one of the integer identities of the Seifert invariants."""
 
 
 class DegenerateInput(BrieskornError):

@@ -124,12 +124,13 @@ class RationalMatrix:
         eliminated left to right. Every row not yet used as a pivot waits in
         the bucket of its leading column, so the rows with a nonzero in the
         current column are exactly that column's bucket. The pivot is the
-        candidate with the smallest |entry| p. Every other candidate, with
-        entry a, becomes (p/g)*row - (a/g)*pivot_row with g = gcd(a, p), and
-        is then divided by the gcd of its entries. Each step scales a row by
-        a nonzero rational or subtracts a multiple of another, so the rank
-        is exact, and dividing out the gcd keeps the ints from growing with
-        every step.
+        first candidate with the smallest |entry| p; when the first
+        candidate's entry is a unit, it is taken without a search. Every
+        other candidate, with entry a, becomes (p/g)*row - (a/g)*pivot_row
+        with g = gcd(a, p), and is then divided by the gcd of its entries.
+        Each step scales a row by a nonzero rational or subtracts a multiple
+        of another, so the rank is exact, and dividing out the gcd keeps the
+        ints from growing with every step.
         """
         buckets: dict[int, list[dict[int, int]]] = {}
         for row in self.sparse_rows:
@@ -142,7 +143,9 @@ class RationalMatrix:
                 continue
             rank += 1
             if len(candidates) > 1:
-                pivot_row = min(candidates, key=lambda r: abs(r[col]))
+                pivot_row = candidates[0]
+                if pivot_row[col] not in (1, -1):  # a unit is already the smallest
+                    pivot_row = min(candidates, key=lambda r: abs(r[col]))
                 pivot = pivot_row.pop(col)
                 rest = pivot_row.items()
                 for row in candidates:

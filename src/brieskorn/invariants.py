@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidExponent, NotHyperbolic
+from .errors import ConstructionFailure, InvalidExponent, NotHyperbolic
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def seifert_data(params: BrieskornParams) -> SeifertData:
     # d = (prod a_j) * ((n-2) - sum 1/a_j), an integer since each term
     # of the reciprocal sum clears the product.
     d_frac = product * params.hyperbolic_gap
-    assert d_frac.denominator == 1, "d must be integral"
+    if d_frac.denominator != 1:
+        raise ConstructionFailure(f"d = {d_frac} is not an integer")
     d = int(d_frac)
 
     partial_products = []
@@ -114,21 +115,29 @@ def seifert_data(params: BrieskornParams) -> SeifertData:
         partial_lcms.append(math.lcm(*rest))
     m = math.gcd(*partial_products)
 
-    assert d % m == 0, f"m={m} does not divide d={d}; invariant arithmetic is broken"
+    if d % m:
+        raise ConstructionFailure(f"m = {m} does not divide d = {d}")
     fiber_winding = d // m
 
     counts = []
     for j in range(n):
         s_j, rem_s = divmod(partial_products[j], partial_lcms[j])
         t_j, rem_t = divmod(lcm_all, partial_lcms[j])
-        assert rem_s == 0 and rem_t == 0
+        if rem_s or rem_t:
+            raise ConstructionFailure(
+                f"the lcm {partial_lcms[j]} of the exponents other than a_{j + 1} must divide "
+                f"their product {partial_products[j]} and the lcm {lcm_all} of all"
+            )
         counts.append((s_j, t_j))
 
     minima = sum(s_j for s_j, _ in counts)
     genus_numerator = 2 + (n - 2) * (product // lcm_all) - minima
-    assert genus_numerator % 2 == 0, "genus formula produced an odd numerator"
+    if genus_numerator % 2 or genus_numerator < 0:
+        raise ConstructionFailure(
+            f"2g = {genus_numerator} is not a nonnegative even integer "
+            f"(n = {n}, product {product}, lcm {lcm_all}, {minima} minima)"
+        )
     genus = genus_numerator // 2
-    assert genus >= 0, "genus must be nonnegative"
 
     s = Fraction(product, d) if n == 3 else None
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
 from .errors import ConfigError, InconsistentComplex
 from .homology import RationalMatrix
@@ -30,9 +32,8 @@ SADDLE = "saddle"
 MAXIMUM = "maximum"
 
 
-@dataclass(frozen=True)
-class OrbitGenerator:
-    """A single good Reeb orbit generator.
+class OrbitGenerator(NamedTuple):
+    """A single good Reeb orbit generator, as a named tuple of nine fields.
 
     ``kind`` is one of "exceptional", "saddle", "maximum". Exceptional
     orbits carry the exponent index j (1-based) and the point index i
@@ -40,6 +41,11 @@ class OrbitGenerator:
     their saddle index. ``action`` is the period as an exact multiple of
     2*pi. ``fiber_class`` is set exactly when the orbit is freely
     homotopic to that multiple of a regular fiber.
+
+    Being a tuple, a generator is immutable and hashable, unpacks and
+    iterates as its fields in the order below, and compares equal to a
+    plain tuple of them. ``_replace`` and ``_asdict`` stand in for the
+    dataclass helpers.
     """
 
     kind: str
@@ -291,18 +297,22 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
             )
         return cz
 
+    # each chain group is one map of _make over zipped columns, a repeat()
+    # per field the group shares and a range() for the one that counts, so
+    # no Python-level constructor call is made per generator
+    make = OrbitGenerator._make
     minima_orbits = []
     for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
         cz = graded_cz(EXCEPTIONAL, base - 2, n * t_j, j)
-        minima_orbits.extend(
-            OrbitGenerator(EXCEPTIONAL, n * t_j, cz, base - 2, action, n, j=j, point=i)
-            for i in range(1, s_j + 1)
-        )
+        minima_orbits += map(make, zip(
+            repeat(EXCEPTIONAL), repeat(n * t_j), repeat(cz), repeat(base - 2),
+            repeat(action), repeat(n), repeat(j), range(1, s_j + 1), repeat(None),
+        ))
     cz = graded_cz(SADDLE, base - 1, n)
-    saddle_orbits = [
-        OrbitGenerator(SADDLE, n, cz, base - 1, action, n, saddle=ell)
-        for ell in range(1, model.saddle_total + 1)
-    ]
+    saddle_orbits = list(map(make, zip(
+        repeat(SADDLE), repeat(n), repeat(cz), repeat(base - 1), repeat(action),
+        repeat(n), repeat(None), repeat(None), range(1, model.saddle_total + 1),
+    )))
     max_orbit = OrbitGenerator(MAXIMUM, n, graded_cz(MAXIMUM, base, n), base, action, n)
 
     generators = {

@@ -16,6 +16,7 @@ from brieskorn import (
     seifert_data,
     validate_params,
 )
+from brieskorn import homology
 from brieskorn.orbits import GradedComplex
 from dense_linalg import dense_product, dense_rank, rank_by_minors
 
@@ -155,6 +156,60 @@ def test_rational_rows_with_large_cleared_denominators():
 
         mat = RationalMatrix(rows, cols, dependent_grid(rng, rows, cols, independent, draw))
         assert mat.rank() == dense_rank(mat) <= independent
+
+
+def eliminate_watching(monkeypatch, mat):
+    """rank() of mat, the working rows it eliminated, and its pivot searches."""
+    working, searches = [], [0]
+    real_integral = homology._integral
+
+    def integral(row):
+        working.append(real_integral(row))
+        return working[-1]
+
+    def watched_min(*args, **kwargs):
+        searches[0] += "key" in kwargs
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "_integral", integral)
+    monkeypatch.setattr(homology, "min", watched_min, raising=False)
+    rank = mat.rank()
+    monkeypatch.undo()
+    return rank, working, searches[0]
+
+
+def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
+    # column 0 lists 3 first and a unit later: the search must pass over the
+    # 3 to the unit, which then loses its pivot entry and nothing else
+    rng = random.Random(3)
+    for trial in range(40):
+        rows, cols = rng.randint(3, 8), rng.randint(2, 8)
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        unit = rng.randrange(1, rows)
+        for i, row in enumerate(grid):
+            row[0] = 3 if i == 0 else rng.choice([1, -1]) if i == unit else rng.choice(
+                [2, 3, -4, 5, 0])
+        mat = RationalMatrix(rows, cols, grid)
+        rank, working, searches = eliminate_watching(monkeypatch, mat)
+        assert rank == dense_rank(mat)
+        assert searches >= 1
+        assert working[unit] == {j: x for j, x in enumerate(grid[unit]) if x and j}
+        # every row left is a primitive multiple of a vector of minors, so
+        # Hadamard's inequality bounds its entries by the product of the
+        # row norms
+        hadamard_sq = 1
+        for row in grid:
+            hadamard_sq *= sum(x * x for x in row)
+        assert all(x * x <= hadamard_sq for row in working for x in row.values())
+
+
+def test_boundary_matrices_need_no_pivot_search(monkeypatch):
+    for exponents in ((2, 3, 7), (2, 2, 3, 3, 4, 4, 5)):
+        data = seifert_data(validate_params(list(exponents)))
+        boundary = build_complex(data, 1).differential[-2 * data.fiber_winding - 1]
+        rank, _, searches = eliminate_watching(monkeypatch, boundary)
+        assert rank == dense_rank(boundary) == data.minima_count - 1
+        assert searches == 0
 
 
 def test_integral_entries_are_stored_as_ints():

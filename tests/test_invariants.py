@@ -1,10 +1,12 @@
 """Exponent validation and fibration invariants."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from brieskorn import InvalidExponent, NotHyperbolic, seifert_data, validate_params
+from brieskorn import InvalidExponent, NotHyperbolic, cli, invariants, seifert_data, validate_params
 
 
 def test_hyperbolic_gap_2_3_7():
@@ -77,3 +79,35 @@ def test_fuzzed_corpus_invariants(fuzz_corpus):
         # chain-level Euler characteristic per fiber class
         chi = data.minima_count - (data.minima_count - 1 + 2 * data.genus) + 1
         assert chi == 2 - 2 * data.genus
+
+
+# each fake math breaks one identity of seifert_data on (2, 3, 7), where
+# d = m = 1, the lcm of all three exponents is 42 and of each pair 21, 14, 6
+_BROKEN = {
+    "m = 5 does not divide d = 1": dict(gcd=lambda *a: 5),
+    "the lcm 105 of the exponents other than a_1": dict(lcm=lambda *a: math.lcm(*a) * 5),
+    "2g = -1 is not a nonnegative even integer": dict(
+        lcm=lambda *a: math.lcm(*a) * (2 if len(a) == 3 else 1)),
+}
+
+
+@pytest.mark.parametrize("message", list(_BROKEN))
+def test_a_broken_identity_is_a_typed_construction_failure(monkeypatch, message):
+    fake = SimpleNamespace(prod=math.prod, lcm=math.lcm, gcd=math.gcd)
+    monkeypatch.setattr(invariants, "math", fake)
+    for name, function in _BROKEN[message].items():
+        setattr(fake, name, function)
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="invariants"))
+    assert code == cli.EXIT_TOLERANCE == 3
+    [error] = report["errors"]
+    assert error["type"] == "ConstructionFailure"
+    assert error["message"].startswith(message)
+
+
+def test_a_fractional_d_is_a_typed_construction_failure(monkeypatch):
+    monkeypatch.setattr(invariants.BrieskornParams, "hyperbolic_gap",
+                        property(lambda self: Fraction(1, 84)))
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare"))
+    assert code == 3
+    assert report["errors"] == [
+        {"type": "ConstructionFailure", "message": "d = 1/2 is not an integer"}]

@@ -19,6 +19,7 @@ from brieskorn import (
 from brieskorn import cli, orbits
 from brieskorn.orbits import (
     GradedComplex,
+    OrbitGenerator,
     exceptional_orbit,
     maximum_orbit,
     orbifold_points,
@@ -221,9 +222,31 @@ def test_fiber_complex_equals_the_orbit_by_orbit_complex(fuzz_corpus):
     for data in fuzz_corpus[:80]:
         for n in (1, 2, 3):
             built = build_complex(data, n)
-            assert built == complex_orbit_by_orbit(data, n)
+            expected = complex_orbit_by_orbit(data, n)
+            assert built == expected
+            # tuple equality ignores the class and would pass two columns
+            # swapped between fields of equal values, so check both directly
+            for grading, gens in built.generators_by_grading.items():
+                assert all(type(g) is OrbitGenerator for g in gens)
+                assert [g.label for g in gens] == [
+                    g.label for g in expected.generators_by_grading[grading]]
             assert all(type(x) is int for mat in built.differential.values()
                        for row in mat.sparse_rows for x in row.values())
+
+
+def test_generators_are_immutable_and_hash_by_value(data237):
+    built = build_complex(data237, 2)
+    minimum, saddle, maximum = (gens[0] for _, gens in sorted(
+        built.generators_by_grading.items()))
+    for gen in (minimum, saddle, maximum):
+        with pytest.raises(AttributeError):
+            gen.iterate = 5
+    twins = (exceptional_orbit(data237, 1, 1, minimum.iterate),
+             saddle_orbit(data237, 1, 2), maximum_orbit(data237, 2))
+    for gen, twin in zip((minimum, saddle, maximum), twins):
+        assert gen == twin and gen is not twin
+        assert hash(gen) == hash(twin)
+    assert len({minimum, saddle, maximum, *twins}) == 3
 
 
 @pytest.mark.parametrize("kind", ["exceptional", "saddle", "maximum"])

@@ -122,3 +122,48 @@ def test_flat_containers_go_to_the_c_encoder_whole(monkeypatch):
     assert code == cli.EXIT_OK and len(report["oracle"]) == 2000
     assert render(report, "json") == oracle(report)
     assert len(walked) < 40
+
+
+def leaves_one_by_one(node, path=""):
+    """(path, compact JSON) per leaf, one generator frame and one encoder
+    call per leaf: the text and TSV walk before dicts of scalars went to the
+    C encoder whole."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from leaves_one_by_one(child, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list) and any(isinstance(child, dict) for child in node):
+        for i, child in enumerate(node):
+            yield from leaves_one_by_one(child, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(node, separators=(",", ":"))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_trees)
+@example({"s": "\x1e\x1f", "t": ["\x1e"], "u": {"v": "a\x1eb", "w": 1.5}})
+@example({"dims": {"-10": 1, "-2": 3}, "x": [[1, 2], [3]], "é": "ü\n\"", "n": None})
+@example({2.5: [math.nan, -math.inf], 1: {True: "t", 0.5: -0.0}, math.nan: ()})
+@example([{"a": np.float64(0.1), "b": Measure(1e300), "c": Level.HIGH}, 3])
+def test_text_and_tsv_print_one_line_per_leaf(tree):
+    for fmt, separator in (("tsv", "\t"), ("text", " = ")):
+        expected = "\n".join(f"{path}{separator}{value}"
+                             for path, value in leaves_one_by_one(tree))
+        assert render(tree, fmt) == expected
+
+
+def test_text_walk_hands_dicts_of_scalars_to_the_c_encoder(monkeypatch):
+    # a deep report's thousands of dims leaves cost no Python call each
+    walked = []
+    real = cli._leaf_lines
+
+    def counting(node, path, separator, out):
+        walked.append(path)
+        return real(node, path, separator, out)
+
+    monkeypatch.setattr(cli, "_leaf_lines", counting)
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
+                                         grading_floor=-4000))
+    assert code == cli.EXIT_OK and len(report["oracle"]) == 2000
+    lines = render(report, "tsv").splitlines()
+    assert len(lines) > 4000 and "oracle.-2\t10" in lines
+    assert len(walked) < 40
