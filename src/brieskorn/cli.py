@@ -340,7 +340,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _RECORD = "\x1e"  # json escapes every control character inside a string
-_RECORDS = json.JSONEncoder(separators=(_RECORD, ":"))
+_RECORD_ENCODER = json.JSONEncoder(separators=(_RECORD, ":"))
 
 
 def _leaf_lines(node, path: str, separator: str, out: list) -> None:
@@ -353,7 +353,7 @@ def _leaf_lines(node, path: str, separator: str, out: list) -> None:
     if isinstance(node, dict) and node:
         prefix = f"{path}." if path else ""
         if _SCALARS.issuperset(map(type, node.values())):
-            values = _RECORDS.encode(list(node.values()))[1:-1].split(_RECORD)
+            values = _RECORD_ENCODER.encode(list(node.values()))[1:-1].split(_RECORD)
             out += [f"{prefix}{key}{separator}{value}" for key, value in zip(node, values)]
         else:
             for key, child in node.items():

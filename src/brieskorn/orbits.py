@@ -297,9 +297,8 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
             )
         return cz
 
-    # each chain group is one map of _make over zipped columns, a repeat()
-    # per field the group shares and a range() for the one that counts, so
-    # no Python-level constructor call is made per generator
+    # each chain group is one map of _make over zipped columns: a repeat()
+    # per field the group shares and a range() for the one that counts
     make = OrbitGenerator._make
     minima_orbits = []
     for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):

@@ -182,7 +182,7 @@ def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
     # column 0 lists 3 first and a unit later: the search must pass over the
     # 3 to the unit, which then loses its pivot entry and nothing else
     rng = random.Random(3)
-    for trial in range(40):
+    for _ in range(40):
         rows, cols = rng.randint(3, 8), rng.randint(2, 8)
         grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         unit = rng.randrange(1, rows)

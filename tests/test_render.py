@@ -6,7 +6,8 @@ is the call it replaces, whose ``indent`` runs json's pure-Python encoder.
 The trees below mix every type that call accepts (non-``str`` keys, NaN and
 infinities, non-ASCII strings, tuples, empty containers, ``int`` and
 ``float`` subclasses such as ``np.float64``), and the trees it refuses must
-be refused with the same exception type.
+be refused with the same exception type. Text and TSV are checked against
+the walk they replace, which encodes one leaf at a time.
 """
 
 import enum
