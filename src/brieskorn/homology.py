@@ -8,7 +8,9 @@ where an integral entry is a plain ``int`` and any other rational is a
 works on Python ints alone, so a boundary matrix, whose entries all lie in
 {-1, 0, 1}, never becomes a ``Fraction``. Elimination, products and zero
 tests cost in proportion to the nonzeros: a boundary matrix has two per
-tree column, however many minima it has.
+tree column, however many minima it has. The compose-to-zero check forms
+a product only when both differentials are non-zero, so it forms none on
+a fiber-class complex, whose outer differentials are zero.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ def _exact(x) -> Entry:
 
 
 def _integral(row: dict[int, Entry]) -> dict[int, int]:
-    """A copy of the row as ints: an integral row as it is, any other times
+    """A copy of the row as ints: an all-int row as it is, any other times
     the lcm of its denominators and divided by the gcd of the products."""
-    den = lcm(*map(_DENOMINATOR, row.values()))
-    if den == 1:
+    if Fraction not in map(type, row.values()):
         return dict(row)
+    den = lcm(*map(_DENOMINATOR, row.values()))
     out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     content = gcd(*out.values())
     return {j: x // content for j, x in out.items()} if content > 1 else out
@@ -188,7 +190,9 @@ def graded_homology(complex) -> GradedDims:
     dim ker(d_k) - rank(d_{k+1}); absent gradings have dimension zero.
 
     Raises InconsistentComplex unless each d_k is (generators at k-1) x
-    (generators at k) and consecutive differentials compose to zero.
+    (generators at k) and consecutive differentials compose to zero. The
+    product d_k d_{k+1} is formed only when both factors are non-zero: a
+    zero factor already makes it zero.
     """
     chain_dims = {k: len(g) for k, g in complex.generators_by_grading.items() if g}
     diffs = complex.differential
@@ -203,7 +207,7 @@ def graded_homology(complex) -> GradedDims:
 
     for k, mat in diffs.items():
         upper = diffs.get(k + 1)
-        if upper is not None and mat.cols > 0 and upper.cols > 0:
+        if upper is not None and not mat.is_zero() and not upper.is_zero():
             if not mat.multiply(upper).is_zero():
                 raise InconsistentComplex(
                     f"differentials at gradings {k + 1} and {k} do not compose to zero"

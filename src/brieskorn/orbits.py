@@ -297,18 +297,19 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
             )
         return cz
 
-    # each chain group is one map of _make over zipped columns: a repeat()
-    # per field the group shares and a range() for the one that counts
-    make = OrbitGenerator._make
+    # each chain group is one map of tuple.__new__ over zipped columns: a
+    # repeat() per field the group shares and a range() for the one that
+    # counts. No Python frame runs per generator, and _make's length check
+    # is left out because every zip has the nine columns of the fields.
     minima_orbits = []
     for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
         cz = graded_cz(EXCEPTIONAL, base - 2, n * t_j, j)
-        minima_orbits += map(make, zip(
+        minima_orbits += map(tuple.__new__, repeat(OrbitGenerator), zip(
             repeat(EXCEPTIONAL), repeat(n * t_j), repeat(cz), repeat(base - 2),
             repeat(action), repeat(n), repeat(j), range(1, s_j + 1), repeat(None),
         ))
     cz = graded_cz(SADDLE, base - 1, n)
-    saddle_orbits = list(map(make, zip(
+    saddle_orbits = list(map(tuple.__new__, repeat(OrbitGenerator), zip(
         repeat(SADDLE), repeat(n), repeat(cz), repeat(base - 1), repeat(action),
         repeat(n), repeat(None), repeat(None), range(1, model.saddle_total + 1),
     )))

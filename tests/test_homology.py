@@ -212,6 +212,30 @@ def test_boundary_matrices_need_no_pivot_search(monkeypatch):
         assert searches == 0
 
 
+def test_rank_eliminates_copies_and_clears_only_fraction_rows(monkeypatch):
+    grid = [[3, 0, -6], [0, Fraction(2, 3), Fraction(4, 9)], [0, 0, 0], [1, 1, 1]]
+    mat = RationalMatrix(4, 3, grid)
+    rows = list(mat.sparse_rows)
+    before = [dict(row) for row in rows]
+    made = []
+    real_integral = homology._integral
+
+    def integral(row):
+        copy = real_integral(row)
+        made.append((row, copy, dict(copy)))
+        return copy
+
+    monkeypatch.setattr(homology, "_integral", integral)
+    assert mat.rank() == dense_rank(mat) == 3
+    assert mat.sparse_rows == before
+    assert all(now is row for now, row in zip(mat.sparse_rows, rows))
+    assert all(type(copy) is dict and copy is not row for row, copy, _ in made)
+    # an all-int row is copied as it is; a row with a Fraction is scaled by
+    # the lcm of its denominators, 9, and divided by the gcd, 2
+    assert [as_made for _, _, as_made in made] == [
+        {0: 3, 2: -6}, {1: 3, 2: 2}, {0: 1, 1: 1, 2: 1}]
+
+
 def test_integral_entries_are_stored_as_ints():
     mat = RationalMatrix(2, 3, [[Fraction(4, 2), 0, Fraction(1, 3)], [3, Fraction(-6, 3), 0]])
     assert [[type(x) for x in row.values()] for row in mat.sparse_rows] == [
@@ -305,6 +329,44 @@ def test_inconsistent_complex_detected():
     }
     with pytest.raises(InconsistentComplex):
         graded_homology(GradedComplex("bad", gens, diff))
+
+
+def test_fiber_class_compose_check_forms_no_product(monkeypatch):
+    # d of the maximum and d of the minima are zero, so each adjacent pair
+    # of a fiber-class complex already has a zero factor
+    products = []
+    real = RationalMatrix.multiply
+
+    def counted(self, other):
+        products.append((self.rows, self.cols, other.cols))
+        return real(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "multiply", counted)
+    for exponents in ((2, 3, 7), (2, 2, 3, 3, 4, 4, 5)):
+        data = seifert_data(validate_params(list(exponents)))
+        assert chain_homology(data, -12) == closed_form_homology(data, -12)
+    assert products == []
+
+
+@pytest.mark.parametrize("zero_below", [False, True])
+@pytest.mark.parametrize("zero_above", [False, True])
+def test_non_zero_pair_is_multiplied_beside_zero_differentials(zero_below, zero_above):
+    # d_0 = (1, 1)^T and d_{-1} = (1, s): the pair composes to zero for
+    # s = -1 only, whatever zero differentials sit beside it
+    for s, composes in ((-1, True), (1, False), (2, False)):
+        gens = {0: ["a"], -1: ["b", "c"], -2: ["e"]}
+        diff = {0: RationalMatrix(2, 1, [[1], [1]]), -1: RationalMatrix(1, 2, [[1, s]])}
+        if zero_below:
+            diff[-2] = RationalMatrix(0, 1)
+        if zero_above:
+            gens[1] = ["f", "g"]
+            diff[1] = RationalMatrix(1, 2)
+        complex_ = GradedComplex("pair", gens, diff)
+        if composes:
+            assert graded_homology(complex_) == ({1: 2} if zero_above else {})
+        else:
+            with pytest.raises(InconsistentComplex, match="gradings 0 and -1"):
+                graded_homology(complex_)
 
 
 def test_differential_of_the_wrong_shape_is_inconsistent():

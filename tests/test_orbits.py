@@ -234,6 +234,18 @@ def test_fiber_complex_equals_the_orbit_by_orbit_complex(fuzz_corpus):
                        for row in mat.sparse_rows for x in row.values())
 
 
+def test_fiber_generators_are_what_make_builds_from_their_fields(fuzz_corpus):
+    # build_complex makes generators with tuple.__new__, which skips the
+    # nine-field length check of _make: each must still pass it unchanged
+    for data in fuzz_corpus:
+        for n in (1, 2, 3):
+            for gens in build_complex(data, n).generators_by_grading.values():
+                for gen in gens:
+                    made = OrbitGenerator._make(tuple(gen))
+                    assert type(gen) is OrbitGenerator
+                    assert gen == made and gen.label == made.label
+
+
 def test_generators_are_immutable_and_hash_by_value(data237):
     built = build_complex(data237, 2)
     minimum, saddle, maximum = (gens[0] for _, gens in sorted(
