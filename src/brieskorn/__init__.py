@@ -53,10 +53,8 @@ from .homology import (
 from .invariants import BrieskornParams, SeifertData, seifert_data, validate_params
 from .orbits import (
     GradedComplex,
-    MorseModel,
     OrbitGenerator,
     build_complex,
-    build_morse_model,
     conley_zehnder,
     enumerate_generators,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "LinearizedReturn",
     "LocalModel",
     "MobiusElement",
-    "MorseModel",
     "NondegeneracyFailure",
     "NotHyperbolic",
     "OrbitGenerator",
@@ -98,7 +95,6 @@ __all__ = [
     "SeifertData",
     "UpperHalfPoint",
     "build_complex",
-    "build_morse_model",
     "build_polygon_group",
     "chain_homology",
     "check_relations",

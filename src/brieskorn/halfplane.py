@@ -120,9 +120,9 @@ class MobiusElement:
     def d(self):
         return self.matrix[1, 1]
 
-    def apply(self, z: complex, *, denominator_tol: float = _DENOMINATOR_TOL) -> complex:
+    def apply(self, z: complex) -> complex:
         den = self.c * z + self.d
-        if abs(den) < denominator_tol * max(1.0, abs(z)):
+        if abs(den) < _DENOMINATOR_TOL * max(1.0, abs(z)):
             raise DegenerateInput(f"Moebius denominator collapsed at z = {z}")
         return (self.a * z + self.b) / den
 
@@ -163,12 +163,6 @@ class EdgeReflection:
             raise ValueError("reflection matrices have determinant -1")
         m = m / math.sqrt(-det)
         self.matrix = m
-
-    def apply(self, z: complex) -> complex:
-        w = z.conjugate()
-        return (self.matrix[0, 0] * w + self.matrix[0, 1]) / (
-            self.matrix[1, 0] * w + self.matrix[1, 1]
-        )
 
     def compose(self, other: "EdgeReflection") -> MobiusElement:
         return MobiusElement(self.matrix @ other.matrix)

@@ -199,46 +199,6 @@ def enumerate_generators(
     return out
 
 
-@dataclass(frozen=True)
-class MorseModel:
-    """Critical point data of the perturbing function on the base surface.
-
-    The minima sit at the orbifold points, ordered lexicographically by
-    (j, i). The M-1 tree saddles connect consecutive minima, the 2g handle
-    saddles have zero incidence, and there is a single maximum; the model's
-    Morse homology is therefore (1, 2g, 1) in degrees (0, 1, 2).
-    """
-
-    minima: tuple[tuple[int, int, int], ...]  # (j, i, t_j)
-    tree_saddles: tuple[tuple[int, int], ...]  # (minimum index, minimum index + 1)
-    handle_saddles: int
-    genus: int
-
-    @property
-    def saddle_total(self) -> int:
-        return len(self.tree_saddles) + self.handle_saddles
-
-    def boundary_matrix(self) -> RationalMatrix:
-        """Incidence matrix from saddles to minima (entries in {-1, 0, 1})."""
-        mat = RationalMatrix(len(self.minima), self.saddle_total)
-        sparse = mat.sparse_rows
-        for col, (lo, hi) in enumerate(self.tree_saddles):
-            sparse[lo][col] = 1
-            sparse[hi][col] = -1
-        return mat
-
-
-def build_morse_model(data: SeifertData) -> MorseModel:
-    minima = tuple(orbifold_points(data))
-    tree = tuple((i, i + 1) for i in range(len(minima) - 1))
-    return MorseModel(
-        minima=minima,
-        tree_saddles=tree,
-        handle_saddles=2 * data.genus,
-        genus=data.genus,
-    )
-
-
 @dataclass
 class GradedComplex:
     """Generators bucketed by grading plus the differential per grading step.
@@ -260,12 +220,14 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
     iterate with t_j not dividing k, whose class contains no other
     generator and whose differential vanishes.
 
-    For the fiber class n, the generators are the minima orbits at the
-    iterate n*t_j (grading -2nw - 2 where w = d/m), the saddle orbits
-    (grading -2nw - 1), and the maximum orbit (grading -2nw). Each tree
-    saddle maps to the difference of its two adjacent minima orbits; handle
-    saddles and the maximum map to zero. Raises InconsistentComplex when a
-    Conley-Zehnder index puts some generator off the grading stated here.
+    For the fiber class n, the generators are the M minima orbits at the
+    iterate n*t_j, one per orbifold point ordered by (j, i) (grading
+    -2nw - 2 where w = d/m), the M - 1 + 2g saddle orbits (grading
+    -2nw - 1), and the maximum orbit (grading -2nw). The tree saddle c
+    maps to minimum c minus minimum c + 1, for c < M - 1; the 2g handle
+    saddles and the maximum map to zero, so the homology is the surface
+    homology (1, 2g, 1). Raises InconsistentComplex when a Conley-Zehnder
+    index puts some generator off the grading stated here.
     """
     if isinstance(cls, tuple):
         j, i, k = cls
@@ -282,7 +244,6 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
     n = int(cls)
     if n < 1:
         raise ValueError("fiber class must be a positive integer")
-    model = build_morse_model(data)
     base = -2 * n * data.fiber_winding
     # the minima orbit n*t_j over a point of multiplicity t_j has the same
     # period as the n-th saddle and maximum iterates: n*d/m times 2*pi
@@ -311,9 +272,16 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
     cz = graded_cz(SADDLE, base - 1, n)
     saddle_orbits = list(map(tuple.__new__, repeat(OrbitGenerator), zip(
         repeat(SADDLE), repeat(n), repeat(cz), repeat(base - 1), repeat(action),
-        repeat(n), repeat(None), repeat(None), range(1, model.saddle_total + 1),
+        repeat(n), repeat(None), repeat(None), range(1, saddle_count(data) + 1),
     )))
     max_orbit = OrbitGenerator(MAXIMUM, n, graded_cz(MAXIMUM, base, n), base, action, n)
+
+    M = len(minima_orbits)
+    boundary = RationalMatrix(M, len(saddle_orbits))
+    rows = boundary.sparse_rows
+    for col in range(M - 1):
+        rows[col][col] = 1
+        rows[col + 1][col] = -1
 
     generators = {
         base - 2: minima_orbits,
@@ -321,8 +289,8 @@ def build_complex(data: SeifertData, cls) -> GradedComplex:
         base: [max_orbit],
     }
     differential = {
-        base - 2: RationalMatrix(0, len(minima_orbits)),
-        base - 1: model.boundary_matrix(),
+        base - 2: RationalMatrix(0, M),
+        base - 1: boundary,
         base: RationalMatrix(len(saddle_orbits), 1),
     }
     return GradedComplex(

@@ -158,6 +158,10 @@ def _solve_fan(angles: list[float]) -> float:
     return 0.5 * (a + b)
 
 
+# how far, in radians, a rotation generator's spin at its vertex may miss 2*pi/a_j
+_SPIN_TOL = 1e-6
+
+
 def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonGroup:
     """Construct the polygon, its reflections, rotations, and lifts.
 
@@ -206,9 +210,10 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
         spin = cmath.phase(rotation.derivative(vertices[j]))
         expected = 2.0 * angles[j]
         wrapped = (spin - expected + math.pi) % (2.0 * math.pi) - math.pi
-        if not abs(wrapped) <= 1e-6:
+        if not abs(wrapped) <= _SPIN_TOL:
             raise ConstructionFailure(
-                f"rotation at vertex {j + 1} spins by {spin:.6f}, expected {expected:.6f}"
+                f"rotation at vertex {j + 1} spins by {spin:.6f}, expected {expected:.6f}",
+                check=f"rotation_spin[{j + 1}]", value=wrapped, tolerance=_SPIN_TOL,
             )
         rotations.append(rotation)
         lifts.append(LiftedIsometry.with_shift_at(rotation, vertices[j], expected))

@@ -9,7 +9,6 @@ from brieskorn import (
     InconsistentComplex,
     RationalMatrix,
     build_complex,
-    build_morse_model,
     conley_zehnder,
     enumerate_generators,
     graded_homology,
@@ -111,15 +110,17 @@ def test_singleton_class_rejects_fiber_iterates(data237):
 
 
 def test_morse_model_homology(fuzz_corpus):
-    for data in fuzz_corpus[:60]:
-        model = build_morse_model(data)
-        mat = model.boundary_matrix()
-        rank = mat.rank()
-        minima = len(model.minima)
-        assert rank == minima - 1
-        assert minima - rank == 1  # degree 0
-        assert model.saddle_total - rank == 2 * data.genus  # degree 1
-        # single maximum with zero boundary: degree 2 dimension 1
+    # the saddle-to-minima boundary is the Morse complex of the base: rank
+    # M - 1, so the surface homology (1, 2g, 1) in the three gradings
+    for data in fuzz_corpus:
+        for n in (1, 2, 3):
+            base = -2 * n * data.fiber_winding
+            complex_ = build_complex(data, n)
+            minima = len(complex_.generators_by_grading[base - 2])
+            assert minima == data.minima_count
+            assert complex_.differential[base - 1].rank() == minima - 1
+            expected = {base - 2: 1, base - 1: 2 * data.genus, base: 1}
+            assert graded_homology(complex_) == {k: v for k, v in expected.items() if v}
 
 
 def test_differential_entries_and_degree(fuzz_corpus):
@@ -200,13 +201,15 @@ def test_saddle_count_includes_handles():
 
 def complex_orbit_by_orbit(data, n):
     """The fiber class n assembled from one orbit constructor call per generator
-    and one checked entry write per incidence."""
-    model = build_morse_model(data)
+    and one checked entry write per incidence of an explicit tree pair."""
     base = -2 * n * data.fiber_winding
-    minima = [exceptional_orbit(data, j, i, n * t_j) for j, i, t_j in model.minima]
-    saddles = [saddle_orbit(data, ell, n) for ell in range(1, model.saddle_total + 1)]
+    points = orbifold_points(data)
+    minima = [exceptional_orbit(data, j, i, n * t_j) for j, i, t_j in points]
+    saddles = [saddle_orbit(data, ell, n)
+               for ell in range(1, len(points) - 1 + 2 * data.genus + 1)]
+    tree = [(i, i + 1) for i in range(len(points) - 1)]
     boundary = RationalMatrix(len(minima), len(saddles))
-    for col, (lo, hi) in enumerate(model.tree_saddles):
+    for col, (lo, hi) in enumerate(tree):
         boundary[lo, col] = Fraction(1)
         boundary[hi, col] = Fraction(-1)
     return GradedComplex(

@@ -6,9 +6,14 @@ import random
 
 import pytest
 
-from brieskorn import NotHyperbolic, halfplane, polygon, validate_params
+from brieskorn import NotHyperbolic, cli, halfplane, polygon, validate_params
 from brieskorn.errors import RelationFailure
-from brieskorn.halfplane import MobiusElement, lifted_power
+from brieskorn.halfplane import (
+    EdgeReflection,
+    MobiusElement,
+    lifted_power,
+    rotation_about_i,
+)
 from brieskorn.polygon import (
     _FAN_GRID,
     _solve_fan,
@@ -60,6 +65,34 @@ def test_reflection_matrices_are_involutions():
         square = refl.matrix @ refl.matrix
         assert abs(square[0, 0] - square[1, 1]) < 1e-12
         assert abs(square[0, 1]) < 1e-12 and abs(square[1, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("exponents", [
+    (2, 3, 7), (2, 3, 5, 7), (50, 60, 70), (100, 100, 100), (97, 89, 83, 79),
+    (5, 5, 9, 6, 3), (2,) * 12, (200, 300, 400),
+])
+def test_each_reflection_fixes_its_edge(exponents):
+    group = group_for(*exponents)
+    n = len(group.vertices)
+    for j, refl in enumerate(group.reflections):
+        (a, b), (c, d) = refl.matrix
+        for z in (group.vertices[j], group.vertices[(j + 1) % n]):
+            w = z.conjugate()
+            assert abs((a * w + b) / (c * w + d) - z) <= 1e-10 * abs(z)
+
+
+def test_a_missed_rotation_spin_names_its_check(monkeypatch):
+    real = EdgeReflection.compose
+    # an extra turn about i moves every rotation's spin at its vertex
+    monkeypatch.setattr(EdgeReflection, "compose",
+                        lambda self, other: rotation_about_i(1e-3).compose(real(self, other)))
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="verify-geometry"))
+    assert code == cli.EXIT_TOLERANCE == 3
+    entry = report["errors"][0]
+    assert entry["type"] == "ConstructionFailure"
+    assert entry["check"] == "rotation_spin[1]"
+    assert entry["tolerance"] == polygon._SPIN_TOL == 1e-6
+    assert abs(entry["value"]) > entry["tolerance"]
 
 
 def test_rotation_orders_2_3_7():
