@@ -25,7 +25,6 @@ from .errors import (
     InvalidExponent,
     NondegeneracyFailure,
     NotHyperbolic,
-    RelationFailure,
 )
 from .dynamics import (
     LinearizedReturn,
@@ -91,7 +90,6 @@ __all__ = [
     "PoincareSeries",
     "PolygonGroup",
     "RationalMatrix",
-    "RelationFailure",
     "SeifertData",
     "UpperHalfPoint",
     "build_complex",

@@ -85,18 +85,6 @@ class DegenerateInput(BrieskornError):
     """A Moebius denominator collapsed; the matrix or point is not genuine."""
 
 
-class RelationFailure(BrieskornError):
-    """A group relation residual exceeded its tolerance.
-
-    The full relation report is attached as ``report``; ``check`` names
-    the first relation that missed its tolerance.
-    """
-
-    def __init__(self, message, report=None, **missed):
-        super().__init__(message, **missed)
-        self.report = report
-
-
 class NondegeneracyFailure(BrieskornError):
     """The linearized return map is too close to a full rotation to grade.
 

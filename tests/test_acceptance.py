@@ -119,8 +119,7 @@ def test_criterion_4_geometry_verification():
                 continue
             group = build_polygon_group(params)
             assert abs(measured_area(group) - expected_area(params)) < 1e-12, triple
-            report = check_relations(group, samples=20, seed=0)
-            for name, value in report.residuals.items():
+            for name, value in check_relations(group, samples=20, seed=0).items():
                 limit = 1e-8 if name.startswith("lift") else 1e-9
                 assert value < limit, (triple, name, value)
         assert time.time() - start < 5.0

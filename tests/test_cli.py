@@ -372,6 +372,11 @@ def test_readme_exit_table_lists_every_error_class():
         and cls is not errors.BrieskornError
     }
     assert listed == declared
+    # every class has a raiser: a class that nothing constructs is dead
+    package = Path(errors.__file__).parent
+    sources = "".join(path.read_text() for path in package.glob("*.py")
+                      if path.name != "errors.py")
+    assert {name for name in declared if f"{name}(" not in sources} == set()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "tiny"])
@@ -470,7 +475,7 @@ NAN_SITES = {
     "angle": (["verify-geometry"], _nan_last_angle, "angle_error", "angle"),
     "relations": (["verify-geometry"],
                   lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan),
-                  "reflection_involution[1]", "matrix_relation"),
+                  "verification.relations.reflection_involution[1]", "matrix_relation"),
 }
 
 
@@ -487,6 +492,32 @@ def test_nan_fails_every_lab_verdict(site, monkeypatch):
     [error] = [e for e in report["errors"] if e.get("check") == check]
     assert math.isnan(error["value"])
     assert error["tolerance"] == tolerances.DEFAULT_TOLERANCES[tolerance]
+
+
+@pytest.mark.parametrize("loosened, check, value, tolerance", [
+    ("matrix_relation", "verification.relations.lift_order[2]", 1.11e-7, 1e-8),
+    ("invariance", "verification.relations.rotation_order[2]", 9.45e-8, 1e-9),
+])
+def test_relations_are_held_to_their_own_tolerance(loosened, check, value, tolerance,
+                                                    monkeypatch):
+    # (50,60,70) misses one matrix and one lifted relation at the defaults;
+    # loosening one tolerance leaves only the relation held to the other
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    code, report = run_cli(["verify-geometry", "--exponents", "50,60,70",
+                            "--tol", f"{loosened}=1e-6"])
+    assert code == EXIT_TOLERANCE
+    [error] = report["errors"]
+    assert (error["type"], error["check"], error["tolerance"]) == ("CheckFailed", check, tolerance)
+    assert error["value"] == pytest.approx(value, rel=1e-2)
+
+
+@pytest.mark.parametrize("mode", ["verify-geometry", "verify-dynamics"])
+def test_run_and_the_command_line_share_each_lab_modes_default_samples(mode, capsys,
+                                                                        monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    code, report = run(cli.RunConfig(exponents=[2, 3, 7], mode=mode))
+    assert main([mode, "--exponents", "2,3,7"]) == code
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_cz_mismatch_is_a_failed_check(monkeypatch):

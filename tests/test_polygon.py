@@ -7,7 +7,6 @@ import random
 import pytest
 
 from brieskorn import NotHyperbolic, cli, halfplane, polygon, validate_params
-from brieskorn.errors import RelationFailure
 from brieskorn.halfplane import (
     EdgeReflection,
     MobiusElement,
@@ -126,8 +125,7 @@ def test_relations_all_small_triples():
         except NotHyperbolic:
             continue
         group = build_polygon_group(params)
-        report = check_relations(group)
-        for name, value in report.residuals.items():
+        for name, value in check_relations(group).items():
             limit = 1e-8 if name.startswith("lift") else 1e-9
             assert value < limit, (triple, name, value)
 
@@ -135,8 +133,8 @@ def test_relations_all_small_triples():
 def test_relations_larger_polygons():
     for exponents in [(2, 2, 2, 3), (2, 3, 7, 43), (2, 2, 3, 3, 3), (3, 3, 3, 3, 3), (2, 3, 4, 5, 6, 7)]:
         group = group_for(*exponents)
-        report = check_relations(group)
-        assert report.max_residual < 1e-8, (exponents, report.worst)
+        residuals = check_relations(group)
+        assert max(residuals.values()) < 1e-8, (exponents, residuals)
 
 
 def test_area_matches_curvature_integral_up_to_50():
@@ -152,7 +150,7 @@ def test_identity_element_has_zero_residual():
     assert max(abs(flat[0] - 1), abs(flat[1]), abs(flat[2]), abs(flat[3] - 1)) == 0.0
 
 
-def test_relation_failure_raises_with_report():
+def test_a_sabotaged_winding_breaks_its_lift_order():
     group = group_for(2, 3, 7)
     # sabotage one lifted generator's winding so the lifted relations break
     from brieskorn.halfplane import LiftedIsometry
@@ -160,10 +158,7 @@ def test_relation_failure_raises_with_report():
     bad = LiftedIsometry(group.lifted_generators[0].base,
                          group.lifted_generators[0].winding_offset + 0.3)
     group.lifted_generators[0] = bad
-    with pytest.raises(RelationFailure) as excinfo:
-        check_relations(group)
-    assert excinfo.value.report is not None
-    assert excinfo.value.report.max_residual > 0.1
+    assert check_relations(group)["lift_order[1]"] > 0.1
 
 
 def fan_tuples(seed, count):
@@ -233,13 +228,6 @@ def relation_tuples(seed, count):
     return out
 
 
-def _residuals(group, **sampling):
-    try:
-        return check_relations(group, **sampling).residuals
-    except RelationFailure as exc:
-        return exc.report.residuals
-
-
 def test_relation_residuals_equal_the_point_by_point_oracle_bit_for_bit(monkeypatch):
     # count the rows the array t-shifts send through continued_arg: one
     # call per lifted-product composition, the rest are recursive-turn rows
@@ -257,7 +245,7 @@ def test_relation_residuals_equal_the_point_by_point_oracle_bit_for_bit(monkeypa
             assert got.base.matrix.tolist() == want.base.matrix.tolist(), exponents
             assert got.winding_offset.hex() == want.winding_offset.hex(), exponents
         calls.clear()
-        residuals = _residuals(group, **sampling)
+        residuals = check_relations(group, **sampling)
         recursive += len(calls) - len(exponents)
         expected = lifted_residuals(group, **sampling)
         assert {k: v.hex() for k, v in residuals.items() if k.startswith("lift")} == {
@@ -273,8 +261,7 @@ def test_relation_check_applies_no_matrix_point_by_point(monkeypatch):
                         lambda self, z, **kw: calls.append(z) or real(self, z, **kw))
     group = group_for(50, 60, 70)
     calls.clear()
-    with pytest.raises(RelationFailure):
-        check_relations(group, samples=50, seed=7)
+    check_relations(group, samples=50, seed=7)
     # one image of i per composition of the lifted product, none per point
     assert len(calls) == 3
 
@@ -284,9 +271,7 @@ def test_a_nan_lift_fails_its_relations():
     from brieskorn.halfplane import LiftedIsometry
 
     group.lifted_generators[2] = LiftedIsometry(group.lifted_generators[2].base, math.nan)
-    with pytest.raises(RelationFailure) as excinfo:
-        check_relations(group)
+    residuals = check_relations(group)
     # the t-deviations follow the space deviations; a NaN among them is kept
-    assert excinfo.value.check == "lift_order[3]"
-    assert math.isnan(excinfo.value.value)
-    assert math.isnan(excinfo.value.report.residuals["lift_product"])
+    assert math.isnan(residuals["lift_order[3]"])
+    assert math.isnan(residuals["lift_product"])
