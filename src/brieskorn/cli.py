@@ -37,7 +37,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import NoReturn
 
@@ -170,8 +170,9 @@ def _run_compare(config: RunConfig, data, report: dict) -> list:
     comparison = compare_graded(chain, oracle, floor)
     dims = _dims_payload(chain)
     report["homology"] = {"dims": dims}
-    # equal dicts have equal payloads; a copy is one C-level pass
-    report["oracle"] = dict(dims) if oracle == chain else _dims_payload(oracle)
+    # equal dicts have equal payloads: the report holds one dict twice, and
+    # render encodes it once
+    report["oracle"] = dims if oracle == chain else _dims_payload(oracle)
     report["comparison"] = {"equal": comparison.equal, "floor": floor}
     if comparison.equal:
         return []
@@ -346,24 +347,31 @@ _RECORD = "\x1e"  # json escapes every control character inside a string
 _RECORD_ENCODER = json.JSONEncoder(separators=(_RECORD, ":"))
 
 
-def _leaf_lines(node, path: str, separator: str, out: list) -> None:
+def _leaf_lines(node, path: str, separator: str, out: list, texts: dict) -> None:
     """Append ``path``, separator, compact JSON for every leaf of node to out.
 
     A dict of scalars is encoded in one C encoder call over its values,
     joined by a record separator that no encoded scalar contains, and
-    split back into one value per key.
+    split back into one value per key. Its ``key``, separator, value lines
+    are kept in texts by ``id``, with the dict so that no other object takes
+    that id, and a dict met again under another path reuses them; they go
+    to out as one string, ``"\n"``-joined as render joins out.
     """
     if isinstance(node, dict) and node:
         prefix = f"{path}." if path else ""
-        if _SCALARS.issuperset(map(type, node.values())):
+        cached = texts.get(id(node))
+        if cached is None and _SCALARS.issuperset(map(type, node.values())):
             values = _RECORD_ENCODER.encode(list(node.values()))[1:-1].split(_RECORD)
-            out += [f"{prefix}{key}{separator}{value}" for key, value in zip(node, values)]
+            cached = texts[id(node)] = (
+                node, [f"{key}{separator}{value}" for key, value in zip(node, values)])
+        if cached is not None:
+            out.append(prefix + f"\n{prefix}".join(cached[1]))
         else:
             for key, child in node.items():
-                _leaf_lines(child, f"{prefix}{key}", separator, out)
+                _leaf_lines(child, f"{prefix}{key}", separator, out, texts)
     elif isinstance(node, list) and any(isinstance(child, dict) for child in node):
         for i, child in enumerate(node):
-            _leaf_lines(child, f"{path}[{i}]", separator, out)
+            _leaf_lines(child, f"{path}[{i}]", separator, out, texts)
     else:
         out.append(f"{path}{separator}{_COMPACT.encode(node)}")
 
@@ -387,7 +395,7 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
     return encoder
 
 
-def _indented(node, depth: int, out: list, walking: set) -> None:
+def _indented(node, depth: int, out: list, walking: set, texts: dict) -> None:
     """Append ``json.dumps(node, indent=2, sort_keys=True)`` at ``depth`` to out.
 
     Containers are walked in Python down to the first one that holds only
@@ -395,6 +403,12 @@ def _indented(node, depth: int, out: list, walking: set) -> None:
     is a leaf that the C encoder writes or refuses as json would. Keys are
     sorted first and converted after, and a container met again inside
     itself is refused, as json does.
+
+    The text of each container written whole is kept in texts by ``id``,
+    with the container so that no other object takes that id, and a
+    container met again reuses it: at another depth after one replace of
+    every ``"\n"`` and its indent, since json escapes every newline inside a
+    string and a raw one only starts a line.
     """
     if isinstance(node, dict):
         values, brackets = node.values(), "{}"
@@ -403,11 +417,19 @@ def _indented(node, depth: int, out: list, walking: set) -> None:
     else:
         out.append(_COMPACT.encode(node))
         return
+    cached = texts.get(id(node))
+    if cached is not None:
+        _, at, text = cached
+        if at != depth:
+            text = text.replace("\n" + _INDENT * at, "\n" + _INDENT * depth)
+        out.append(text)
+        return
     inner = _INDENT * (depth + 1)
     if _SCALARS.issuperset(map(type, values)):
         text = _flat_encoder(depth + 1).encode(node)
         if node:
             text = f"{brackets[0]}\n{inner}{text[1:-1]}\n{_INDENT * depth}{brackets[1]}"
+        texts[id(node)] = (node, depth, text)
         out.append(text)
         return
     if id(node) in walking:
@@ -423,12 +445,12 @@ def _indented(node, depth: int, out: list, walking: set) -> None:
                 raise TypeError("keys must be str, int, float, bool or None, "
                                 f"not {key.__class__.__name__}")
             out.append(f"{separator}{_COMPACT.encode(key)}: ")
-            _indented(value, depth + 1, out, walking)
+            _indented(value, depth + 1, out, walking, texts)
             separator = ",\n" + inner
     else:
         for value in node:
             out.append(separator)
-            _indented(value, depth + 1, out, walking)
+            _indented(value, depth + 1, out, walking, texts)
             separator = ",\n" + inner
     walking.discard(id(node))
     out.append(f"\n{_INDENT * depth}{brackets[1]}")
@@ -437,10 +459,10 @@ def _indented(node, depth: int, out: list, walking: set) -> None:
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         out: list[str] = []
-        _indented(report, 0, out, set())
+        _indented(report, 0, out, set(), {})
         return "".join(out)
     lines: list[str] = []
-    _leaf_lines(report, "", "\t" if fmt == "tsv" else " = ", lines)
+    _leaf_lines(report, "", "\t" if fmt == "tsv" else " = ", lines, {})
     return "\n".join(lines)
 
 
@@ -465,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--exponents", required=True,
                        help="comma separated exponents, e.g. 2,3,7")
-        p.add_argument("--format", choices=FORMATS, default="json")
-        p.add_argument("--seed", type=int, default=0, dest="rng_seed")
+        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--seed", type=int, dest="rng_seed")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override; repeatable "
                             f"(also via ${tol_mod.ENV_VAR})")
@@ -476,13 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generators", help="enumerate orbit generators")
     common(p)
-    p.add_argument("--grading-floor", type=int, dest="grading_floor", default=None)
-    p.add_argument("--action-bound", dest="action_bound", default=None,
+    p.add_argument("--grading-floor", type=int, dest="grading_floor")
+    p.add_argument("--action-bound", dest="action_bound",
                    help="rational multiple of 2*pi, e.g. 2 or 5/2")
 
     p = sub.add_parser("complex", help="chain groups and differentials per fiber class")
     common(p)
-    p.add_argument("--classes", type=int, default=1)
+    p.add_argument("--classes", type=int)
 
     for p in (
         sub.add_parser("homology", aliases=["compute-homology"],
@@ -490,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser("compare", help="chain homology against the closed form"),
     ):
         common(p)
-        p.add_argument("--grading-floor", type=int, dest="grading_floor", default=-10)
+        p.add_argument("--grading-floor", type=int, dest="grading_floor")
 
     p = sub.add_parser("verify-geometry", help="polygon area, angles, group relations")
     common(p)
@@ -499,36 +521,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dynamics", help="invariance residuals, rotation table")
     common(p)
     p.add_argument("--samples", type=int)
-    p.add_argument("--epsilon", action="append", type=float, default=None,
+    p.add_argument("--epsilon", action="append", type=float,
                    dest="epsilons", help="perturbation size; repeatable")
-    p.add_argument("--iterates", type=int, default=2)
+    p.add_argument("--iterates", type=int)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    exponents = [int(x) for x in str(args.exponents).split(",") if x.strip()]
-    mode = args.mode if args.mode != "compute-homology" else "homology"
-    action_bound = getattr(args, "action_bound", None)
-    if action_bound is not None:
-        action_bound = Fraction(action_bound)
-    grading_floor = getattr(args, "grading_floor", None)
-    if action_bound is not None and grading_floor is not None:
-        raise ConfigError("--grading-floor and --action-bound are mutually exclusive")
-    epsilons = getattr(args, "epsilons", None)
-    return RunConfig(
-        exponents=exponents,
-        mode=mode,
-        grading_floor=-10 if grading_floor is None else grading_floor,
-        action_bound=action_bound,
-        classes=getattr(args, "classes", 1),
-        format=args.format,
-        tolerances=tol_mod.parse_pairs(args.tol),
-        rng_seed=args.rng_seed,
-        samples=getattr(args, "samples", None),
-        epsilons=tuple(epsilons) if epsilons else (1e-2, 1e-3),
-        iterates=getattr(args, "iterates", 2),
-    )
+    """The RunConfig of parsed arguments; an option left out keeps the
+    RunConfig default, which the parser does not repeat."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    given["exponents"] = [int(x) for x in str(args.exponents).split(",") if x.strip()]
+    if given["mode"] == "compute-homology":
+        given["mode"] = "homology"
+    if "action_bound" in given:
+        given["action_bound"] = Fraction(given["action_bound"])
+        if "grading_floor" in given:
+            raise ConfigError("--grading-floor and --action-bound are mutually exclusive")
+    if "epsilons" in given:
+        given["epsilons"] = tuple(given["epsilons"])
+    return RunConfig(tolerances=tol_mod.parse_pairs(args.tol), **given)
 
 
 def _requested_format(argv) -> str:

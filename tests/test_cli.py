@@ -520,6 +520,17 @@ def test_run_and_the_command_line_share_each_lab_modes_default_samples(mode, cap
     assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("mode", ["compare", "homology", "verify-dynamics", "generators",
+                                  "complex"])
+def test_run_and_the_command_line_give_the_same_report_at_the_defaults(mode, capsys,
+                                                                       monkeypatch):
+    # the parser states no default of its own: an option left out takes RunConfig's
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    code, report = run(cli.RunConfig(exponents=[2, 3, 7], mode=mode))
+    assert main([mode, "--exponents", "2,3,7"]) == code == EXIT_OK
+    assert capsys.readouterr().out == render(report, "json") + "\n"
+
+
 def test_cz_mismatch_is_a_failed_check(monkeypatch):
     real = cli.conley_zehnder
     monkeypatch.setattr(cli, "conley_zehnder", lambda *args: real(*args) + 2)

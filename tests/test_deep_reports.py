@@ -88,6 +88,12 @@ def test_a_deep_mismatch_report_keeps_its_bytes(expected, monkeypatch):
     got = _digest(MISMATCH_CASE)
     assert got["exit"] == cli.EXIT_MISMATCH
     assert got == expected[MISMATCH_CASE]
+    # the sides differ, so each keeps its own dims dict
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
+                                         grading_floor=-2000))
+    assert code == cli.EXIT_MISMATCH
+    assert report["oracle"] is not report["homology"]["dims"]
+    assert report["oracle"] != report["homology"]["dims"]
 
 
 def _regenerate() -> None:

@@ -59,7 +59,28 @@ def _containers(children):
                      st.lists(children, max_size=4).map(tuple))
 
 
-_trees = st.recursive(_scalars, _containers, max_leaves=40)
+_plain_trees = st.recursive(_scalars, _containers, max_leaves=40)
+# one container object, empty or not, of scalars or not, that a tree holds
+# at any number of places and depths
+_shared = st.one_of(_containers(_scalars), _containers(_plain_trees))
+_trees = st.one_of(
+    _plain_trees,
+    _shared.flatmap(lambda shared: st.recursive(
+        st.one_of(_scalars, st.just(shared)), _containers, max_leaves=20)),
+)
+
+# shared containers for the explicit examples
+_FLAT = {"-2": 10, "-4": 11, "é": "a\nb"}
+_NESTED = {"a": [1, {"b": 2.5}], "c": {}, "d": _FLAT}
+_EMPTY: dict = {}
+_PAIR = [1, "x"]
+_SHARED_EXAMPLES = [
+    {"homology": {"dims": _FLAT}, "oracle": _FLAT},   # depths 2 and 1
+    {"x": _FLAT, "y": _FLAT, "z": [[_FLAT]]},         # equal depths, then deeper
+    [_NESTED, {"k": _NESTED}, _NESTED, _FLAT],
+    {"e": _EMPTY, "f": [_EMPTY, ()], "g": _EMPTY},
+    [_PAIR, [_PAIR, (_PAIR,)], {"p": _PAIR}],
+]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -72,6 +93,11 @@ _trees = st.recursive(_scalars, _containers, max_leaves=40)
 @example({2.5: [math.nan, -math.inf], 1: {True: "t", 0.5: -0.0}, math.nan: ()})
 @example([np.float64(0.1), Measure(1e300), Level.HIGH, {"k": np.float64(-0.0)}])
 @example({None: {"z": 1, "a": {"m": [1, {"q": math.inf}]}}})
+@example(_SHARED_EXAMPLES[0])
+@example(_SHARED_EXAMPLES[1])
+@example(_SHARED_EXAMPLES[2])
+@example(_SHARED_EXAMPLES[3])
+@example(_SHARED_EXAMPLES[4])
 def test_render_equals_json_dumps_with_indent(tree):
     assert render(tree, "json") == oracle(tree)
 
@@ -99,8 +125,9 @@ def test_render_refuses_what_json_dumps_refuses(tree):
 
 def test_render_refuses_a_circular_report():
     inner: dict = {"n": 1}
-    tree = {"a": [inner, 2]}
+    tree = {"a": [inner, 2], "flat": _FLAT}
     inner["loop"] = tree
+    inner["flat"] = _FLAT  # shared, not circular: met again, written again
     for cycle in (tree, [tree], {"list": (lambda x: (x.append(x), x)[1])([1])}):
         with pytest.raises(ValueError, match="Circular reference detected"):
             oracle(cycle)
@@ -113,9 +140,9 @@ def test_flat_containers_go_to_the_c_encoder_whole(monkeypatch):
     walked = []
     real = cli._indented
 
-    def counting(node, depth, out, walking):
+    def counting(node, *args):
         walked.append(type(node).__name__)
-        return real(node, depth, out, walking)
+        return real(node, *args)
 
     monkeypatch.setattr(cli, "_indented", counting)
     code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
@@ -145,6 +172,11 @@ def leaves_one_by_one(node, path=""):
 @example({"dims": {"-10": 1, "-2": 3}, "x": [[1, 2], [3]], "é": "ü\n\"", "n": None})
 @example({2.5: [math.nan, -math.inf], 1: {True: "t", 0.5: -0.0}, math.nan: ()})
 @example([{"a": np.float64(0.1), "b": Measure(1e300), "c": Level.HIGH}, 3])
+@example(_SHARED_EXAMPLES[0])
+@example(_SHARED_EXAMPLES[1])
+@example(_SHARED_EXAMPLES[2])
+@example(_SHARED_EXAMPLES[3])
+@example(_SHARED_EXAMPLES[4])
 def test_text_and_tsv_print_one_line_per_leaf(tree):
     for fmt, separator in (("tsv", "\t"), ("text", " = ")):
         expected = "\n".join(f"{path}{separator}{value}"
@@ -157,9 +189,9 @@ def test_text_walk_hands_dicts_of_scalars_to_the_c_encoder(monkeypatch):
     walked = []
     real = cli._leaf_lines
 
-    def counting(node, path, separator, out):
+    def counting(node, path, *args):
         walked.append(path)
-        return real(node, path, separator, out)
+        return real(node, path, *args)
 
     monkeypatch.setattr(cli, "_leaf_lines", counting)
     code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
@@ -168,3 +200,35 @@ def test_text_walk_hands_dicts_of_scalars_to_the_c_encoder(monkeypatch):
     lines = render(report, "tsv").splitlines()
     assert len(lines) > 4000 and "oracle.-2\t10" in lines
     assert len(walked) < 40
+
+
+class _CountingEncoder:
+    """Stands for a C encoder and records the size of each container it encodes."""
+
+    def __init__(self, real, sizes):
+        self.real, self.sizes = real, sizes
+
+    def encode(self, node):
+        self.sizes.append(len(node))
+        return self.real.encode(node)
+
+
+def test_agreeing_dims_are_one_dict_encoded_once_per_render(monkeypatch):
+    code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare",
+                                         grading_floor=-4000))
+    assert code == cli.EXIT_OK and len(report["oracle"]) == 2000
+    assert report["oracle"] is report["homology"]["dims"]
+    expected = {fmt: render(report, fmt) for fmt in cli.FORMATS}
+
+    sizes: list[int] = []
+    real_flat = cli._flat_encoder
+    monkeypatch.setattr(cli, "_flat_encoder",
+                        lambda depth: _CountingEncoder(real_flat(depth), sizes))
+    monkeypatch.setattr(cli, "_RECORD_ENCODER",
+                        _CountingEncoder(cli._RECORD_ENCODER, sizes))
+    for fmt in cli.FORMATS:
+        sizes.clear()
+        same = render(report, fmt) == expected[fmt]  # no diff of two long texts
+        assert same and [size for size in sizes if size >= 100] == [2000], fmt
+    same = expected["json"] == oracle(report)
+    assert same
