@@ -60,7 +60,6 @@ from .polygon import (
     check_relations,
     expected_area,
     measured_area,
-    measured_interior_angles,
 )
 
 EXIT_OK = 0
@@ -193,10 +192,9 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
     group = build_polygon_group(data.params, tolerances=tols)
     area = measured_area(group)
     target = expected_area(data.params)
-    angles = measured_interior_angles(group)
     # build_polygon_group has already held these against tols["angle"]
     angle_errors = [
-        abs(got - math.pi / a) for got, a in zip(angles, data.params.exponents)
+        abs(got - math.pi / a) for got, a in zip(group.interior_angles, data.params.exponents)
     ]
     verification = {
         "area": {

@@ -15,10 +15,12 @@ t-shift the element applies at the reference point w = i.
 The invariance block of ``verify-dynamics`` draws its samples from
 ``--seed`` alone (``--samples`` of each; the exponents play no part), as
 arrays: ``random_samples`` gives an (N, 4) array of matrices (a, b, c, d)
-and an (N, 3) array of points (x, y, t), drawn in turn by ``rng.random``
-calls, each matrix rescaled to determinant one as ``MobiusElement``
-rescales it. ``invariance_residuals`` then computes all the residuals in
-one call. They are rounding noise, pinned in reports, so that call
+and an (N, 3) array of points (x, y, t), drawn in turn, each matrix
+rescaled to determinant one as ``MobiusElement`` rescales it. The draws
+are the values of ``rng.random`` calls, taken in bulk by ``_uniforms``,
+bit for bit, and leave ``rng`` where those calls leave it.
+``invariance_residuals`` then computes all the residuals in one call.
+They are rounding noise, pinned in reports, so that call
 reproduces ``contact_invariance_residual`` and
 ``frame_invariance_residual`` of the canonical lifts bit for bit: complex
 squares are built from real and imaginary parts, because numpy's complex
@@ -540,13 +542,33 @@ def invariance_residuals(matrices, points) -> tuple[np.ndarray, np.ndarray]:
     return form, frame
 
 
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.random()`` as one float64 array, bit
+    for bit, leaving ``rng`` where ``count`` calls of ``random()`` leave it.
+
+    ``random()`` forms ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the
+    next two 32-bit outputs w0, w1 of the Mersenne Twister, and
+    ``getrandbits(64*count)`` returns the next 2*count outputs, in order, as
+    the little-endian 32-bit words of one integer. Every step is exact.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+                          dtype="<u4")
+    return ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
+
+
+# a point's coordinates (x, y, t) are uniform in [-2, 2] x [0.2, 3] x [-6, 6]
+_POINT_LOW = np.array([-2.0, 0.2, -6.0])
+_POINT_SPAN = np.array([4.0, 2.8, 12.0])
+# a sample is a matrix of entries uniform in [-2, 2], then a point
+_SAMPLE_LOW = np.concatenate([np.full(4, -2.0), _POINT_LOW])
+_SAMPLE_SPAN = np.concatenate([np.full(4, 4.0), _POINT_SPAN])
+
+
 def random_points(rng: random.Random, count: int) -> np.ndarray:
     """``count`` points as a (count, 3) array of rows (x, y, t), uniform in
-    [-2, 2] x [0.2, 3] x [-6, 6], as ``rng.uniform`` draws each coordinate."""
-    draw, flat = rng.random, []
-    for _ in range(count):
-        flat += (-2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw())
-    return np.array(flat).reshape(count, 3)
+    [-2, 2] x [0.2, 3] x [-6, 6], as ``rng.uniform`` draws each coordinate in
+    turn: ``rng.uniform(low, high)`` is low + (high - low) * rng.random()."""
+    return _POINT_LOW + _POINT_SPAN * _uniforms(rng, 3 * count).reshape(count, 3)
 
 
 def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -556,20 +578,39 @@ def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarr
     Each matrix has entries uniform in [-2, 2], redrawn until its
     determinant exceeds 0.05, and is divided by sqrt(det) as
     ``MobiusElement`` divides it; each point is drawn as ``random_points``
-    draws it. ``rng.uniform(low, high)`` is written out as
-    low + (high - low) * rng.random().
+    draws it. The values and the state ``rng`` is left in are those of one
+    ``rng.random()`` call per draw: a window of four draws at p is tried as
+    a matrix, and the next is tried at p + 4 if it is refused, at p + 7
+    (after its point) if it is taken.
+
+    The draws come from ``_uniforms`` in chunks. Each chunk is the fewest
+    draws that could still finish, seven per sample left less the draws in
+    hand past p, so no draw is taken that the per-draw loop would not take.
+    The determinants are computed over a chunk's new windows only.
     """
-    draw, matrices, points = rng.random, [], []
-    for _ in range(count):
-        while True:
-            a, b, c, d = (-2.0 + 4.0 * draw(), -2.0 + 4.0 * draw(),
-                          -2.0 + 4.0 * draw(), -2.0 + 4.0 * draw())
-            det = a * d - b * c
-            if det > 0.05:
+    drawn = np.zeros(0)
+    taken: list[bool] = []  # taken[q]: the window of draws q..q+3 is a matrix
+    starts: list[int] = []  # the windows taken, in order
+    take, p = starts.append, 0
+    while len(starts) < count:
+        drawn = np.concatenate(
+            [drawn, _uniforms(rng, 7 * (count - len(starts)) - (len(drawn) - p))])
+        e = -2.0 + 4.0 * drawn[len(taken):]  # the entries of the new windows
+        taken += (e[:-3] * e[3:] - e[1:-2] * e[2:-1] > 0.05).tolist()
+        # a window taken past end has its point still to draw
+        end, windows = len(drawn) - 7, len(taken)
+        while p < windows:
+            if not taken[p]:
+                p += 4
+            elif p > end:
                 break
-        if abs(det - 1.0) > MobiusElement.DET_SLACK:
-            root = math.sqrt(det)
-            a, b, c, d = a / root, b / root, c / root, d / root
-        matrices += (a, b, c, d)
-        points += (-2.0 + 4.0 * draw(), 0.2 + 2.8 * draw(), -6.0 + 12.0 * draw())
-    return np.array(matrices).reshape(count, 4), np.array(points).reshape(count, 3)
+            else:
+                take(p)
+                p += 7
+    rows = _SAMPLE_LOW + _SAMPLE_SPAN * drawn[np.array(starts, dtype=np.intp)[:, None]
+                                              + np.arange(7)]
+    a, b, c, d = rows[:, :4].T
+    det = a * d - b * c
+    # dividing by 1.0 leaves a matrix of determinant near one as it is
+    root = np.where(np.abs(det - 1.0) > MobiusElement.DET_SLACK, np.sqrt(det), 1.0)
+    return rows[:, :4] / root[:, None], rows[:, 4:]

@@ -34,6 +34,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import tolerances as tol_mod
 from .errors import ConstructionFailure
@@ -58,6 +59,11 @@ class PolygonGroup:
     rotation_generators: list[MobiusElement]
     lifted_generators: list[LiftedIsometry]
     fan_apex_angles: tuple[float, ...]
+
+    @cached_property
+    def interior_angles(self) -> list[float]:
+        """``measured_interior_angles``, measured once per group."""
+        return measured_interior_angles(self)
 
 
 def _cosh_side(opposite: float, adj1: float, adj2: float) -> float:
@@ -231,7 +237,7 @@ def build_polygon_group(params: BrieskornParams, *, tolerances=None) -> PolygonG
 
     worst = tol_mod.worst(
         abs(measured - prescribed)
-        for measured, prescribed in zip(measured_interior_angles(group), angles)
+        for measured, prescribed in zip(group.interior_angles, angles)
     )
     if tol_mod.exceeds(worst, tols["angle"]):
         raise ConstructionFailure(
@@ -270,7 +276,7 @@ def measured_interior_angles(group: PolygonGroup) -> list[float]:
 
 def measured_area(group: PolygonGroup) -> float:
     """Curvature integral of the polygon: (n-2)*pi minus the measured angles."""
-    angles = measured_interior_angles(group)
+    angles = group.interior_angles
     return (len(angles) - 2) * math.pi - sum(angles)
 
 

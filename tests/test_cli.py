@@ -165,6 +165,18 @@ def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
         assert row == rows[keys.index(key)]
 
 
+@pytest.mark.parametrize("mode", ["verify-geometry", "verify-dynamics"])
+def test_each_lab_run_measures_the_interior_angles_once(mode, monkeypatch):
+    unmeasured = run_cli([mode, "--exponents", "2,3,4,5", "--samples", "5"])
+    measured = _count_calls(monkeypatch, polygon, "measured_interior_angles")
+    tangents = _count_calls(monkeypatch, polygon, "initial_direction")
+    assert run_cli([mode, "--exponents", "2,3,4,5", "--samples", "5"]) == unmeasured
+    # the angle check, the angle errors and the area share one measurement,
+    # which takes two tangents at each of the four vertices
+    assert len(measured) == 1
+    assert len(tangents) == 8
+
+
 def test_each_nondegeneracy_entry_names_its_rotation_row():
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "0",

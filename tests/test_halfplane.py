@@ -1,9 +1,12 @@
 """Moebius actions, lifts, the invariant frame, and invariance residuals."""
 
 import cmath
+import importlib.util
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,31 +272,95 @@ def test_array_shifts_keep_signed_zeros_the_cut_and_extreme_entries():
     assert _array_shifts([]) == []
 
 
+# The draw contract: the samplers' arrays are the values of one rng.random()
+# call per draw, bit for bit, and leave the generator where those calls
+# leave it. Each check takes the module under test, so the mutants below
+# are held against the same checks.
+
+def _assert_uniforms_exact(hp, seed, count):
+    rng, calls = random.Random(seed), random.Random(seed)
+    drawn = hp._uniforms(rng, count)
+    assert drawn.dtype == np.float64 and drawn.shape == (count,)
+    assert drawn.tolist() == [calls.random() for _ in range(count)]
+    assert rng.getstate() == calls.getstate()
+
+
+def _assert_samples_exact(hp, seed, count):
+    rng, objects = random.Random(seed), random.Random(seed)
+    matrices, points = hp.random_samples(rng, count)
+    assert matrices.shape == (count, 4) and points.shape == (count, 3)
+    expected = [(list(random_matrix(objects)), random_point(objects)) for _ in range(count)]
+    assert matrices.tolist() == [m for m, _ in expected]
+    assert points.tolist() == [[p.x, p.y, p.t] for _, p in expected]
+    assert rng.getstate() == objects.getstate()
+
+
+def _assert_points_exact(hp, seed, count):
+    rng, raw = random.Random(seed), random.Random(seed)
+    drawn = hp.random_points(rng, count)
+    assert drawn.shape == (count, 3)
+    assert drawn.tolist() == [
+        [raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0)]
+        for _ in range(count)]
+    assert rng.getstate() == raw.getstate()
+
+
+def test_uniforms_are_the_values_of_random_calls_bit_for_bit():
+    for seed in range(20):
+        for count in (0, 1, 2, 1000):
+            _assert_uniforms_exact(halfplane, seed, count)
+
+
 def test_random_point_is_the_uniform_draw_of_each_coordinate():
-    rng, raw, rows = random.Random(8), random.Random(8), random.Random(8)
-    drawn = random_points(rows, 100)
-    assert drawn.shape == (100, 3)
-    for row in drawn.tolist():
+    for seed in range(20):
+        for count in (0, 1, 100, 1000):
+            _assert_points_exact(halfplane, seed, count)
+    rng, rows = random.Random(8), random.Random(8)
+    for row in random_points(rows, 100).tolist():
         p = random_point(rng)
-        assert [p.x, p.y, p.t] == row == [
-            raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0)]
-    assert rng.getstate() == raw.getstate() == rows.getstate()
+        assert [p.x, p.y, p.t] == row
+    assert rng.getstate() == rows.getstate()
 
 
 def test_random_samples_are_the_draws_of_random_matrix_and_random_point():
+    # small counts end in short chunks, where a taken window's point may
+    # still be undrawn
     for seed in range(40):
-        for count in (0, 1, 30, 1000):
-            rng, objects = random.Random(seed), random.Random(seed)
-            matrices, points = random_samples(rng, count)
-            assert matrices.shape == (count, 4) and points.shape == (count, 3)
-            expected_matrices, expected_points = [], []
-            for _ in range(count):
-                expected_matrices.append(list(random_matrix(objects)))
-                p = random_point(objects)
-                expected_points.append([p.x, p.y, p.t])
-            assert matrices.tolist() == expected_matrices
-            assert points.tolist() == expected_points
-            assert rng.getstate() == objects.getstate()
+        for count in (*range(65), 1000):
+            _assert_samples_exact(halfplane, seed, count)
+    for seed in (0, 1):
+        _assert_samples_exact(halfplane, seed, 20000)
+
+
+# source substitutions on a copy of halfplane.py, (text, replacement), and
+# the draw-contract checks, with their counts, that each must fail
+SAMPLER_MUTANTS = {
+    "one word too many in the last chunk": (
+        "    rows = _SAMPLE_LOW",
+        "    if starts:\n        rng.getrandbits(32)\n    rows = _SAMPLE_LOW",
+        ((_assert_samples_exact, 1), (_assert_samples_exact, 1000))),
+    "hi and lo words swapped": (
+        "((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6))",
+        "((words[1::2] >> 5) * 2.0**26 + (words[0::2] >> 6))",
+        ((_assert_uniforms_exact, 1), (_assert_samples_exact, 1), (_assert_points_exact, 1))),
+}
+
+
+@pytest.mark.parametrize("mutant", SAMPLER_MUTANTS)
+def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, monkeypatch):
+    text, replacement, killers = SAMPLER_MUTANTS[mutant]
+    source = Path(halfplane.__file__).read_text()
+    assert source.count(text) == 1
+    path = tmp_path / "halfplane.py"
+    path.write_text(source.replace(text, replacement))
+    spec = importlib.util.spec_from_file_location("brieskorn._mutant_halfplane", path)
+    mutated = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mutated)
+    spec.loader.exec_module(mutated)
+    for check, count in killers:
+        check(halfplane, 0, count)
+        with pytest.raises(AssertionError):
+            check(mutated, 0, count)
 
 
 def test_continued_arg_returns_or_raises_within_a_bounded_number_of_quotients(monkeypatch):
