@@ -12,13 +12,17 @@ Subcommands:
 
 Each mode's runner fills the report and returns its failures: a missed
 tolerance is a ``CheckFailed`` naming the check, its measured value and
-the tolerance (the lab measures, and ``_hold`` alone decides each value,
-every group relation of ``verify-geometry`` included), a chain homology
-that differs from the closed form a ``ComparisonMismatch``, and a raised
-``BrieskornError`` ends the run as its only failure. ``run`` is the one
-place that turns failures into the report's ``errors`` and an exit code:
-0 success, 1 refused input, 2 comparison mismatch, 3 failed computation
-or numerical tolerance, as each class in ``brieskorn.errors`` declares.
+the tolerance, a rotation row that cannot be graded a
+``NondegeneracyFailure`` naming the same three, a chain homology that
+differs from the closed form a ``ComparisonMismatch``, and a raised
+``BrieskornError`` ends the run as its only failure. The lab modules only
+measure, and this module decides: ``_hold`` each value, every group
+relation of ``verify-geometry`` included, and ``_ungradable`` the
+degenerate and window checks of each return map of ``verify-dynamics``.
+``run`` is the one place that turns failures into the report's ``errors``
+and an exit code: 0 success, 1 refused input, 2 comparison mismatch, 3
+failed computation or numerical tolerance, as each class in
+``brieskorn.errors`` declares.
 Reports are deterministic for a fixed configuration and seed.
 
 JSON prints the report with sorted keys, byte for byte as
@@ -124,6 +128,27 @@ def _hold(failures: list, check: str, value, tolerance) -> None:
     """Record a ``CheckFailed`` unless value <= tolerance; a NaN fails."""
     if tol_mod.exceeds(value, tolerance):
         failures.append(CheckFailed(check, value, tolerance))
+
+
+def _ungradable(result, tolerance: float, check: str) -> NondegeneracyFailure | None:
+    """The failure of a rotation row whose return map cannot be graded, or None.
+
+    First a rotation within ``tolerance`` of a multiple of 2*pi fails (a NaN
+    distance passes), then a correction outside (0, window) (a NaN fails).
+    """
+    if result.wrapped_rotation <= tolerance:
+        return NondegeneracyFailure(
+            f"perturbed rotation {result.rotation_angle:.3e} is a multiple of 2*pi; "
+            "perturb epsilon",
+            check=check, value=result.wrapped_rotation, tolerance=tolerance,
+        )
+    if not 0.0 < result.correction < result.window:
+        return NondegeneracyFailure(
+            f"rotation correction {result.correction:.3e} leaves the window "
+            f"(0, {result.window:.3e}); shrink epsilon",
+            check=check, value=result.correction, tolerance=result.window,
+        )
+    return None
 
 
 def _run_generators(config: RunConfig, data, report: dict) -> list:
@@ -236,37 +261,27 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
         ratio_simple = Fraction(data.d, data.m * t_j)
         for n in range(1, config.iterates + 1):
             ratio = ratio_simple * n
-            period = 2.0 * math.pi * float(ratio)
             cz_formula = conley_zehnder(data, EXCEPTIONAL, n, j)
             # requested epsilons that clamp to one window limit share one integration
             outcomes = {}
             for requested in config.epsilons:
                 model = LocalModel.in_window(vertex, ratio, requested)
+                if model.epsilon not in outcomes:
+                    outcomes[model.epsilon] = linearized_return_map(model, ratio)
+                result = outcomes[model.epsilon]
+                path = f"verification.rotation_table[{len(table)}]"
                 row = {
                     "vertex": j,
                     "iterate": n,
                     "epsilon": model.epsilon,
                     "period_2pi": str(ratio),
+                    "steps": result.steps,
                 }
-                if model.epsilon not in outcomes:
-                    try:
-                        outcomes[model.epsilon] = linearized_return_map(
-                            model, period, period_ratio=ratio, tolerances=tols
-                        )
-                    except NondegeneracyFailure as exc:
-                        outcomes[model.epsilon] = exc
-                path = f"verification.rotation_table[{len(table)}]"
                 table.append(row)
-                result = outcomes[model.epsilon]
-                failed = isinstance(result, NondegeneracyFailure)
-                integrated = result.result if failed else result
-                row["steps"] = integrated.steps
-                if failed:
-                    row["error"] = str(result)
-                    failures.append(NondegeneracyFailure(
-                        str(result), integrated, check=f"{path}.ode_angle",
-                        value=result.value, tolerance=result.tolerance,
-                    ))
+                failure = _ungradable(result, tols["degenerate_rotation"], f"{path}.ode_angle")
+                if failure is not None:
+                    row["error"] = str(failure)
+                    failures.append(failure)
                     continue
                 row.update(
                     {
@@ -328,6 +343,9 @@ def run(config: RunConfig) -> tuple[int, dict]:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
         if config.classes < 1:
             raise ConfigError(f"classes must be >= 1, got {config.classes}")
+        if config.mode not in _RUNNERS:
+            raise ConfigError(
+                f"unknown mode {config.mode!r}; expected one of {', '.join(_RUNNERS)}")
         data = seifert_data(validate_params(config.exponents))
         report["seifert"] = _seifert_payload(data)
         failures = _RUNNERS[config.mode](config, data, report)

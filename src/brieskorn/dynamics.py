@@ -34,7 +34,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import tolerances as tol_mod
-from .errors import ConfigError, NondegeneracyFailure
+from .errors import ConfigError
+
+
+def _rotation_window(period_ratio: Fraction) -> tuple[float, float]:
+    """The period 2*pi*period_ratio and the gap 2*pi*(1 - frac(period_ratio)):
+    a correction in the window (0, gap) keeps the orbit's grading. Every
+    row's epsilon cap and window check read both from here."""
+    period = 2.0 * math.pi * float(period_ratio)
+    gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
+    return period, gap
 
 
 class LocalModel:
@@ -54,12 +63,12 @@ class LocalModel:
     def in_window(cls, v: complex, period_ratio: Fraction, epsilon: float) -> LocalModel:
         """Unit-coefficient model at v, with epsilon capped so that the perturbed
         rotation over the period 2*pi*period_ratio is at most a quarter of its
-        window (0, gap), gap = 2*pi*(1 - frac(period_ratio)).
+        window (see ``_rotation_window``). A request outside [0, 1) reaches the
+        model's check uncapped.
         """
-        period = 2.0 * math.pi * float(period_ratio)
-        gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
+        period, gap = _rotation_window(period_ratio)
         limit = 0.25 * gap / (2.0 * _square(v.imag) * period)
-        return cls(v, 1.0, min(epsilon, limit))
+        return cls(v, 1.0, min(epsilon, limit) if epsilon < 1.0 else epsilon)
 
     def f(self, z: complex) -> float:
         return 1.0 + self._k * abs(z - self.v) ** 2
@@ -202,7 +211,8 @@ def integrate_monodromy(model, T: float) -> MonodromyResult:
 
 @dataclass
 class LinearizedReturn:
-    """Everything extracted from the linearized return map over one orbit."""
+    """Everything measured on the linearized return map over one orbit; ``cli``
+    decides which rows can be graded and holds the errors to their tolerances."""
 
     analytic_matrix: np.ndarray
     analytic_angle: float
@@ -210,75 +220,41 @@ class LinearizedReturn:
     rotation_angle: float
     determinant: float
     relative_error: float
-    cz_index: int | None
+    wrapped_rotation: float  # distance of the rotation from the nearest multiple of 2*pi
+    correction: float  # -rotation_angle, positive for a clockwise rotation
+    window: float  # the correction's window (0, window), from _rotation_window
+    cz_index: int
     steps: int  # integrator steps
 
 
-def linearized_return_map(
-    model: LocalModel,
-    T: float,
-    *,
-    period_ratio: Fraction | None = None,
-    tolerances=None,
-) -> LinearizedReturn:
-    """Integrated versus closed-form return map, with the orbit's grading.
+def linearized_return_map(model: LocalModel, period_ratio: Fraction) -> LinearizedReturn:
+    """Integrated versus closed-form return map over the period
+    T = 2*pi*period_ratio, with the orbit's grading.
 
-    ``period_ratio`` is T / 2*pi as an exact rational when the caller knows
-    it (the orbit periods are rational multiples of 2*pi); it pins the
-    unperturbed rotation count so the index extraction is exact.
-
-    The total rotation in the invariant frame is (ode rotation) - T, and
-    the Conley-Zehnder index of the elliptic orbit is 2*floor(theta) + 1
-    for theta = ((ode rotation) - T) / 2*pi.
-
-    Raises NondegeneracyFailure (with the partial result attached) when
-    the perturbed rotation is a multiple of 2*pi within tolerance, or when
-    it is large enough to cross the next integer level, in which case the
-    caller should shrink epsilon.
+    The total rotation in the invariant frame is (ode rotation) - T, and the
+    Conley-Zehnder index of the elliptic orbit is 2*floor(theta) + 1 for
+    theta = ((ode rotation) - T) / 2*pi. While the correction lies in its
+    window, floor(theta) = -floor(period_ratio) - 1, which the exact ratio
+    gives without rounding.
     """
-    tols = tol_mod.resolve(tolerances)
-    analytic_matrix, analytic_angle = analytic_return(model, T)
-    ode = integrate_monodromy(model, T)
+    period, window = _rotation_window(period_ratio)
+    analytic_matrix, analytic_angle = analytic_return(model, period)
+    ode = integrate_monodromy(model, period)
     with np.errstate(invalid="ignore"):  # a NaN monodromy has a NaN determinant
         determinant = float(np.linalg.det(ode.matrix))
     relative_error = float(
         np.linalg.norm(ode.matrix - analytic_matrix) / np.linalg.norm(analytic_matrix)
     )
-
-    ratio = period_ratio if period_ratio is not None else T / (2.0 * math.pi)
-    fractional = float(ratio - math.floor(ratio))
-
-    correction = -ode.rotation  # positive for a clockwise perturbed rotation
-    result = LinearizedReturn(
+    return LinearizedReturn(
         analytic_matrix=analytic_matrix,
         analytic_angle=analytic_angle,
         ode_monodromy=ode.matrix,
         rotation_angle=ode.rotation,
         determinant=determinant,
         relative_error=relative_error,
-        cz_index=None,
+        wrapped_rotation=abs(math.remainder(ode.rotation, 2.0 * math.pi)),
+        correction=-ode.rotation,
+        window=window,
+        cz_index=2 * (-math.floor(period_ratio) - 1) + 1,
         steps=ode.steps,
     )
-
-    two_pi = 2.0 * math.pi
-    wrapped = abs(math.remainder(ode.rotation, two_pi))
-    if wrapped <= tols["degenerate_rotation"]:
-        raise NondegeneracyFailure(
-            f"perturbed rotation {ode.rotation:.3e} is a multiple of 2*pi; "
-            "perturb epsilon",
-            result, value=wrapped, tolerance=tols["degenerate_rotation"],
-        )
-    gap = two_pi * (1.0 - fractional) if fractional > 0.0 else two_pi
-    if not 0.0 < correction < gap:
-        raise NondegeneracyFailure(
-            f"rotation correction {correction:.3e} leaves the window (0, {gap:.3e}); "
-            "shrink epsilon",
-            result, value=correction, tolerance=gap,
-        )
-
-    if period_ratio is not None:
-        theta_floor = -math.floor(period_ratio) - 1
-    else:
-        theta_floor = math.floor((ode.rotation - T) / two_pi)
-    result.cz_index = 2 * theta_floor + 1
-    return result

@@ -86,16 +86,13 @@ class DegenerateInput(BrieskornError):
 
 
 class NondegeneracyFailure(BrieskornError):
-    """The linearized return map is too close to a full rotation to grade.
+    """A rotation row cannot be graded: its return map rotates by a multiple
+    of 2*pi, or its correction leaves its window.
 
-    The partially computed result (monodromy, rotation angle) is attached
-    as ``result`` so callers can still inspect it; ``value`` and
-    ``tolerance`` hold the measure that missed its bound.
+    ``verify-dynamics`` records one for each such row from the measures of
+    ``dynamics.linearized_return_map``; ``value`` and ``tolerance`` hold the
+    measure that missed its bound.
     """
-
-    def __init__(self, message, result=None, **missed):
-        super().__init__(message, **missed)
-        self.result = result
 
 
 class InconsistentComplex(BrieskornError):

@@ -11,7 +11,9 @@ pi/a_n. That closing defect runs from positive (collapsing fan, by
 hyperbolicity) to negative (diverging fan), so a root always exists. It
 is found by bisection twice over: over the indices of a fixed log grid of
 diagonals, for the cell where the defect changes sign, then over the
-floats of that cell, until the bracket's midpoint is one of its ends.
+floats of that cell, until the defect at the midpoint is exactly zero or
+the midpoint is one of the bracket's ends. Both stops occur: the exact
+zero ends the solve of (2,3,5,7) and (2,)*10, the ends that of (2,3,4,5).
 
 Each rotation generator is the product of the reflections in the two
 edges meeting at its vertex (outgoing edge first), a counterclockwise
@@ -124,9 +126,11 @@ def _solve_fan(angles: list[float]) -> float:
 
     The defect sum(apex angles) - pi/a_n decreases from positive at a
     collapsing fan to negative at a diverging one. Bisecting over the
-    grid's indices finds the grid cell where it changes sign; bisecting
-    that cell runs until its midpoint is one of its ends, the root to the
-    last float.
+    grid's indices finds the grid cell where it changes sign, or a grid
+    point where it is exactly zero. Bisecting that cell stops at the first
+    midpoint where the defect is exactly zero (``hm == 0.0``), or when the
+    midpoint is one of the cell's ends, the root to the last float; a
+    bracket narrower than 1e-16 * max(1, a) also stops it.
     """
     target = angles[-1]
 

@@ -140,18 +140,14 @@ def test_criterion_6_rotation_closed_form():
         for epsilon in (1e-2, 1e-3):
             for laps in (1, 21):
                 model = LocalModel(1j, 1.0, epsilon)
-                result = linearized_return_map(
-                    model, 2 * math.pi * laps, period_ratio=Fraction(laps)
-                )
+                result = linearized_return_map(model, Fraction(laps))
                 assert result.relative_error < 1e-6
                 assert abs(result.determinant - 1.0) < 1e-9
                 expected = 2.0 * epsilon * 2 * math.pi * laps
                 assert abs(-result.rotation_angle - expected) / expected < 1e-6
             for n in range(1, 6):
                 model = LocalModel(1j, 1.0, epsilon)
-                result = linearized_return_map(
-                    model, math.pi * n, period_ratio=Fraction(n, 2)
-                )
+                result = linearized_return_map(model, Fraction(n, 2))
                 assert result.cz_index == -2 * (n // 2) - 1
 
 

@@ -2,11 +2,16 @@
 
 import ast
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import math
 import random
 import re
+import textwrap
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -334,6 +339,9 @@ TYPED_EXITS = [
      EXIT_VALIDATION, "ConfigError"),
     (["compare", "--exponents", "2,3,7", "--grading-floor", "abc"], None,
      EXIT_VALIDATION, "ConfigError"),
+    # refused before the window's cap (0.042 on (2,3,7)) could hide it
+    (["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "1.5"], None,
+     EXIT_VALIDATION, "ConfigError"),
 ]
 
 
@@ -436,6 +444,20 @@ def test_run_refuses_negative_counts_in_direct_configs(field, mode):
     assert report["errors"][0] == {"type": "ConfigError", "message": f"{field} must be >= 0, got -2"}
 
 
+@pytest.mark.parametrize("mode", ["compute-homology", "verify", ""])
+def test_run_refuses_a_mode_with_no_runner(mode):
+    # compute-homology is an alias of the command line, which reports it as
+    # homology; RunConfig takes the mode's own name
+    code, report = run(cli.RunConfig(exponents=[2, 3, 7], mode=mode))
+    assert code == EXIT_VALIDATION
+    assert report["errors"] == [{
+        "type": "ConfigError",
+        "message": f"unknown mode {mode!r}; expected one of invariants, generators, "
+                   "complex, homology, compare, verify-geometry, verify-dynamics",
+    }]
+    assert run_cli(["compute-homology", "--exponents", "2,3,7"])[1]["mode"] == "homology"
+
+
 @pytest.mark.parametrize("mode", ["complex", "homology", "compare"])
 def test_run_refuses_fewer_than_one_class_in_direct_configs(mode):
     for classes in (0, -3):
@@ -457,15 +479,25 @@ def _nan_frame_residual(monkeypatch):
     monkeypatch.setattr(cli, "invariance_residuals", patched)
 
 
-def _nan_relative_error(monkeypatch):
-    real = cli.linearized_return_map
+def _nan_return_measure(name):
+    """A patch that makes the measure ``name`` of every return map NaN."""
+    def patch(monkeypatch):
+        real = cli.linearized_return_map
 
-    def patched(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.relative_error = math.nan
-        return result
+        def patched(*args):
+            return dataclasses.replace(real(*args), **{name: math.nan})
 
-    monkeypatch.setattr(cli, "linearized_return_map", patched)
+        monkeypatch.setattr(cli, "linearized_return_map", patched)
+
+    return patch
+
+
+def _nan_rotation(monkeypatch):
+    # the integrated rotation alone: the monodromy, and so the relative and
+    # determinant errors, stay as they are
+    real = dynamics.integrate_monodromy
+    monkeypatch.setattr(dynamics, "integrate_monodromy",
+                        lambda model, T: dataclasses.replace(real(model, T), rotation=math.nan))
 
 
 def _nan_last_angle(monkeypatch):
@@ -474,20 +506,30 @@ def _nan_last_angle(monkeypatch):
                         lambda group: [*real(group)[:-1], math.nan])
 
 
+TOL = tolerances.DEFAULT_TOLERANCES
+
 # one case per tolerance verdict of the lab, with the check its errors entry
 # names and the tolerance it misses; each passes on (2,3,7) unpatched
 NAN_SITES = {
     "invariance": (["verify-dynamics", "--samples", "5"], _nan_frame_residual,
-                   "verification.invariance.max_frame_residual", "invariance"),
-    "rotation": (["verify-dynamics", "--samples", "5"], _nan_relative_error,
-                 "verification.rotation_table[0].relative_error", "ode_vs_analytic"),
+                   "verification.invariance.max_frame_residual", TOL["invariance"]),
+    "rotation": (["verify-dynamics", "--samples", "5"], _nan_return_measure("relative_error"),
+                 "verification.rotation_table[0].relative_error", TOL["ode_vs_analytic"]),
+    "determinant_error": (["verify-dynamics", "--samples", "5"],
+                          _nan_return_measure("determinant"),
+                          "verification.rotation_table[0].determinant_error",
+                          TOL["determinant"]),
+    # a NaN rotation passes the degenerate check and fails the window check,
+    # against row 0's window (0, pi) of period ratio 1/2
+    "window": (["verify-dynamics", "--samples", "5"], _nan_rotation,
+               "verification.rotation_table[0].ode_angle", math.pi),
     "area": (["verify-geometry"],
              lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan),
-             "verification.area.error", "area"),
-    "angle": (["verify-geometry"], _nan_last_angle, "angle_error", "angle"),
+             "verification.area.error", TOL["area"]),
+    "angle": (["verify-geometry"], _nan_last_angle, "angle_error", TOL["angle"]),
     "relations": (["verify-geometry"],
                   lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan),
-                  "verification.relations.reflection_involution[1]", "matrix_relation"),
+                  "verification.relations.reflection_involution[1]", TOL["matrix_relation"]),
 }
 
 
@@ -503,7 +545,107 @@ def test_nan_fails_every_lab_verdict(site, monkeypatch):
         assert math.isnan(report["verification"]["invariance"]["max_frame_residual"])
     [error] = [e for e in report["errors"] if e.get("check") == check]
     assert math.isnan(error["value"])
-    assert error["tolerance"] == tolerances.DEFAULT_TOLERANCES[tolerance]
+    assert error["tolerance"] == tolerance
+
+
+def _lab_run(**given):
+    return run(cli.RunConfig(exponents=[2, 3, 7], mode="verify-dynamics", samples=5, **given))
+
+
+# a failing rotation row keeps only these
+FAILED_ROW = {"vertex", "iterate", "epsilon", "period_2pi", "steps", "error"}
+
+
+def test_the_window_check_reads_the_window_of_the_epsilon_cap(monkeypatch):
+    # every rotation NaN: each row fails its window check, held against the
+    # window that LocalModel.in_window caps the row's epsilon by,
+    # 2*pi*float(1 - frac(ratio)); the float formula 2*pi*(1.0 - float(frac))
+    # differs from it in the last bit at ratio 1/3
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    _nan_rotation(monkeypatch)
+    code, report = _lab_run(epsilons=(1e-2,), iterates=1)
+    assert code == EXIT_TOLERANCE
+    rows = report["verification"]["rotation_table"]
+    ratios = [Fraction(row["period_2pi"]) for row in rows]
+    assert ratios == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)]
+    assert [(e["type"], e["check"], e["tolerance"]) for e in report["errors"]] == [
+        ("NondegeneracyFailure", f"verification.rotation_table[{i}].ode_angle",
+         2 * math.pi * float(1 - ratio)) for i, ratio in enumerate(ratios)
+    ]
+    assert report["errors"][1]["tolerance"] == 4.1887902047863905
+    for row, error in zip(rows, report["errors"]):
+        assert math.isnan(error["value"])
+        assert set(row) == FAILED_ROW and row["error"] == error["message"]
+
+
+def test_a_correction_outside_its_window_is_refused_at_its_row(monkeypatch):
+    # uncapped, epsilon 0.9 turns the corrections of the rows at vertices 1
+    # and 2 past their windows; the row at i, vertex 3, stays inside its own
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    monkeypatch.setattr(cli.LocalModel, "in_window",
+                        classmethod(lambda cls, v, ratio, epsilon: cls(v, 1.0, epsilon)))
+    code, report = _lab_run(epsilons=(0.9,), iterates=1)
+    assert code == EXIT_TOLERANCE
+    rows = report["verification"]["rotation_table"]
+    assert len(report["errors"]) == 2 and "error" not in rows[2]
+    for i, (row, error) in enumerate(zip(rows, report["errors"])):
+        window = 2 * math.pi * float(1 - Fraction(row["period_2pi"]))
+        assert (error["type"], error["check"], error["tolerance"]) == (
+            "NondegeneracyFailure", f"verification.rotation_table[{i}].ode_angle", window)
+        assert window < error["value"] < math.inf
+        assert error["message"] == row["error"] == (
+            f"rotation correction {error['value']:.3e} leaves the window "
+            f"(0, {window:.3e}); shrink epsilon")
+        assert set(row) == FAILED_ROW
+
+
+def _substitute(text, replacement):
+    def mutate(source):
+        assert source.count(text) == 1
+        return source.replace(text, replacement)
+
+    return mutate
+
+
+def _swap_checks(source):
+    """``_ungradable`` with its window check before its degenerate check."""
+    head, rest = source.split("    if result.wrapped_rotation", 1)
+    degenerate, rest = rest.split("    if not 0.0 < result.correction", 1)
+    window, tail = rest.split("    return None", 1)
+    return (f"{head}    if not 0.0 < result.correction{window}"
+            f"    if result.wrapped_rotation{degenerate}    return None{tail}")
+
+
+# mutants of the rotation rows' verdicts: (function, its module, a source
+# substitution, the test that must fail against it). The mutated copy
+# replaces the name cli calls.
+VERDICT_MUTANTS = {
+    "window check dropped": (
+        "_ungradable", cli,
+        _substitute("if not 0.0 < result.correction < result.window:", "if False:"),
+        lambda mp: test_nan_fails_every_lab_verdict("window", mp)),
+    "window by the other float formula": (
+        "linearized_return_map", dynamics,
+        _substitute("period, window = _rotation_window(period_ratio)",
+                    "period, window = 2.0 * math.pi * float(period_ratio), 2.0 * math.pi * "
+                    "(1.0 - float(period_ratio - math.floor(period_ratio)))"),
+        test_the_window_check_reads_the_window_of_the_epsilon_cap),
+    "window check before the degenerate check": (
+        "_ungradable", cli, _swap_checks,
+        lambda mp: test_each_nondegeneracy_entry_names_its_rotation_row()),
+}
+
+
+@pytest.mark.parametrize("mutant", VERDICT_MUTANTS)
+def test_the_verdict_tests_kill_each_mutant(mutant, monkeypatch):
+    name, home, mutate, killer = VERDICT_MUTANTS[mutant]
+    namespace = dict(vars(home))
+    exec(mutate(textwrap.dedent(inspect.getsource(getattr(home, name)))), namespace)
+    # the copy reads the module's own globals, so a patch of the module reaches it
+    mutated = types.FunctionType(namespace[name].__code__, vars(home), name)
+    monkeypatch.setattr(cli, name, mutated)
+    with pytest.raises(AssertionError):
+        killer(monkeypatch)
 
 
 @pytest.mark.parametrize("loosened, check, value, tolerance", [

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brieskorn import dynamics, seifert_data, tolerances, validate_params
+from brieskorn import dynamics, seifert_data, validate_params
 from brieskorn.dynamics import (
     LocalModel,
     analytic_return,
@@ -19,7 +20,7 @@ from brieskorn.dynamics import (
     integrate_monodromy,
     linearized_return_map,
 )
-from brieskorn.errors import ConfigError, NondegeneracyFailure
+from brieskorn.errors import ConfigError
 from brieskorn.polygon import build_polygon_group
 from collocation_reference import reference_monodromy, reference_steps
 
@@ -29,6 +30,14 @@ def test_a_model_outside_its_domain_is_a_config_error():
     for v, epsilon in ((-1j, 0.5), (2.0 + 0j, 0.5), (1j, 1.0), (1j, -0.1)):
         with pytest.raises(ConfigError):
             LocalModel(v, 1.0, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1.5, 5.0, math.inf, math.nan, -0.1])
+def test_a_requested_epsilon_outside_its_domain_is_refused_before_the_cap(epsilon):
+    # the cap at i and ratio 1/3 is 0.25: a request of 1.0 or more, capped
+    # first, would pass the model's own check
+    with pytest.raises(ConfigError, match=re.escape("epsilon must lie in [0, 1)")):
+        LocalModel.in_window(1j, Fraction(1, 3), epsilon)
 
 
 def test_unperturbed_field_vanishes():
@@ -124,16 +133,16 @@ def test_field_jacobian_matches_differences():
 
 def test_zero_epsilon_is_degenerate_with_identity_monodromy():
     model = LocalModel(1j, 1.0, 0.0)
-    with pytest.raises(NondegeneracyFailure) as excinfo:
-        linearized_return_map(model, 2 * math.pi)
-    result = excinfo.value.result
+    result = linearized_return_map(model, Fraction(1))
     assert result.rotation_angle == 0.0
     assert np.allclose(result.ode_monodromy, np.eye(2))
+    # a multiple of 2*pi to the last bit: within every degenerate_rotation
+    assert result.wrapped_rotation == 0.0
 
 
 def test_clockwise_rotation_matches_closed_form():
     model = LocalModel(1j, 1.0, 1e-3)
-    result = linearized_return_map(model, 2 * math.pi, period_ratio=Fraction(1))
+    result = linearized_return_map(model, Fraction(1))
     assert result.analytic_angle == pytest.approx(-4 * math.pi * 1e-3)
     assert result.rotation_angle == pytest.approx(-4 * math.pi * 1e-3, rel=1e-6)
     assert result.relative_error < 1e-6
@@ -144,9 +153,7 @@ def test_clockwise_rotation_matches_closed_form():
 @pytest.mark.parametrize("laps", [1, 21])
 def test_monodromy_accuracy_over_long_times(epsilon, laps):
     model = LocalModel(1j, 1.0, epsilon)
-    result = linearized_return_map(
-        model, 2 * math.pi * laps, period_ratio=Fraction(laps)
-    )
+    result = linearized_return_map(model, Fraction(laps))
     assert result.relative_error < 1e-6
     assert abs(result.determinant - 1.0) < 1e-9
     assert result.rotation_angle == pytest.approx(result.analytic_angle, rel=1e-6)
@@ -158,9 +165,7 @@ def test_grading_extraction_2_3_7(epsilon):
     # -2*floor(n/2) - 1
     for n in range(1, 6):
         model = LocalModel(1j, 1.0, epsilon)
-        result = linearized_return_map(
-            model, math.pi * n, period_ratio=Fraction(n, 2)
-        )
+        result = linearized_return_map(model, Fraction(n, 2))
         assert result.cz_index == -2 * (n // 2) - 1
 
 
@@ -172,33 +177,40 @@ def test_grading_extraction_off_the_reference_point():
         vertex = group.vertices[j - 1]
         ratio = Fraction(data.d, data.m * t_j)
         model = LocalModel(vertex, 0.8 + 0.3j, 1e-3)
-        result = linearized_return_map(
-            model, 2 * math.pi * float(ratio), period_ratio=ratio
-        )
+        result = linearized_return_map(model, ratio)
+        assert type(result.cz_index) is int
         assert result.cz_index == -2 * math.floor(ratio) - 1
 
 
-def test_oversized_epsilon_fails_loudly():
+def test_oversized_epsilon_leaves_the_window():
     model = LocalModel(1j, 1.0, 0.9)
-    with pytest.raises(NondegeneracyFailure):
-        # correction 2*eps*T = 0.9*4*pi exceeds the window width 2*pi
-        linearized_return_map(model, 2 * math.pi, period_ratio=Fraction(1))
+    result = linearized_return_map(model, Fraction(1))
+    # correction 2*eps*T = 0.9*4*pi exceeds the window width 2*pi
+    assert result.window == 2 * math.pi
+    assert result.correction == pytest.approx(3.6 * math.pi, rel=1e-6)
+    assert result.wrapped_rotation == pytest.approx(0.4 * math.pi, rel=1e-5)
 
 
-def test_nondegeneracy_failures_carry_the_missed_measure():
-    tols = tolerances.resolve(None)
-    with pytest.raises(NondegeneracyFailure) as excinfo:
-        linearized_return_map(LocalModel(1j, 1.0, 0.0), 2 * math.pi)
-    assert (excinfo.value.value, excinfo.value.tolerance) == (0.0, tols["degenerate_rotation"])
-    with pytest.raises(NondegeneracyFailure) as excinfo:
-        linearized_return_map(
-            LocalModel(1j, 1.0, 0.2), 2 * math.pi * 1.5, period_ratio=Fraction(3, 2)
-        )
+def test_the_return_map_carries_the_measures_of_both_verdicts():
+    result = linearized_return_map(LocalModel(1j, 1.0, 0.2), Fraction(3, 2))
     # correction 2*eps*T = 1.2*pi leaves the window (0, pi)
-    failure = excinfo.value
-    assert failure.value == -failure.result.rotation_angle
-    assert failure.value == pytest.approx(1.2 * math.pi, rel=1e-6)
-    assert failure.tolerance == pytest.approx(math.pi)
+    assert result.correction == -result.rotation_angle
+    assert result.correction == pytest.approx(1.2 * math.pi, rel=1e-6)
+    assert result.window == math.pi
+    assert result.wrapped_rotation == pytest.approx(0.8 * math.pi, rel=1e-5)
+    assert result.wrapped_rotation == abs(math.remainder(result.rotation_angle, 2 * math.pi))
+
+
+def test_the_return_map_and_the_epsilon_cap_share_one_window():
+    # the two float formulas of the width, 2*pi*float(1 - frac) and
+    # 2*pi*(1.0 - float(frac)), differ in the last bit at 1/3
+    ratio = Fraction(1, 3)
+    period, window = dynamics._rotation_window(ratio)
+    assert window == 2 * math.pi * float(1 - ratio) == 4.1887902047863905
+    assert window != 2 * math.pi * (1.0 - float(ratio))
+    model = LocalModel.in_window(2j, ratio, 0.5)
+    assert model.epsilon == 0.25 * window / (2.0 * 4.0 * period) < 0.5
+    assert linearized_return_map(model, ratio).window == window
 
 
 def test_monodromy_preserves_the_hyperbolic_area_form():
@@ -356,7 +368,7 @@ def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch
 
 def test_a_nan_anywhere_in_the_jacobian_leaves_the_step_cap_at_t(monkeypatch):
     # a NaN spin takes one step of h = T, as a zero spin does; the monodromy
-    # is then NaN, and the return map refuses it as a typed failure
+    # is then NaN, and so are the measures that verify-dynamics refuses
     model = LocalModel(1j, 1.0, 0.01)
     for entry in range(4):
         rows = [0.5, -0.25, 0.125, 0.0]
@@ -366,10 +378,11 @@ def test_a_nan_anywhere_in_the_jacobian_leaves_the_step_cap_at_t(monkeypatch):
         got = integrate_monodromy(model, 100.0)
         assert got.steps == 1
         assert np.isnan(got.matrix).all() and math.isnan(got.rotation)
-        with pytest.raises(NondegeneracyFailure) as excinfo:
-            linearized_return_map(model, 100.0)
-        assert excinfo.value.result.steps == 1
-        assert math.isnan(excinfo.value.result.determinant)
+        result = linearized_return_map(model, Fraction(16))
+        assert result.steps == 1 and math.isnan(result.determinant)
+        # a NaN distance passes the degenerate check; the NaN correction
+        # fails the window check
+        assert math.isnan(result.wrapped_rotation) and math.isnan(result.correction)
 
 
 def test_an_overflowing_jacobian_takes_one_step_to_a_nan_monodromy():
@@ -381,28 +394,27 @@ def test_an_overflowing_jacobian_takes_one_step_to_a_nan_monodromy():
     assert np.isnan(got.matrix).all() and math.isnan(got.rotation)
 
 
-def test_an_overflowing_rate_ends_in_a_nondegeneracy_failure():
+def test_an_overflowing_rate_ends_in_a_nan_correction():
     # Im v ** 2 overflows (1e200j), or |c| ** 2 does (|c| = 1e200), or the
     # product of the rate does (1e100j with |c| = 1e60): the closed-form angle
     # is -inf with a NaN matrix, not an OverflowError or math.cos's
-    # ValueError, and the NaN monodromy is refused
+    # ValueError, and the NaN monodromy gives the NaN correction that
+    # verify-dynamics refuses
     for model in (LocalModel(1e200j, 1.0, 0.5), LocalModel(1j, 1e200, 0.5),
                   LocalModel(1e100j, 1e60, 0.5)):
         matrix, angle = analytic_return(model, 1.0)
         assert angle == -math.inf and np.isnan(matrix).all()
-        with pytest.raises(NondegeneracyFailure) as excinfo:
-            linearized_return_map(model, 1.0)
-        result = excinfo.value.result
+        result = linearized_return_map(model, Fraction(1, 6))
         assert result.analytic_angle == -math.inf and result.steps == 1
         assert math.isnan(result.rotation_angle) and math.isnan(result.relative_error)
+        assert math.isnan(result.correction)
 
 
 def test_a_window_far_up_the_half_plane_caps_epsilon_at_zero():
     # Im v ** 2 overflows in the cap itself, which then reads 0: the model has
-    # no perturbation, and its NaN return map is refused
+    # no perturbation, and its return map is NaN
     ratio = Fraction(7, 3)
     model = LocalModel.in_window(1e200j, ratio, 0.01)
     assert model.epsilon == 0.0
-    with pytest.raises(NondegeneracyFailure) as excinfo:
-        linearized_return_map(model, 2.0 * math.pi * float(ratio), period_ratio=ratio)
-    assert math.isnan(excinfo.value.result.analytic_angle)
+    result = linearized_return_map(model, ratio)
+    assert math.isnan(result.analytic_angle) and math.isnan(result.correction)
