@@ -70,6 +70,11 @@ CASES = (
     ("malformed-tol", ["invariants", "--exponents", "2,3,7", "--tol", "nonsense"]),
     ("verify-geometry-area-tol",
      ["verify-geometry", "--exponents", "2,3,7", "--tol", "area=1e-30"]),
+    # the polygon's angle verdict, in each lab mode: exits 3 on angle_error
+    ("verify-geometry-angle-tol",
+     ["verify-geometry", "--exponents", "2,3,7", "--tol", "angle=1e-30"]),
+    ("verify-dynamics-angle-tol",
+     ["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--tol", "angle=1e-30"]),
     ("verify-geometry-50-60-70", ["verify-geometry", "--exponents", "50,60,70"]),
     ("verify-geometry-50-60-70-samples",
      ["verify-geometry", "--exponents", "50,60,70", "--samples", "50", "--seed", "7"]),

@@ -87,11 +87,14 @@ def test_a_missed_rotation_spin_names_its_check(monkeypatch):
                         lambda self, other: rotation_about_i(1e-3).compose(real(self, other)))
     code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="verify-geometry"))
     assert code == cli.EXIT_TOLERANCE == 3
-    entry = report["errors"][0]
-    assert entry["type"] == "ConstructionFailure"
-    assert entry["check"] == "rotation_spin[1]"
-    assert entry["tolerance"] == polygon._SPIN_TOL == 1e-6
-    assert abs(entry["value"]) > entry["tolerance"]
+    assert report["errors"] == [{
+        "type": "ConstructionFailure",
+        "message": "rotation at vertex 1 spins by -3.139868, expected 3.141593",
+        "check": "rotation_spin[1]",
+        "value": 0.001725082140609402,
+        "tolerance": 1e-6,
+    }]
+    assert polygon._SPIN_TOL == 1e-6
 
 
 def test_rotation_orders_2_3_7():
