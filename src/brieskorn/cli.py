@@ -16,9 +16,11 @@ the tolerance, a rotation row that cannot be graded a
 ``NondegeneracyFailure`` naming the same three, a chain homology that
 differs from the closed form a ``ComparisonMismatch``, and a raised
 ``BrieskornError`` ends the run as its only failure. The lab modules only
-measure, and this module decides: ``_hold`` each value, every group
-relation of ``verify-geometry`` included, and ``_ungradable`` the
-degenerate and window checks of each return map of ``verify-dynamics``.
+measure, and this module decides: ``_checked_polygon`` the spin of each
+rotation and then the polygon's angles, for both lab modes, ``_hold`` each
+value, every group relation of ``verify-geometry`` included, and
+``_ungradable`` the degenerate and window checks of each return map of
+``verify-dynamics``. The tolerances are resolved once per ``run``.
 ``run`` is the one place that turns failures into the report's ``errors``
 and an exit code: 0 success, 1 refused input, 2 comparison mismatch, 3
 failed computation or numerical tolerance, as each class in
@@ -53,6 +55,7 @@ from .errors import (
     CheckFailed,
     ComparisonMismatch,
     ConfigError,
+    ConstructionFailure,
     NondegeneracyFailure,
 )
 from .halfplane import invariance_residuals, random_samples
@@ -128,6 +131,34 @@ def _hold(failures: list, check: str, value, tolerance) -> None:
     """Record a ``CheckFailed`` unless value <= tolerance; a NaN fails."""
     if tol_mod.exceeds(value, tolerance):
         failures.append(CheckFailed(check, value, tolerance))
+
+
+# how far, in radians, a rotation generator's spin at its vertex may miss 2*pi/a_j
+_SPIN_TOL = 1e-6
+
+
+def _checked_polygon(params, tols: dict[str, float]) -> tuple:
+    """The polygon group of params and its interior-angle errors, once each
+    rotation's spin (vertex 1 first) and then the worst angle error have held;
+    the first miss, a NaN included, raises ConstructionFailure."""
+    group = build_polygon_group(params)
+    angles = [math.pi / a for a in params.exponents]
+    for j, (spin, angle) in enumerate(zip(group.rotation_spins, angles), start=1):
+        expected = 2.0 * angle
+        wrapped = (spin - expected + math.pi) % (2.0 * math.pi) - math.pi
+        if tol_mod.exceeds(abs(wrapped), _SPIN_TOL):
+            raise ConstructionFailure(
+                f"rotation at vertex {j} spins by {spin:.6f}, expected {expected:.6f}",
+                check=f"rotation_spin[{j}]", value=wrapped, tolerance=_SPIN_TOL,
+            )
+    angle_errors = [abs(got - want) for got, want in zip(group.interior_angles, angles)]
+    worst, tolerance = tol_mod.worst(angle_errors), tols["angle"]
+    if tol_mod.exceeds(worst, tolerance):
+        raise ConstructionFailure(
+            f"constructed polygon misses its angles by {worst:.3e}",
+            check="angle_error", value=worst, tolerance=tolerance,
+        )
+    return group, angle_errors
 
 
 def _ungradable(result, tolerance: float, check: str) -> NondegeneracyFailure | None:
@@ -214,13 +245,9 @@ def _run_compare(config: RunConfig, data, report: dict) -> list:
 
 def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
     tols = config.tolerances
-    group = build_polygon_group(data.params, tolerances=tols)
+    group, angle_errors = _checked_polygon(data.params, tols)
     area = measured_area(group)
     target = expected_area(data.params)
-    # build_polygon_group has already held these against tols["angle"]
-    angle_errors = [
-        abs(got - math.pi / a) for got, a in zip(group.interior_angles, data.params.exponents)
-    ]
     verification = {
         "area": {
             "measured": area,
@@ -254,7 +281,7 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
     _hold(failures, "verification.invariance.max_form_residual", worst_form, tols["invariance"])
     _hold(failures, "verification.invariance.max_frame_residual", worst_frame, tols["invariance"])
 
-    group = build_polygon_group(data.params, tolerances=tols)
+    group, _ = _checked_polygon(data.params, tols)
     table = []
     for j, (_, t_j) in enumerate(data.orbifold_counts, start=1):
         vertex = group.vertices[j - 1]

@@ -64,9 +64,14 @@ class LocalModel:
         """Unit-coefficient model at v, with epsilon capped so that the perturbed
         rotation over the period 2*pi*period_ratio is at most a quarter of its
         window (see ``_rotation_window``). A request outside [0, 1) reaches the
-        model's check uncapped.
+        model's check uncapped; a zero off the upper half-plane or a period
+        that is not positive is refused before the cap divides by either.
         """
+        if v.imag <= 0:
+            raise ConfigError("the zero must lie in the upper half-plane")
         period, gap = _rotation_window(period_ratio)
+        if not period > 0.0:
+            raise ConfigError(f"the period 2*pi*{period_ratio} must be positive")
         limit = 0.25 * gap / (2.0 * _square(v.imag) * period)
         return cls(v, 1.0, min(epsilon, limit) if epsilon < 1.0 else epsilon)
 

@@ -1,9 +1,11 @@
 """Default numerical tolerances and their resolution against overrides.
 
-Every tolerance used by the geometric and dynamical verification code is
-named here so it can be overridden per call, from the command line, or via
-the ``BRIESKORN_TOLERANCES`` environment variable (a comma separated list
-of ``name=value`` pairs). Every value must be finite and positive.
+Every tolerance that the verification code holds a value against is named
+here, except the rotation-spin bound, a fixed constant of ``cli``. Each can
+be overridden only through ``cli.RunConfig.tolerances``, the command line's
+``--tol``, or the ``BRIESKORN_TOLERANCES`` environment variable (a comma
+separated list of ``name=value`` pairs); ``cli.run`` resolves them once.
+Every value must be finite and positive.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from brieskorn import cli, dynamics, errors, polygon, tolerances, validate_params
 from brieskorn.errors import NotHyperbolic
 from halfplane_reference import random_mobius, random_point
+import test_polygon
+from test_polygon import turn_every_rotation
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
 
 
@@ -422,6 +424,40 @@ def test_every_tolerance_is_read_outside_its_declaration():
     assert set(tolerances.DEFAULT_TOLERANCES) - literals == set()
 
 
+def test_only_cli_and_tolerances_resolve_or_hold_a_tolerance():
+    # every other module measures: it neither resolves the tolerances, nor
+    # holds a value against one, nor reads the defaults (worst is a maximum)
+    package = Path(tolerances.__file__).parent
+    deciding = {"resolve", "exceeds", "DEFAULT_TOLERANCES"}
+    named = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("cli.py", "tolerances.py"):
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+        if names & deciding:
+            named[path.name] = sorted(names & deciding)
+    assert named == {}
+
+
+@pytest.mark.parametrize("mode", cli._RUNNERS)
+def test_one_run_resolves_the_tolerances_once(mode, monkeypatch):
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    calls = []
+    real = tolerances.resolve
+    monkeypatch.setattr(tolerances, "resolve",
+                        lambda overrides=None: calls.append(overrides) or real(overrides))
+    code, _ = run(cli.RunConfig(exponents=[2, 3, 7], mode=mode, samples=5))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_resolve_is_idempotent_and_run_checks_direct_configs():
     resolved = tolerances.resolve()
     assert tolerances.resolve(resolved) == resolved
@@ -500,6 +536,17 @@ def _nan_rotation(monkeypatch):
                         lambda model, T: dataclasses.replace(real(model, T), rotation=math.nan))
 
 
+def _nan_first_spin(monkeypatch):
+    real = cli.build_polygon_group
+
+    def patched(params):
+        group = real(params)
+        group.rotation_spins[0] = math.nan
+        return group
+
+    monkeypatch.setattr(cli, "build_polygon_group", patched)
+
+
 def _nan_last_angle(monkeypatch):
     real = polygon.measured_interior_angles
     monkeypatch.setattr(polygon, "measured_interior_angles",
@@ -527,6 +574,7 @@ NAN_SITES = {
              lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan),
              "verification.area.error", TOL["area"]),
     "angle": (["verify-geometry"], _nan_last_angle, "angle_error", TOL["angle"]),
+    "spin": (["verify-geometry"], _nan_first_spin, "rotation_spin[1]", 1e-6),
     "relations": (["verify-geometry"],
                   lambda mp: mp.setattr(polygon, "_matrix_deviation", lambda m: math.nan),
                   "verification.relations.reflection_involution[1]", TOL["matrix_relation"]),
@@ -599,6 +647,15 @@ def test_a_correction_outside_its_window_is_refused_at_its_row(monkeypatch):
         assert set(row) == FAILED_ROW
 
 
+def test_the_spin_is_held_before_the_angles(monkeypatch):
+    # both polygon verdicts miss; the run ends at the first spin
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    turn_every_rotation(monkeypatch)
+    code, report = run_cli(["verify-geometry", "--exponents", "2,3,7", "--tol", "angle=1e-30"])
+    assert code == EXIT_TOLERANCE
+    assert [error["check"] for error in report["errors"]] == ["rotation_spin[1]"]
+
+
 def _substitute(text, replacement):
     def mutate(source):
         assert source.count(text) == 1
@@ -607,16 +664,19 @@ def _substitute(text, replacement):
     return mutate
 
 
-def _swap_checks(source):
-    """``_ungradable`` with its window check before its degenerate check."""
-    head, rest = source.split("    if result.wrapped_rotation", 1)
-    degenerate, rest = rest.split("    if not 0.0 < result.correction", 1)
-    window, tail = rest.split("    return None", 1)
-    return (f"{head}    if not 0.0 < result.correction{window}"
-            f"    if result.wrapped_rotation{degenerate}    return None{tail}")
+def _swap(first, second, end):
+    """A mutation that runs the block from ``second`` up to ``end`` before
+    the block from ``first`` up to ``second``."""
+    def mutate(source):
+        head, rest = source.split(first, 1)
+        block, rest = rest.split(second, 1)
+        other, tail = rest.split(end, 1)
+        return f"{head}{second}{other}{first}{block}{end}{tail}"
+
+    return mutate
 
 
-# mutants of the rotation rows' verdicts: (function, its module, a source
+# mutants of the lab's verdicts: (function, its module, a source
 # substitution, the test that must fail against it). The mutated copy
 # replaces the name cli calls.
 VERDICT_MUTANTS = {
@@ -631,8 +691,21 @@ VERDICT_MUTANTS = {
                     "(1.0 - float(period_ratio - math.floor(period_ratio)))"),
         test_the_window_check_reads_the_window_of_the_epsilon_cap),
     "window check before the degenerate check": (
-        "_ungradable", cli, _swap_checks,
+        "_ungradable", cli,
+        _swap("    if result.wrapped_rotation", "    if not 0.0 < result.correction",
+              "    return None"),
         lambda mp: test_each_nondegeneracy_entry_names_its_rotation_row()),
+    "spin check dropped": (
+        "_checked_polygon", cli,
+        _substitute("if tol_mod.exceeds(abs(wrapped), _SPIN_TOL):", "if False:"),
+        test_polygon.test_a_missed_rotation_spin_names_its_check),
+    "angles held to the area tolerance": (
+        "_checked_polygon", cli, _substitute('tols["angle"]', 'tols["area"]'),
+        lambda mp: test_nan_fails_every_lab_verdict("angle", mp)),
+    "angle check before the spin check": (
+        "_checked_polygon", cli,
+        _swap("    for j, (spin", "    angle_errors = [", "    return group, angle_errors"),
+        test_the_spin_is_held_before_the_angles),
 }
 
 

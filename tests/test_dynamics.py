@@ -40,6 +40,25 @@ def test_a_requested_epsilon_outside_its_domain_is_refused_before_the_cap(epsilo
         LocalModel.in_window(1j, Fraction(1, 3), epsilon)
 
 
+@pytest.mark.parametrize("v", [2.0 + 0j, -1j, 3 - 2j])
+def test_a_windowed_zero_off_the_upper_half_plane_is_refused_before_the_cap(v):
+    # the cap divides by 2 * Im(v)**2 * period, so the zero is refused first,
+    # as the model refuses it
+    message = "the zero must lie in the upper half-plane"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        LocalModel(v, 1.0, 0.01)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        LocalModel.in_window(v, Fraction(1, 3), 0.01)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(0), Fraction(-1, 2), Fraction(1, 10**400)])
+def test_a_window_whose_period_is_not_positive_is_refused_before_the_cap(ratio):
+    # the cap divides by the period, so a period of 0, or one that rounds to
+    # 0.0, is refused first
+    with pytest.raises(ConfigError, match=re.escape(f"the period 2*pi*{ratio} must be positive")):
+        LocalModel.in_window(1j, ratio, 0.01)
+
+
 def test_unperturbed_field_vanishes():
     model = LocalModel(1j, 1.0, 0.0)
     for z in (1j, 0.5 + 2j, -1 + 0.3j):

@@ -80,11 +80,15 @@ def test_each_reflection_fixes_its_edge(exponents):
             assert abs((a * w + b) / (c * w + d) - z) <= 1e-10 * abs(z)
 
 
-def test_a_missed_rotation_spin_names_its_check(monkeypatch):
+def turn_every_rotation(monkeypatch):
+    """An extra turn about i, which moves every rotation's spin at its vertex."""
     real = EdgeReflection.compose
-    # an extra turn about i moves every rotation's spin at its vertex
     monkeypatch.setattr(EdgeReflection, "compose",
                         lambda self, other: rotation_about_i(1e-3).compose(real(self, other)))
+
+
+def test_a_missed_rotation_spin_names_its_check(monkeypatch):
+    turn_every_rotation(monkeypatch)
     code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="verify-geometry"))
     assert code == cli.EXIT_TOLERANCE == 3
     assert report["errors"] == [{
@@ -94,7 +98,7 @@ def test_a_missed_rotation_spin_names_its_check(monkeypatch):
         "value": 0.001725082140609402,
         "tolerance": 1e-6,
     }]
-    assert polygon._SPIN_TOL == 1e-6
+    assert cli._SPIN_TOL == 1e-6
 
 
 def test_rotation_orders_2_3_7():
