@@ -37,9 +37,6 @@ from .halfplane import (
     LiftedIsometry,
     MobiusElement,
     UpperHalfPoint,
-    contact_invariance_residual,
-    frame_at,
-    frame_invariance_residual,
     mobius_apply,
 )
 from .homology import (
@@ -100,11 +97,8 @@ __all__ = [
     "closed_form_homology",
     "compare_graded",
     "conley_zehnder",
-    "contact_invariance_residual",
     "enumerate_generators",
     "expected_area",
-    "frame_at",
-    "frame_invariance_residual",
     "graded_homology",
     "hamiltonian_field",
     "integrate_monodromy",

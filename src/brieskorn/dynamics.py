@@ -21,8 +21,9 @@ never moves and the variational system is M' = A M with the constant
 A = dX(v), evaluated once per integration. M is integrated by fixed
 2-stage Gauss-Legendre steps, which conserve det M = 1, on four Python
 floats: no step calls numpy or BLAS, so the integration is
-IEEE-deterministic. Only the finished monodromy and the closed-form map are
-numpy arrays.
+IEEE-deterministic. The monodromy and the closed-form map are nested float
+tuples too, and the return map's determinant and Frobenius norms are
+written out on their entries: this module calls no numpy at all.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import tolerances as tol_mod
 from .errors import ConfigError
+
+Matrix = tuple[tuple[float, float], tuple[float, float]]  # rows ((a, b), (c, d))
 
 
 def _rotation_window(period_ratio: Fraction) -> tuple[float, float]:
@@ -72,7 +73,9 @@ class LocalModel:
         period, gap = _rotation_window(period_ratio)
         if not period > 0.0:
             raise ConfigError(f"the period 2*pi*{period_ratio} must be positive")
-        limit = 0.25 * gap / (2.0 * _square(v.imag) * period)
+        # a rate that underflows to zero puts no cap on epsilon
+        rate = 2.0 * _square(v.imag) * period
+        limit = 0.25 * gap / rate if rate else math.inf
         return cls(v, 1.0, min(epsilon, limit) if epsilon < 1.0 else epsilon)
 
     def f(self, z: complex) -> float:
@@ -128,7 +131,7 @@ def _square(y: float) -> float:
         return math.inf
 
 
-def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
+def analytic_return(model: LocalModel, T: float) -> tuple[Matrix, float]:
     """Closed-form linearized return map at the zero of the local model.
 
     Returns the matrix and the signed rotation angle (negative, i.e.
@@ -141,7 +144,7 @@ def analytic_return(model: LocalModel, T: float) -> tuple[np.ndarray, float]:
         cos = sin = math.nan
     else:
         cos, sin = math.cos(theta), math.sin(theta)
-    return np.array([[cos, sin], [-sin, cos]]), -theta
+    return ((cos, sin), (-sin, cos)), -theta
 
 
 # Fixed step: h * spin <= _TURN, spin the largest entry of |A|. Each step
@@ -172,7 +175,7 @@ def _gauss_legendre_map(jac, h):
 
 @dataclass
 class MonodromyResult:
-    matrix: np.ndarray
+    matrix: Matrix
     rotation: float  # unwrapped signed rotation of the first column
     steps: int
 
@@ -195,7 +198,7 @@ def integrate_monodromy(model, T: float) -> MonodromyResult:
     if T < 0:
         raise ValueError("T must be >= 0")
     if T == 0.0:
-        return MonodromyResult(matrix=np.eye(2), rotation=0.0, steps=0)
+        return MonodromyResult(matrix=((1.0, 0.0), (0.0, 1.0)), rotation=0.0, steps=0)
 
     jac = field_jacobian(model, model.v)
     spin = tol_mod.worst(abs(entry) for row in jac for entry in row)
@@ -211,7 +214,7 @@ def integrate_monodromy(model, T: float) -> MonodromyResult:
         angle = math.atan2(m2, m0)
         rotation += math.remainder(angle - prev_angle, 2.0 * math.pi)
         prev_angle = angle
-    return MonodromyResult(matrix=np.array([[m0, m1], [m2, m3]]), rotation=rotation, steps=steps)
+    return MonodromyResult(matrix=((m0, m1), (m2, m3)), rotation=rotation, steps=steps)
 
 
 @dataclass
@@ -219,9 +222,9 @@ class LinearizedReturn:
     """Everything measured on the linearized return map over one orbit; ``cli``
     decides which rows can be graded and holds the errors to their tolerances."""
 
-    analytic_matrix: np.ndarray
+    analytic_matrix: Matrix
     analytic_angle: float
-    ode_monodromy: np.ndarray
+    ode_monodromy: Matrix
     rotation_angle: float
     determinant: float
     relative_error: float
@@ -230,6 +233,14 @@ class LinearizedReturn:
     window: float  # the correction's window (0, window), from _rotation_window
     cz_index: int
     steps: int  # integrator steps
+
+
+def _frobenius(*entries: float) -> float:
+    """The Frobenius norm of a matrix, its squared entries added from left to right."""
+    total = 0.0
+    for x in entries:
+        total += x * x
+    return math.sqrt(total)
 
 
 def linearized_return_map(model: LocalModel, period_ratio: Fraction) -> LinearizedReturn:
@@ -245,17 +256,16 @@ def linearized_return_map(model: LocalModel, period_ratio: Fraction) -> Lineariz
     period, window = _rotation_window(period_ratio)
     analytic_matrix, analytic_angle = analytic_return(model, period)
     ode = integrate_monodromy(model, period)
-    with np.errstate(invalid="ignore"):  # a NaN monodromy has a NaN determinant
-        determinant = float(np.linalg.det(ode.matrix))
-    relative_error = float(
-        np.linalg.norm(ode.matrix - analytic_matrix) / np.linalg.norm(analytic_matrix)
-    )
+    (m0, m1), (m2, m3) = ode.matrix
+    (r0, r1), (r2, r3) = analytic_matrix
+    relative_error = (_frobenius(m0 - r0, m1 - r1, m2 - r2, m3 - r3)
+                      / _frobenius(r0, r1, r2, r3))
     return LinearizedReturn(
         analytic_matrix=analytic_matrix,
         analytic_angle=analytic_angle,
         ode_monodromy=ode.matrix,
         rotation_angle=ode.rotation,
-        determinant=determinant,
+        determinant=m0 * m3 - m1 * m2,
         relative_error=relative_error,
         wrapped_rotation=abs(math.remainder(ode.rotation, 2.0 * math.pi)),
         correction=-ode.rotation,

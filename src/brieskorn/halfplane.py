@@ -12,6 +12,12 @@ and an element of the universal cover group is such a matrix together
 with a continuous choice of the argument, recorded here as the exact
 t-shift the element applies at the reference point w = i.
 
+The isometries, ``MobiusElement`` and ``EdgeReflection``, hold their
+matrix as four Python floats; products, inverses, actions and derivatives
+are written out on them. No numpy array, and so no BLAS kernel, rounds
+them, and each product entry is one plain sum of two products: the same
+bits whichever kernel numpy links or selects at run time.
+
 The invariance block of ``verify-dynamics`` draws its samples from
 ``--seed`` alone (``--samples`` of each; the exponents play no part), as
 arrays: ``random_samples`` gives an (N, 4) array of matrices (a, b, c, d)
@@ -19,25 +25,25 @@ and an (N, 3) array of points (x, y, t), drawn in turn, each matrix
 rescaled to determinant one as ``MobiusElement`` rescales it. The draws
 are the values of ``rng.random`` calls, taken in bulk by ``_uniforms``,
 bit for bit, and leave ``rng`` where those calls leave it.
-``invariance_residuals`` then computes all the residuals in one call.
-They are rounding noise, pinned in reports, so that call
-reproduces ``contact_invariance_residual`` and
-``frame_invariance_residual`` of the canonical lifts bit for bit: complex
-squares are built from real and imaginary parts, because numpy's complex
-array multiply may fuse operations; dot products and norms run as stacked
-``np.matmul``, the BLAS kernels the scalar ``@`` and ``np.linalg.norm``
-use (``einsum`` or sums of squares need not round the same way); phases,
-cosines and sines stay on ``math`` per point, so they do not depend on
-numpy's SIMD dispatch.
+``invariance_residuals`` then computes all the residuals in one call, as
+elementwise arithmetic over (N,) arrays: complex squares are built from
+real and imaginary parts, because numpy's complex array multiply may fuse
+operations; each product of the Jacobian with a vector and each norm is
+written out as a sum of products, added from left to right, with no
+matmul, dot or linalg call; phases, cosines and sines stay on ``math`` per
+point, so they do not depend on numpy's SIMD dispatch. The residuals are
+rounding noise, pinned in reports, and the point-by-point oracles in the
+tests repeat the same operations, bit for bit.
 
 The relation check of ``verify-geometry`` works on arrays too. Its sample
-points come from ``random_points``. ``lifted_power`` builds a lifted
-power by the chain of ``MobiusElement.compose`` calls that repeated
-``LiftedIsometry.compose`` makes, and computes the t-shifts along the
-chain as one array; ``LiftedIsometry.apply_many`` applies a lift to all
-the points in one call. Each keeps the bits of its point-by-point form.
-Every array of Moebius images goes through ``_mobius_images``, which
-refuses a collapsed denominator or an image off the half-plane.
+points come from ``random_points``. ``lifted_powers`` builds the lifted
+powers of all the generators at once: each chain of matrices by the
+``MobiusElement.compose`` calls that repeated ``LiftedIsometry.compose``
+makes, and the t-shifts along all the chains as one array.
+``lifted_images`` applies any number of lifts to all the points in one
+pass. Each keeps the bits of its point-by-point form. Every array of
+Moebius images goes through ``_mobius_images``, which refuses a collapsed
+denominator or an image off the half-plane.
 
 A lift's t-shift (``continued_arg``) runs on Python floats, with no numpy
 scalar: c*w + d is formed by components, and the quotient of two such
@@ -83,60 +89,54 @@ class UpperHalfPoint:
 
 
 class MobiusElement:
-    """Real 2x2 matrix of determinant one acting on the upper half-plane.
+    """Real 2x2 matrix [[a, b], [c, d]] of determinant one acting on the
+    upper half-plane, held as four Python floats.
 
-    Compositions renormalize by 1/sqrt(det) once the determinant drifts
-    more than half the matrix tolerance from one.
+    The constructor renormalizes by 1/sqrt(det) once the determinant drifts
+    more than half the matrix tolerance from one. Products, inverses and
+    actions are written out on the four floats, so no numpy or BLAS call
+    rounds them; ``apply`` and ``derivative`` round their complex quotients
+    as numpy's complex128 division does (``_quotient``), as the array images
+    of ``_mobius_images`` round them.
     """
 
+    __slots__ = ("a", "b", "c", "d")
     DET_SLACK = 5e-10
 
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("need a 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    def __init__(self, a: float, b: float, c: float, d: float):
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        det = a * d - b * c
         if det <= 0:
             raise ValueError(f"determinant must be positive, got {det}")
         if abs(det - 1.0) > self.DET_SLACK:
-            m = m / math.sqrt(det)
-        self.matrix = m
+            root = math.sqrt(det)
+            a, b, c, d = a / root, b / root, c / root, d / root
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
     def identity(cls) -> "MobiusElement":
-        return cls(np.eye(2))
-
-    @property
-    def a(self):
-        return self.matrix[0, 0]
-
-    @property
-    def b(self):
-        return self.matrix[0, 1]
-
-    @property
-    def c(self):
-        return self.matrix[1, 0]
-
-    @property
-    def d(self):
-        return self.matrix[1, 1]
+        return cls(1.0, 0.0, 0.0, 1.0)
 
     def apply(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        if abs(den) < _DENOMINATOR_TOL * max(1.0, abs(z)):
+        x, y = z.real, z.imag
+        # c*z + d and a*z + b by components, rounded as numpy's complex128
+        # product and sum round them (see ``continued_arg``)
+        den_re, den_im = self.c * x + self.d, self.c * y + 0.0
+        if abs(complex(den_re, den_im)) < _DENOMINATOR_TOL * max(1.0, abs(z)):
             raise DegenerateInput(f"Moebius denominator collapsed at z = {z}")
-        return (self.a * z + self.b) / den
+        return complex(*_quotient(self.a * x + self.b, self.a * y + 0.0, den_re, den_im))
 
     def derivative(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        return 1.0 / (den * den)
+        """1/(c*z + d)**2, the square formed by components."""
+        den_re, den_im = self.c * z.real + self.d, self.c * z.imag + 0.0
+        return complex(*_quotient(1.0, 0.0, den_re * den_re - den_im * den_im,
+                                  den_re * den_im + den_im * den_re))
 
     def compose(self, other: "MobiusElement") -> "MobiusElement":
-        return MobiusElement(self.matrix @ other.matrix)
+        return MobiusElement(*_product(self, other))
 
     def inverse(self) -> "MobiusElement":
-        return MobiusElement([[self.d, -self.b], [-self.c, self.a]])
+        return MobiusElement(self.d, -self.b, -self.c, self.a)
 
     def power(self, k: int) -> "MobiusElement":
         if k < 0:
@@ -147,27 +147,37 @@ class MobiusElement:
         return out
 
     def __repr__(self):
-        a, b, c, d = self.matrix.ravel()
-        return f"MobiusElement([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
+        return (f"MobiusElement([[{self.a:.6g}, {self.b:.6g}], "
+                f"[{self.c:.6g}, {self.d:.6g}]])")
 
 
 class EdgeReflection:
     """Anti-holomorphic isometry z -> (a*conj(z) + b)/(c*conj(z) + d).
 
-    The matrix has determinant -1; composing two reflections multiplies
-    the matrices and yields an orientation-preserving MobiusElement.
+    The matrix [[a, b], [c, d]] has determinant -1; composing two
+    reflections multiplies the matrices and yields an orientation-preserving
+    MobiusElement.
     """
 
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: float, b: float, c: float, d: float):
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        det = a * d - b * c
         if det >= 0:
             raise ValueError("reflection matrices have determinant -1")
-        m = m / math.sqrt(-det)
-        self.matrix = m
+        root = math.sqrt(-det)
+        self.a, self.b, self.c, self.d = a / root, b / root, c / root, d / root
 
     def compose(self, other: "EdgeReflection") -> MobiusElement:
-        return MobiusElement(self.matrix @ other.matrix)
+        return MobiusElement(*_product(self, other))
+
+
+def _product(m, n) -> tuple[float, float, float, float]:
+    """The entries of the matrix product m n, each one plain sum of two
+    products: no fused multiply-add, whatever the machine."""
+    return (m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+            m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
 
 
 def reflection_across(z1: complex, z2: complex) -> EdgeReflection:
@@ -176,25 +186,23 @@ def reflection_across(z1: complex, z2: complex) -> EdgeReflection:
     dx = z2.real - z1.real
     if abs(dx) < 1e-14 * scale:
         x0 = 0.5 * (z1.real + z2.real)
-        return EdgeReflection([[-1.0, 2.0 * x0], [0.0, 1.0]])
+        return EdgeReflection(-1.0, 2.0 * x0, 0.0, 1.0)
     center = (abs(z2) ** 2 - abs(z1) ** 2) / (2.0 * dx)
     radius = abs(z1 - center)
-    return EdgeReflection(
-        [[center / radius, (radius * radius - center * center) / radius],
-         [1.0 / radius, -center / radius]]
-    )
+    return EdgeReflection(center / radius, (radius * radius - center * center) / radius,
+                          1.0 / radius, -center / radius)
 
 
 def rotation_about_i(alpha: float) -> MobiusElement:
     """Element of stab(i) whose derivative at i rotates counterclockwise by alpha."""
     h = 0.5 * alpha
-    return MobiusElement([[math.cos(h), math.sin(h)], [-math.sin(h), math.cos(h)]])
+    return MobiusElement(math.cos(h), math.sin(h), -math.sin(h), math.cos(h))
 
 
 def point_transport(z: complex) -> MobiusElement:
     """The upper-triangular element taking i to z."""
     root = math.sqrt(z.imag)
-    return MobiusElement([[z.imag / root, z.real / root], [0.0, 1.0 / root]])
+    return MobiusElement(z.imag / root, z.real / root, 0.0, 1.0 / root)
 
 
 def mobius_apply(g: MobiusElement, z: complex) -> complex:
@@ -304,27 +312,17 @@ class LiftedIsometry:
         element's angular action at z0; callers are expected to verify
         the resulting group relations.
         """
-        c, d = float(base.c), float(base.d)
+        c, d = base.c, base.d
         return cls(base, shift + 2.0 * (continued_arg(c, d, z0) - _phase(c, d, _REF)))
 
     def theta_shift(self, z: complex) -> float:
         """The continuous t-shift this element applies over the point z."""
-        c, d = float(self.base.c), float(self.base.d)
+        c, d = self.base.c, self.base.d
         return self.winding_offset - 2.0 * (continued_arg(c, d, z) - _phase(c, d, _REF))
 
     def apply(self, p: UpperHalfPoint) -> UpperHalfPoint:
         image = self.base.apply(p.z)
-        return UpperHalfPoint(float(image.real), float(image.imag), float(p.t + self.theta_shift(p.z)))
-
-    def apply_many(self, x: np.ndarray, y: np.ndarray,
-                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``apply`` to each point (x_k, y_k, t_k), bit for bit, as three
-        arrays of image coordinates; a degenerate point raises
-        DegenerateInput (see ``_mobius_images``)."""
-        m = self.base.matrix
-        image, _ = _mobius_images(m[0, 0], m[0, 1], m[1, 0], m[1, 1], x, y)
-        shifts = _lift_shifts(float(m[1, 0]), float(m[1, 1]), x, y, self.winding_offset)
-        return image.real, image.imag, t + shifts
+        return UpperHalfPoint(image.real, image.imag, p.t + self.theta_shift(p.z))
 
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         """Composition acting as self after other, with the lift chained
@@ -337,105 +335,53 @@ class LiftedIsometry:
         return f"LiftedIsometry({self.base!r}, winding_offset={self.winding_offset:.6g})"
 
 
-def lifted_power(h: LiftedIsometry, k: int) -> LiftedIsometry:
-    """h composed with itself k >= 0 times, bit for bit as k calls of
-    ``h.compose`` from the identity build it: the same chain of matrices,
-    and the t-shifts of h over the chain's images of i as one array, added
-    to the offset from left to right."""
-    bases = [MobiusElement.identity()]
-    for _ in range(k):
-        bases.append(h.base.compose(bases[-1]))
-    m = np.array([base.matrix for base in bases[:-1]]).reshape(k, 2, 2)
-    images, _ = _mobius_images(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1],
-                               np.full(k, _REF.real), np.full(k, _REF.imag))
-    c, d = float(h.base.c), float(h.base.d)
-    offset = 0.0
-    for shift in _lift_shifts(c, d, images.real, images.imag, h.winding_offset).tolist():
-        offset += shift
-    return LiftedIsometry(bases[-1], offset)
+def lifted_powers(lifts: list[LiftedIsometry], exponents) -> list[LiftedIsometry]:
+    """Each lift h composed with itself k >= 0 times, for the paired
+    exponents k, bit for bit as k calls of ``h.compose`` from the identity
+    build it.
 
-
-def frame_at(p: UpperHalfPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The global invariant frame of the contact planes at p.
-
-    Both vectors are annihilated by dt + dx/y, and the pair is positively
-    oriented for the area form it induces on the planes.
+    Each chain of matrices is built by ``MobiusElement.compose``, as those
+    calls build it. The images of i under every chain's matrices but the
+    last go through one ``_mobius_images`` call, and the t-shifts of each h
+    over its chain's images through one ``_lift_shifts`` call; each power's
+    offset is its shifts added from left to right.
     """
-    y, t = p.y, p.t
-    e1 = np.array([y * math.cos(t), y * math.sin(t), -math.cos(t)])
-    e2 = np.array([-y * math.sin(t), y * math.cos(t), math.sin(t)])
-    return e1, e2
+    chains, rows = [], []  # rows: (h, the chain's matrix whose image of i h shifts over)
+    for h, k in zip(lifts, exponents):
+        chain = [MobiusElement.identity()]
+        for _ in range(k):
+            chain.append(h.base.compose(chain[-1]))
+        chains.append(chain)
+        rows += ((h, m) for m in chain[:-1])
+    images, _ = _mobius_images(*(np.array([getattr(m, e) for _, m in rows]) for e in "abcd"),
+                               np.full(len(rows), _REF.real), np.full(len(rows), _REF.imag))
+    shifts = _lift_shifts(np.array([h.base.c for h, _ in rows]),
+                          np.array([h.base.d for h, _ in rows]), images.real, images.imag,
+                          np.array([h.winding_offset for h, _ in rows])).tolist()
+    powers, start = [], 0
+    for k, chain in zip(exponents, chains):
+        offset = 0.0
+        for shift in shifts[start:start + k]:
+            offset += shift
+        start += k
+        powers.append(LiftedIsometry(chain[-1], offset))
+    return powers
 
 
-def contact_covector(p: UpperHalfPoint) -> np.ndarray:
-    """Coefficients of dt + dx/y in the (dx, dy, dt) basis."""
-    return np.array([1.0 / p.y, 0.0, 1.0])
-
-
-def lifted_jacobian(h: LiftedIsometry, p: UpperHalfPoint) -> np.ndarray:
-    """Analytic Jacobian of the lifted action at p, in (x, y, t) coordinates.
-
-    The (x, y) block is the real form of the holomorphic derivative
-    1/(c*z + d)^2 and the t-row is the gradient of the angular shift,
-    -2 * grad arg(c*z + d).
-    """
-    z = p.z
-    c, d = h.base.c, h.base.d
-    w = h.base.derivative(z)
-    q = c / (c * z + d)
-    return np.array(
-        [
-            [w.real, -w.imag, 0.0],
-            [w.imag, w.real, 0.0],
-            [-2.0 * q.imag, -2.0 * q.real, 1.0],
-        ]
-    )
-
-
-def _form_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
-    pulled = contact_covector(image) @ jac
-    return float(np.linalg.norm(pulled - contact_covector(p)))
-
-
-def _frame_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
-    worst = 0.0
-    for here, there in zip(frame_at(p), frame_at(image)):
-        worst = max(worst, float(np.linalg.norm(jac @ here - there)))
-    return worst
-
-
-def contact_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
-    """Norm of (pullback of the contact form under h at p) minus the form at p."""
-    return _form_residual(lifted_jacobian(h, p), p, h.apply(p))
-
-
-def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
-    """Worst mismatch between the pushed-forward frame and the frame at the image."""
-    return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))
-
-
-def _frame_columns(y: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``frame_at`` for many points, as two (N, 3, 1) stacks of column vectors."""
-    t = t.tolist()
-    cos_t = np.array(list(map(math.cos, t)))
-    sin_t = np.array(list(map(math.sin, t)))
-    e1 = np.stack([y * cos_t, y * sin_t, -cos_t], axis=1)
-    e2 = np.stack([-y * sin_t, y * cos_t, sin_t], axis=1)
-    return e1[:, :, None], e2[:, :, None]
-
-
-def _covector_rows(y: np.ndarray) -> np.ndarray:
-    """``contact_covector`` for many points, as an (N, 1, 3) stack of rows."""
-    rows = np.zeros((len(y), 1, 3))
-    rows[:, 0, 0] = 1.0 / y
-    rows[:, 0, 2] = 1.0
-    return rows
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each vector of an (N, 1, 3) or (N, 3, 1) stack."""
-    rows = v.reshape(len(v), 1, 3)
-    return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1)))[:, 0, 0]
+def lifted_images(lifts: list[LiftedIsometry], x: np.ndarray, y: np.ndarray,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every lift applied to every point (x_k, y_k, t_k) in one pass, as
+    three (len(lifts), N) arrays of image coordinates: row j holds
+    ``lifts[j].apply`` at each point, bit for bit. A degenerate point
+    raises DegenerateInput (see ``_mobius_images``)."""
+    count = len(x)
+    a, b, c, d = (np.repeat([getattr(h.base, e) for h in lifts], count) for e in "abcd")
+    offset = np.repeat([h.winding_offset for h in lifts], count)
+    xs, ys, ts = (np.tile(v, len(lifts)) for v in (x, y, t))
+    image, _ = _mobius_images(a, b, c, d, xs, ys)
+    shape = (len(lifts), count)
+    return (image.real.reshape(shape), image.imag.reshape(shape),
+            (ts + _lift_shifts(c, d, xs, ys, offset)).reshape(shape))
 
 
 def _mobius_images(a, b, c, d, x: np.ndarray,
@@ -468,7 +414,7 @@ def _mobius_images(a, b, c, d, x: np.ndarray,
 def _lift_shifts(c, d, x: np.ndarray, y: np.ndarray, offset=None) -> np.ndarray:
     """The t-shift over each point x + y*i of the lift of the bottom row
     (c, d) whose shift at i is ``offset`` (the canonical lift's -2*r if
-    None); (c, d) is one row for all points or one per point.
+    None); (c, d) and ``offset`` are one for all points or one per point.
 
     Entry k equals offset - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r_k),
     with r_k the principal argument of c_k*i + d_k, bit for bit: both
@@ -504,10 +450,10 @@ def invariance_residuals(matrices, points) -> tuple[np.ndarray, np.ndarray]:
     rows (x, y, t), as the (N, 4) and (N, 3) arrays of ``random_samples``
     or as sequences of rows. The canonical lift of a matrix shifts t at i
     by the principal value -2*Arg(c*i + d) = -2*atan2(c, d). With h that
-    lift and p the point, entry k equals ``contact_invariance_residual(h,
-    p)`` and ``frame_invariance_residual(h, p)`` bit for bit, by the rules
-    in the module docstring, except that a frame residual keeps a NaN from
-    either frame vector.
+    lift, J its analytic Jacobian and p the point, the contact residual is
+    the norm of (the form at h(p)) J less the form at p, and the frame
+    residual the larger norm of J e less the same frame vector at h(p), for
+    e either frame vector at p (see ``_frame``); a NaN in either is kept.
 
     Raises DegenerateInput at the first point whose Moebius denominator
     collapses or whose image leaves the upper half-plane.
@@ -527,19 +473,36 @@ def invariance_residuals(matrices, points) -> tuple[np.ndarray, np.ndarray]:
     square.imag = dr * di + di * dr
     w = 1.0 / square
     q = c / den
-    jac = np.zeros((len(x), 3, 3))
-    jac[:, 0, 0] = jac[:, 1, 1] = w.real
-    jac[:, 0, 1] = -w.imag
-    jac[:, 1, 0] = w.imag
-    jac[:, 2, 0] = -2.0 * q.imag
-    jac[:, 2, 1] = -2.0 * q.real
-    jac[:, 2, 2] = 1.0
-
-    form = _norms(np.matmul(_covector_rows(image.imag), jac) - _covector_rows(y))
-    here = _frame_columns(y, t)
-    there = _frame_columns(image.imag, image_t)
-    frame = np.maximum(*(_norms(np.matmul(jac, e) - f) for e, f in zip(here, there)))
+    # the lift's Jacobian has rows (wr, -wi, 0), (wi, wr, 0) and the t-row
+    # (tx, ty, 1) = (-2*Im q, -2*Re q, 1), the gradient of -2*arg(c*z + d)
+    wr, wi = w.real, w.imag
+    tx, ty = -2.0 * q.imag, -2.0 * q.real
+    # the pulled-back form (1/y', 0, 1) J less (1/y, 0, 1); its dt entry is 1 - 1
+    over = 1.0 / image.imag
+    form = np.sqrt(_squares(over * wr + tx - 1.0 / y, over * -wi + ty))
+    frame = np.maximum(*(
+        np.sqrt(_squares(wr * e0 - wi * e1 - f0, wi * e0 + wr * e1 - f1,
+                         tx * e0 + ty * e1 + e2 - f2))
+        for (e0, e1, e2), (f0, f1, f2) in zip(_frame(y, t), _frame(image.imag, image_t))))
     return form, frame
+
+
+def _frame(y: np.ndarray, t: np.ndarray) -> tuple[tuple, tuple]:
+    """The invariant frame e1 = (y cos t, y sin t, -cos t), e2 = (-y sin t,
+    y cos t, sin t) of the contact planes at many points, each vector as
+    three (N,) arrays; cosines and sines are taken per point with ``math``."""
+    t = t.tolist()
+    cos_t = np.array(list(map(math.cos, t)))
+    sin_t = np.array(list(map(math.sin, t)))
+    return (y * cos_t, y * sin_t, -cos_t), (-y * sin_t, y * cos_t, sin_t)
+
+
+def _squares(*entries: np.ndarray) -> np.ndarray:
+    """The sum of the squares of the entries, added from left to right."""
+    out = entries[0] * entries[0]
+    for v in entries[1:]:
+        out = out + v * v
+    return out
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:

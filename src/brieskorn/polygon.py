@@ -27,9 +27,11 @@ vertical shift by 2*pi and the product of all lifted generators the
 ``check_relations`` measures the residual of each relation and returns
 them by name; it decides nothing, as ``cli`` holds each one against its
 tolerance. It tests the lifted relations as actions on sample points
-held as arrays: each power comes from ``halfplane.lifted_power`` and
-acts on all the points in one ``LiftedIsometry.apply_many`` call, with
-the bits of one ``apply`` per point.
+held as arrays: the powers of all the lifted generators come from one
+``halfplane.lifted_powers`` call, and they and the lifted product act on
+all the points in one ``halfplane.lifted_images`` pass, with the bits of
+one ``LiftedIsometry.apply`` per point. The matrix relations run on the
+isometries' four floats.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .halfplane import (
     EdgeReflection,
     LiftedIsometry,
     MobiusElement,
-    lifted_power,
+    lifted_images,
+    lifted_powers,
     point_transport,
     random_points,
     reflection_across,
@@ -255,18 +258,9 @@ def expected_area(params: BrieskornParams) -> float:
 
 def _matrix_deviation(m: MobiusElement) -> float:
     """Frobenius distance of a matrix from +identity or -identity."""
-    flat = m.matrix.ravel()
-    plus = sum((x - e) ** 2 for x, e in zip(flat, (1.0, 0.0, 0.0, 1.0)))
-    minus = sum((x + e) ** 2 for x, e in zip(flat, (1.0, 0.0, 0.0, 1.0)))
+    plus = (m.a - 1.0) * (m.a - 1.0) + m.b * m.b + m.c * m.c + (m.d - 1.0) * (m.d - 1.0)
+    minus = (m.a + 1.0) * (m.a + 1.0) + m.b * m.b + m.c * m.c + (m.d + 1.0) * (m.d + 1.0)
     return math.sqrt(min(plus, minus))
-
-
-def _action_deviation(h: LiftedIsometry, vertical_shift: float, x, y, t) -> float:
-    """Worst distance of h from the vertical shift on the points (x_k, y_k, t_k):
-    |dx| + |dy| and |dt - vertical_shift| at each point, NaN if any is NaN."""
-    image_x, image_y, image_t = h.apply_many(x, y, t)
-    return tol_mod.worst([*(abs(image_x - x) + abs(image_y - y)).tolist(),
-                          *abs(image_t - (t + vertical_shift)).tolist()])
 
 
 def check_relations(
@@ -283,19 +277,20 @@ def check_relations(
     actions on sampled points of the bundle with the t-coordinate left
     unreduced: the a_j-th power of each lifted generator is the central
     shift by 2*pi, and the ordered product of all lifted generators is
-    the central shift by 2*pi*(n-2).
+    the central shift by 2*pi*(n-2). The distance of a lift from its shift
+    is the worst of |dx| + |dy| and |dt - shift| over the points, NaN if
+    any is NaN.
 
     Only measures: ``cli`` holds each residual against its tolerance.
     """
     params = group.params
     n = params.n
-    points = random_points(random.Random(seed), max(1, samples)).T
+    x, y, t = random_points(random.Random(seed), max(1, samples)).T
 
     residuals: dict[str, float] = {}
 
     for j, refl in enumerate(group.reflections, start=1):
-        square = MobiusElement(refl.matrix @ refl.matrix)
-        residuals[f"reflection_involution[{j}]"] = _matrix_deviation(square)
+        residuals[f"reflection_involution[{j}]"] = _matrix_deviation(refl.compose(refl))
 
     product = MobiusElement.identity()
     for j, (a_j, rot) in enumerate(zip(params.exponents, group.rotation_generators), start=1):
@@ -303,12 +298,14 @@ def check_relations(
         product = product.compose(rot)
     residuals["rotation_product"] = _matrix_deviation(product)
 
-    two_pi = 2.0 * math.pi
     lifted_product = LiftedIsometry.identity()
-    for j, (a_j, lift) in enumerate(zip(params.exponents, group.lifted_generators), start=1):
-        residuals[f"lift_order[{j}]"] = _action_deviation(
-            lifted_power(lift, a_j), two_pi, *points)
+    for lift in group.lifted_generators:
         lifted_product = lifted_product.compose(lift)
-    residuals["lift_product"] = _action_deviation(lifted_product, two_pi * (n - 2), *points)
-
+    lifts = [*lifted_powers(group.lifted_generators, params.exponents), lifted_product]
+    names = [f"lift_order[{j}]" for j in range(1, n + 1)] + ["lift_product"]
+    shifts = [2.0 * math.pi] * n + [2.0 * math.pi * (n - 2)]
+    images = zip(names, shifts, *lifted_images(lifts, x, y, t))
+    for name, shift, image_x, image_y, image_t in images:
+        residuals[name] = tol_mod.worst([*(abs(image_x - x) + abs(image_y - y)).tolist(),
+                                         *abs(image_t - (t + shift)).tolist()])
     return residuals

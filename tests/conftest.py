@@ -8,11 +8,15 @@ from brieskorn.errors import NotHyperbolic
 
 
 def pytest_report_header(config):
-    """The numpy build that the lab's byte-identical reports rest on.
+    """The numpy build under the lab's byte-identical reports.
 
-    The residuals are rounding noise that BLAS kernels and SIMD loops
-    produce, so a digest that fails on one machine and passes on another
-    can be told apart from a change of the code by these lines.
+    The residuals are rounding noise. The lab calls no BLAS or LAPACK
+    routine, so the BLAS line names only the library that the
+    kernel-independence test of ``test_lab_reports`` forces a kernel of
+    (it runs where that is OpenBLAS). numpy's elementwise loops, its
+    complex division among them, still round every array operation, so a
+    digest that fails on one machine and passes on another can be told
+    apart from a change of the code by these lines.
     """
     try:
         info = np.show_config(mode="dicts")

@@ -9,8 +9,20 @@ match it bit for bit. ``random_matrix``, ``random_point`` and
 ``invariance_residuals`` handle as arrays. ``power`` and
 ``action_deviation`` are the lifted relation check point by point:
 ``k`` calls of ``compose`` and one ``apply`` per point, which
-``halfplane.lifted_power`` and ``polygon.check_relations`` compute as
-arrays.
+``halfplane.lifted_powers``, ``halfplane.lifted_images`` and
+``polygon.check_relations`` compute as arrays.
+
+``frame_at``, ``contact_covector`` and ``lifted_jacobian`` give the
+invariant frame, the contact form and the lift's analytic Jacobian at one
+point, and ``contact_invariance_residual`` and
+``frame_invariance_residual`` the residuals that
+``halfplane.invariance_residuals`` computes over arrays. Each product of a
+vector with the Jacobian and each norm is written out as sums of products
+over all three coordinates, added from left to right, as
+``halfplane`` writes them out with the zero entries of the Jacobian left
+out: a term 0*x or 1*x changes no finite sum, so the two agree bit for bit
+on finite entries. The Jacobian's complex entries are numpy complex128
+scalars, rounded as the array operations round them.
 """
 
 import cmath
@@ -70,7 +82,7 @@ def random_point(rng: random.Random) -> UpperHalfPoint:
 
 def random_mobius(rng, **bounds) -> MobiusElement:
     a, b, c, d = random_matrix(rng, **bounds)
-    return MobiusElement([[a, b], [c, d]])
+    return MobiusElement(a, b, c, d)
 
 
 def canonical(base: MobiusElement) -> LiftedIsometry:
@@ -109,3 +121,73 @@ def lifted_residuals(group, *, samples=20, seed=0) -> dict[str, float]:
         product = product.compose(lift)
     out["lift_product"] = action_deviation(product, two_pi * (len(exponents) - 2), points)
     return out
+
+
+def frame_at(p: UpperHalfPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The global invariant frame of the contact planes at p.
+
+    Both vectors are annihilated by dt + dx/y, and the pair is positively
+    oriented for the area form it induces on the planes.
+    """
+    y, t = p.y, p.t
+    e1 = np.array([y * math.cos(t), y * math.sin(t), -math.cos(t)])
+    e2 = np.array([-y * math.sin(t), y * math.cos(t), math.sin(t)])
+    return e1, e2
+
+
+def contact_covector(p: UpperHalfPoint) -> np.ndarray:
+    """Coefficients of dt + dx/y in the (dx, dy, dt) basis."""
+    return np.array([1.0 / p.y, 0.0, 1.0])
+
+
+def lifted_jacobian(h: LiftedIsometry, p: UpperHalfPoint) -> np.ndarray:
+    """Analytic Jacobian of the lifted action at p, in (x, y, t) coordinates.
+
+    The (x, y) block is the real form of the holomorphic derivative
+    1/(c*z + d)^2 and the t-row is the gradient of the angular shift,
+    -2 * grad arg(c*z + d).
+    """
+    c, d = np.float64(h.base.c), np.float64(h.base.d)
+    den = c * p.z + d
+    square = np.complex128(complex(den.real * den.real - den.imag * den.imag,
+                                   den.real * den.imag + den.imag * den.real))
+    w = 1.0 / square
+    q = c / den
+    return np.array(
+        [
+            [w.real, -w.imag, 0.0],
+            [w.imag, w.real, 0.0],
+            [-2.0 * q.imag, -2.0 * q.real, 1.0],
+        ]
+    )
+
+
+def _dot(u, v) -> float:
+    """u[0]*v[0] + u[1]*v[1] + u[2]*v[2], added from left to right."""
+    return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1]) + float(u[2]) * float(v[2])
+
+
+def _norm(v) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def _form_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
+    there, here = contact_covector(image), contact_covector(p)
+    return _norm([_dot(there, jac[:, k]) - here[k] for k in range(3)])
+
+
+def _frame_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -> float:
+    worst = 0.0
+    for here, there in zip(frame_at(p), frame_at(image)):
+        worst = max(worst, _norm([_dot(jac[k], here) - there[k] for k in range(3)]))
+    return worst
+
+
+def contact_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
+    """Norm of (pullback of the contact form under h at p) minus the form at p."""
+    return _form_residual(lifted_jacobian(h, p), p, h.apply(p))
+
+
+def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
+    """Worst mismatch between the pushed-forward frame and the frame at the image."""
+    return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))

@@ -24,7 +24,6 @@ from brieskorn import (
 )
 from brieskorn.closedform import closed_form_answer
 from brieskorn.dynamics import LocalModel, linearized_return_map
-from brieskorn.halfplane import contact_invariance_residual, frame_invariance_residual
 from brieskorn.orbits import exceptional_orbit, orbifold_points
 from brieskorn.polygon import (
     build_polygon_group,
@@ -32,7 +31,13 @@ from brieskorn.polygon import (
     expected_area,
     measured_area,
 )
-from halfplane_reference import canonical, random_mobius, random_point
+from halfplane_reference import (
+    canonical,
+    contact_invariance_residual,
+    frame_invariance_residual,
+    random_mobius,
+    random_point,
+)
 
 
 def _report(number: int, description: str):

@@ -315,7 +315,7 @@ def _expm_error(model, T, matrix):
     """Relative Frobenius distance of ``matrix`` from exp(T A) at 50 digits."""
     with mpmath.workdps(50):
         exact = mpmath.expm(T * mpmath.matrix(field_jacobian(model, model.v)))
-        return float(mpmath.mnorm(mpmath.matrix(matrix.tolist()) - exact, "f")
+        return float(mpmath.mnorm(mpmath.matrix(matrix) - exact, "f")
                      / mpmath.mnorm(exact, "f"))
 
 
@@ -437,3 +437,10 @@ def test_a_window_far_up_the_half_plane_caps_epsilon_at_zero():
     assert model.epsilon == 0.0
     result = linearized_return_map(model, ratio)
     assert math.isnan(result.analytic_angle) and math.isnan(result.correction)
+
+
+def test_a_window_near_the_real_axis_leaves_epsilon_uncapped():
+    # Im v ** 2 underflows to zero, and so does the rate the cap divides by:
+    # the cap is then infinite, and the request stands as the model takes it
+    model = LocalModel.in_window(1e-170j, Fraction(1, 3), 0.01)
+    assert model.epsilon == LocalModel(1e-170j, 1.0, 0.01).epsilon == 0.01

@@ -10,7 +10,7 @@ from brieskorn import NotHyperbolic, cli, halfplane, polygon, validate_params
 from brieskorn.halfplane import (
     EdgeReflection,
     MobiusElement,
-    lifted_power,
+    lifted_powers,
     rotation_about_i,
 )
 from brieskorn.polygon import (
@@ -61,9 +61,9 @@ def test_placement_convention():
 def test_reflection_matrices_are_involutions():
     group = group_for(3, 4, 7)
     for refl in group.reflections:
-        square = refl.matrix @ refl.matrix
-        assert abs(square[0, 0] - square[1, 1]) < 1e-12
-        assert abs(square[0, 1]) < 1e-12 and abs(square[1, 0]) < 1e-12
+        a, b, c, d = refl.a, refl.b, refl.c, refl.d
+        assert abs((a * a + b * c) - (c * b + d * d)) < 1e-12
+        assert abs(a * b + b * d) < 1e-12 and abs(c * a + d * c) < 1e-12
 
 
 @pytest.mark.parametrize("exponents", [
@@ -74,7 +74,7 @@ def test_each_reflection_fixes_its_edge(exponents):
     group = group_for(*exponents)
     n = len(group.vertices)
     for j, refl in enumerate(group.reflections):
-        (a, b), (c, d) = refl.matrix
+        a, b, c, d = refl.a, refl.b, refl.c, refl.d
         for z in (group.vertices[j], group.vertices[(j + 1) % n]):
             w = z.conjugate()
             assert abs((a * w + b) / (c * w + d) - z) <= 1e-10 * abs(z)
@@ -106,17 +106,17 @@ def test_rotation_orders_2_3_7():
     # the rotation fixing the first vertex is the composite of the two
     # adjacent edge reflections and squares to +/- identity
     rot = group.rotation_generators[0]
-    power = rot.power(2).matrix
-    deviation = min(
-        abs(power - [[1, 0], [0, 1]]).max(), abs(power + [[1, 0], [0, 1]]).max()
-    )
+    power = rot.power(2)
+    entries = (power.a, power.b, power.c, power.d)
+    deviation = min(max(abs(x - e) for x, e in zip(entries, (1, 0, 0, 1))),
+                    max(abs(x + e) for x, e in zip(entries, (1, 0, 0, 1))))
     assert deviation < 1e-9
 
 
 def test_lifted_square_is_vertical_shift_2_3_7():
     group = group_for(2, 3, 7)
     lift = group.lifted_generators[0]
-    squared = lifted_power(lift, 2)
+    [squared] = lifted_powers([lift], [2])
     rng = random.Random(9)
     for _ in range(20):
         p = random_point(rng)
@@ -153,8 +153,7 @@ def test_area_matches_curvature_integral_up_to_50():
 
 def test_identity_element_has_zero_residual():
     identity = MobiusElement.identity()
-    flat = identity.matrix.ravel()
-    assert max(abs(flat[0] - 1), abs(flat[1]), abs(flat[2]), abs(flat[3] - 1)) == 0.0
+    assert (identity.a, identity.b, identity.c, identity.d) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_a_sabotaged_winding_breaks_its_lift_order():
@@ -247,10 +246,12 @@ def test_relation_residuals_equal_the_point_by_point_oracle_bit_for_bit(monkeypa
               ((2, 3, 7), {"samples": 50, "seed": 7}), ((50, 60, 70), {"samples": 50, "seed": 7})]
     for exponents, sampling in cases:
         group = group_for(*exponents)
-        for a_j, lift in zip(exponents, group.lifted_generators):
-            got, want = lifted_power(lift, a_j), power(lift, a_j)
-            assert got.base.matrix.tolist() == want.base.matrix.tolist(), exponents
-            assert got.winding_offset.hex() == want.winding_offset.hex(), exponents
+        got = lifted_powers(group.lifted_generators, exponents)
+        for a_j, lift, got_j in zip(exponents, group.lifted_generators, got, strict=True):
+            want = power(lift, a_j)
+            assert [got_j.base.a, got_j.base.b, got_j.base.c, got_j.base.d] == [
+                want.base.a, want.base.b, want.base.c, want.base.d], exponents
+            assert got_j.winding_offset.hex() == want.winding_offset.hex(), exponents
         calls.clear()
         residuals = check_relations(group, **sampling)
         recursive += len(calls) - len(exponents)
@@ -266,11 +267,19 @@ def test_relation_check_applies_no_matrix_point_by_point(monkeypatch):
     real = MobiusElement.apply
     monkeypatch.setattr(MobiusElement, "apply",
                         lambda self, z, **kw: calls.append(z) or real(self, z, **kw))
+    rows = {"_mobius_images": [], "_lift_shifts": []}
+    for name, found in rows.items():
+        monkeypatch.setattr(halfplane, name, lambda *args, real=getattr(halfplane, name),
+                            found=found, **kw: found.append(len(args[2])) or real(*args, **kw))
     group = group_for(50, 60, 70)
     calls.clear()
     check_relations(group, samples=50, seed=7)
     # one image of i per composition of the lifted product, none per point
     assert len(calls) == 3
+    # two array passes, whatever n: the images of i along all three power
+    # chains (50 + 60 + 70 rows), then the three powers and the product
+    # at the 50 points
+    assert rows == {"_mobius_images": [180, 200], "_lift_shifts": [180, 200]}
 
 
 def test_a_nan_lift_fails_its_relations():
