@@ -29,16 +29,10 @@ from .errors import (
 from .dynamics import (
     LinearizedReturn,
     LocalModel,
-    hamiltonian_field,
     integrate_monodromy,
     linearized_return_map,
 )
-from .halfplane import (
-    LiftedIsometry,
-    MobiusElement,
-    UpperHalfPoint,
-    mobius_apply,
-)
+from .halfplane import LiftedIsometry, MobiusElement
 from .homology import (
     GradedDims,
     PoincareSeries,
@@ -88,7 +82,6 @@ __all__ = [
     "PolygonGroup",
     "RationalMatrix",
     "SeifertData",
-    "UpperHalfPoint",
     "build_complex",
     "build_polygon_group",
     "chain_homology",
@@ -100,12 +93,10 @@ __all__ = [
     "enumerate_generators",
     "expected_area",
     "graded_homology",
-    "hamiltonian_field",
     "integrate_monodromy",
     "linearized_return_map",
     "measured_area",
     "measured_interior_angles",
-    "mobius_apply",
     "poincare_series",
     "seifert_data",
     "validate_params",

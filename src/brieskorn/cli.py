@@ -202,7 +202,7 @@ def _run_complex(config: RunConfig, data, report: dict) -> list:
                 for k, gens in sorted(complex_.generators_by_grading.items(), reverse=True)
             },
             "matrices": {
-                str(k): [[int(x) for x in row] for row in mat.entries]
+                str(k): [list(row) for row in mat.entries]
                 for k, mat in sorted(complex_.differential.items(), reverse=True)
             },
         }

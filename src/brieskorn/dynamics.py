@@ -15,15 +15,16 @@ rotation. In the invariant frame, which turns counterclockwise at unit
 rate along the fiber, the return map therefore rotates by -(T + eps'),
 and the grading of the orbit follows from floor((rotation)/2pi).
 
-The field, its Jacobian and the model's Hessian are plain float tuples.
-The return map is integrated at the zero, where X(v) = 0: the base point
-never moves and the variational system is M' = A M with the constant
-A = dX(v), evaluated once per integration. M is integrated by fixed
-2-stage Gauss-Legendre steps, which conserve det M = 1, on four Python
-floats: no step calls numpy or BLAS, so the integration is
-IEEE-deterministic. The monodromy and the closed-form map are nested float
-tuples too, and the return map's determinant and Frobenius norms are
-written out on their entries: this module calls no numpy at all.
+The field's Jacobian and the model's Hessian are plain float tuples.
+The return map is integrated at the zero, where X(v) = 0, so the package
+never evaluates X itself: the base point never moves, and the variational
+system is M' = A M with the constant A = dX(v), evaluated once per
+integration. M is integrated by fixed 2-stage Gauss-Legendre steps, which
+conserve det M = 1, on four Python floats: no step calls numpy or BLAS, so
+the integration is IEEE-deterministic. The monodromy and the closed-form
+map are nested float tuples too, and the return map's determinant and
+Frobenius norms are written out on their entries: this module calls no
+numpy at all.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ class LocalModel:
             (-common + cross * dx * dx, cross * dx * dy),
             (cross * dx * dy, -common + cross * dy * dy),
         )
-
-
-def hamiltonian_field(model, z: complex) -> tuple[float, float]:
-    """The projected Reeb field (-y^2 * (1/f)_y, y^2 * (1/f)_x) at z."""
-    gx, gy = model.grad_inv_f(z)
-    y2 = z.imag * z.imag
-    return -y2 * gy, y2 * gx
 
 
 def field_jacobian(model, z: complex) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -10,7 +10,10 @@ acts on the bundle by
 
 and an element of the universal cover group is such a matrix together
 with a continuous choice of the argument, recorded here as the exact
-t-shift the element applies at the reference point w = i.
+t-shift the element applies at the reference point w = i. Points of the
+bundle are held only as arrays of coordinates: the one-point forms of the
+array paths below (a point object, a lift applied to it) are the tests'
+oracles, and the package has none.
 
 The isometries, ``MobiusElement`` and ``EdgeReflection``, hold their
 matrix as four Python floats; products, inverses, actions and derivatives
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,21 +73,6 @@ from .errors import DegenerateInput
 
 _REF = 1j  # reference point anchoring all argument lifts
 _DENOMINATOR_TOL = 1e-12  # |c*z + d| below this times max(1, |z|) is degenerate
-
-
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    x: float
-    y: float
-    t: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"point must have y > 0, got y = {self.y}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
 
 
 class MobiusElement:
@@ -139,8 +126,6 @@ class MobiusElement:
         return MobiusElement(self.d, -self.b, -self.c, self.a)
 
     def power(self, k: int) -> "MobiusElement":
-        if k < 0:
-            return self.inverse().power(-k)
         out = MobiusElement.identity()
         for _ in range(k):
             out = out.compose(self)
@@ -203,12 +188,6 @@ def point_transport(z: complex) -> MobiusElement:
     """The upper-triangular element taking i to z."""
     root = math.sqrt(z.imag)
     return MobiusElement(z.imag / root, z.real / root, 0.0, 1.0 / root)
-
-
-def mobius_apply(g: MobiusElement, z: complex) -> complex:
-    if z.imag <= 0:
-        raise DegenerateInput(f"point must lie in the upper half-plane, got {z}")
-    return g.apply(z)
 
 
 def _phase(c: float, d: float, z: complex) -> float:
@@ -301,10 +280,6 @@ class LiftedIsometry:
         return cls(MobiusElement.identity(), 0.0)
 
     @classmethod
-    def center(cls, k: int = 1) -> "LiftedIsometry":
-        return cls(MobiusElement.identity(), 2.0 * math.pi * k)
-
-    @classmethod
     def with_shift_at(cls, base: MobiusElement, z0: complex, shift: float) -> "LiftedIsometry":
         """The lift whose t-shift at z0 equals ``shift`` exactly.
 
@@ -319,10 +294,6 @@ class LiftedIsometry:
         """The continuous t-shift this element applies over the point z."""
         c, d = self.base.c, self.base.d
         return self.winding_offset - 2.0 * (continued_arg(c, d, z) - _phase(c, d, _REF))
-
-    def apply(self, p: UpperHalfPoint) -> UpperHalfPoint:
-        image = self.base.apply(p.z)
-        return UpperHalfPoint(image.real, image.imag, p.t + self.theta_shift(p.z))
 
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         """Composition acting as self after other, with the lift chained
@@ -371,9 +342,10 @@ def lifted_powers(lifts: list[LiftedIsometry], exponents) -> list[LiftedIsometry
 def lifted_images(lifts: list[LiftedIsometry], x: np.ndarray, y: np.ndarray,
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every lift applied to every point (x_k, y_k, t_k) in one pass, as
-    three (len(lifts), N) arrays of image coordinates: row j holds
-    ``lifts[j].apply`` at each point, bit for bit. A degenerate point
-    raises DegenerateInput (see ``_mobius_images``)."""
+    three (len(lifts), N) arrays of image coordinates: row j holds the
+    Moebius image of each point under ``lifts[j]`` and t plus its
+    ``theta_shift`` there, bit for bit. A degenerate point raises
+    DegenerateInput (see ``_mobius_images``)."""
     count = len(x)
     a, b, c, d = (np.repeat([getattr(h.base, e) for h in lifts], count) for e in "abcd")
     offset = np.repeat([h.winding_offset for h in lifts], count)

@@ -1,101 +1,42 @@
-"""Exact rational linear algebra for graded chain complexes.
+"""Exact linear algebra over the rationals for graded chain complexes.
 
 Dimensions at each grading are computed over the rationals by fraction-free
 integer elimination; nothing here touches floating point. Matrices are
-stored as sparse exact rows, one ``{column: nonzero entry}`` dict per row,
-where an integral entry is a plain ``int`` and any other rational is a
-``Fraction``. Elimination clears each row's denominators once and then
-works on Python ints alone, so a boundary matrix, whose entries all lie in
-{-1, 0, 1}, never becomes a ``Fraction``. Elimination, products and zero
-tests cost in proportion to the nonzeros: a boundary matrix has two per
-tree column, however many minima it has. The compose-to-zero check forms
-a product only when both differentials are non-zero, so it forms none on
-a fiber-class complex, whose outer differentials are zero.
+stored as sparse integer rows, one ``{column: nonzero entry}`` dict per
+row. A boundary matrix has its entries in {-1, 0, 1}, and the rank of an
+integer matrix over Q is reached by scaling rows by nonzero integers and
+subtracting integer multiples of others, so elimination works on Python
+ints alone. Elimination, products and zero tests cost in proportion to the
+nonzeros: a boundary matrix has two per tree column, however many minima
+it has. The compose-to-zero check forms a product only when both
+differentials are non-zero, so it forms none on a fiber-class complex,
+whose outer differentials are zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from operator import attrgetter
+from math import gcd
 
 from .errors import InconsistentComplex
 
-Entry = int | Fraction
-_DENOMINATOR = attrgetter("denominator")  # 1 on an int
-
-
-def _exact(x) -> Entry:
-    """``x`` as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else x
-
-
-def _integral(row: dict[int, Entry]) -> dict[int, int]:
-    """A copy of the row as ints: an all-int row as it is, any other times
-    the lcm of its denominators and divided by the gcd of the products."""
-    if Fraction not in map(type, row.values()):
-        return dict(row)
-    den = lcm(*map(_DENOMINATOR, row.values()))
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    content = gcd(*out.values())
-    return {j: x // content for j, x in out.items()} if content > 1 else out
-
 
 class RationalMatrix:
-    """Matrix of exact rationals stored as sparse rows.
+    """Integer matrix stored as sparse rows, whose rank is taken over Q.
 
-    An integral entry is stored as an int, any other as a Fraction, and no
-    zero is stored.
+    No zero is stored.
     """
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        self.sparse_rows: list[dict[int, Entry]] = [{} for _ in range(rows)]
-        if entries is not None:
-            if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise ValueError("entry grid does not match declared shape")
-            for row, grid_row in zip(self.sparse_rows, entries):
-                for j, x in enumerate(grid_row):
-                    x = _exact(x)
-                    if x:
-                        row[j] = x
+        self.sparse_rows: list[dict[int, int]] = [{} for _ in range(rows)]
 
     @property
-    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+    def entries(self) -> tuple[tuple[int, ...], ...]:
         """Read-only dense view, one tuple per row."""
         return tuple(
             tuple(row.get(j, 0) for j in range(self.cols)) for row in self.sparse_rows
-        )
-
-    def _check(self, i: int, j: int) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-
-    def __getitem__(self, idx):
-        i, j = idx
-        self._check(i, j)
-        return self.sparse_rows[i].get(j, 0)
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        self._check(i, j)
-        value = _exact(value)
-        if value:
-            self.sparse_rows[i][j] = value
-        else:
-            self.sparse_rows[i].pop(j, None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.sparse_rows == other.sparse_rows
         )
 
     def __repr__(self):
@@ -112,32 +53,30 @@ class RationalMatrix:
             for j, z in list(out_row.items()) if out_row else ():
                 if not z:
                     del out_row[j]
-                elif type(z) is not int and z.denominator == 1:
-                    out_row[j] = int(z)
         return out
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
     def rank(self) -> int:
-        """Rank by fraction-free integer elimination on sparse rows.
+        """Rank over Q by fraction-free integer elimination on sparse rows.
 
-        Each row is first cleared of denominators. Columns are then
-        eliminated left to right. Every row not yet used as a pivot waits in
-        the bucket of its leading column, so the rows with a nonzero in the
-        current column are exactly that column's bucket. The pivot is the
-        first candidate with the smallest |entry| p; when the first
-        candidate's entry is a unit, it is taken without a search. Every
-        other candidate, with entry a, becomes (p/g)*row - (a/g)*pivot_row
-        with g = gcd(a, p), and is then divided by the gcd of its entries.
-        Each step scales a row by a nonzero rational or subtracts a multiple
-        of another, so the rank is exact, and dividing out the gcd keeps the
-        ints from growing with every step.
+        Each row is copied, so the matrix is left as it is. Columns are
+        then eliminated left to right. Every row not yet used as a pivot
+        waits in the bucket of its leading column, so the rows with a
+        nonzero in the current column are exactly that column's bucket. The
+        pivot is the first candidate with the smallest |entry| p; when the
+        first candidate's entry is a unit, it is taken without a search.
+        Every other candidate, with entry a, becomes (p/g)*row -
+        (a/g)*pivot_row with g = gcd(a, p), and is then divided by the gcd
+        of its entries. Each step scales a row by a nonzero rational or
+        subtracts a multiple of another, so the rank over Q is exact, and
+        dividing out the gcd keeps the ints from growing with every step.
         """
         buckets: dict[int, list[dict[int, int]]] = {}
         for row in self.sparse_rows:
             if row:
-                buckets.setdefault(min(row), []).append(_integral(row))
+                buckets.setdefault(min(row), []).append(dict(row))
         rank = 0
         for col in range(self.cols):
             candidates = buckets.pop(col, None)

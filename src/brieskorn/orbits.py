@@ -12,7 +12,9 @@ small perturbation of the invariant contact form:
 The grading of a generator is CZ - 1, and its period is the stated exact
 rational multiple of 2*pi. Differentials only connect generators in the
 same free homotopy class: the n-th multiple of a regular fiber, or a
-singleton class containing one exceptional iterate.
+singleton class containing one exceptional iterate. A singleton class is
+one generator with no differential, so ``build_complex`` builds fiber
+classes only, and the chain side counts each singleton at its grading.
 """
 
 from __future__ import annotations
@@ -212,36 +214,19 @@ class GradedComplex:
     differential: dict[int, RationalMatrix]
 
 
-def build_complex(data: SeifertData, cls) -> GradedComplex:
-    """Chain complex of one free homotopy class.
+def build_complex(data: SeifertData, n: int) -> GradedComplex:
+    """Chain complex of the fiber class n, the class of the n-th multiple of
+    a regular fiber.
 
-    ``cls`` is either a positive integer n (the class of the n-th multiple
-    of a regular fiber) or a tuple (j, i, k) naming a single exceptional
-    iterate with t_j not dividing k, whose class contains no other
-    generator and whose differential vanishes.
-
-    For the fiber class n, the generators are the M minima orbits at the
-    iterate n*t_j, one per orbifold point ordered by (j, i) (grading
-    -2nw - 2 where w = d/m), the M - 1 + 2g saddle orbits (grading
-    -2nw - 1), and the maximum orbit (grading -2nw). The tree saddle c
-    maps to minimum c minus minimum c + 1, for c < M - 1; the 2g handle
-    saddles and the maximum map to zero, so the homology is the surface
-    homology (1, 2g, 1). Raises InconsistentComplex when a Conley-Zehnder
-    index puts some generator off the grading stated here.
+    The generators are the M minima orbits at the iterate n*t_j, one per
+    orbifold point ordered by (j, i) (grading -2nw - 2 where w = d/m), the
+    M - 1 + 2g saddle orbits (grading -2nw - 1), and the maximum orbit
+    (grading -2nw). The tree saddle c maps to minimum c minus minimum
+    c + 1, for c < M - 1; the 2g handle saddles and the maximum map to
+    zero, so the homology is the surface homology (1, 2g, 1). Raises
+    InconsistentComplex when a Conley-Zehnder index puts some generator
+    off the grading stated here.
     """
-    if isinstance(cls, tuple):
-        j, i, k = cls
-        _, t_j = data.orbifold_counts[j - 1]
-        if k % t_j == 0:
-            raise ValueError(f"iterate {k} of a multiplicity-{t_j} point is a fiber class")
-        gen = exceptional_orbit(data, j, i, k)
-        return GradedComplex(
-            class_label=f"orbit:{gen.label}",
-            generators_by_grading={gen.grading: [gen]},
-            differential={gen.grading: RationalMatrix(0, 1)},
-        )
-
-    n = int(cls)
     if n < 1:
         raise ValueError("fiber class must be a positive integer")
     base = -2 * n * data.fiber_winding

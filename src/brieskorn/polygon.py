@@ -30,8 +30,8 @@ tolerance. It tests the lifted relations as actions on sample points
 held as arrays: the powers of all the lifted generators come from one
 ``halfplane.lifted_powers`` call, and they and the lifted product act on
 all the points in one ``halfplane.lifted_images`` pass, with the bits of
-one ``LiftedIsometry.apply`` per point. The matrix relations run on the
-isometries' four floats.
+one Moebius image and one ``theta_shift`` per point. The matrix relations
+run on the isometries' four floats.
 """
 
 from __future__ import annotations

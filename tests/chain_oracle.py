@@ -3,6 +3,8 @@
 ``long_chain_homology`` builds the complex of every fiber class and of
 every singleton class above the floor and eliminates each one, where
 ``chain_homology`` builds the class-1 complex once and tiles one period.
+``singleton_complex`` builds a singleton class's complex, one generator
+with a zero differential, which the package counts without building.
 The loop bound of its singleton classes is the exceptional grading
 evaluated as an exact rational floor, not the integer division of the
 package, and it counts its fiber classes itself: class n reaches the floor
@@ -21,8 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from brieskorn.closedform import exceptional_grading
-from brieskorn.homology import graded_homology
-from brieskorn.orbits import build_complex, orbifold_points
+from brieskorn.homology import RationalMatrix, graded_homology
+from brieskorn.orbits import GradedComplex, build_complex, exceptional_orbit, orbifold_points
 
 
 def _add(dims, grading, amount=1):
@@ -58,6 +60,20 @@ def singleton_classes(data, grading_floor):
             k += 1
 
 
+def singleton_complex(data, j, i, k) -> GradedComplex:
+    """The complex of the class of iterate k of orbifold point (j, i), for
+    t_j not dividing k: its one generator and a zero differential."""
+    _, t_j = data.orbifold_counts[j - 1]
+    if k % t_j == 0:
+        raise ValueError(f"iterate {k} of a multiplicity-{t_j} point is a fiber class")
+    gen = exceptional_orbit(data, j, i, k)
+    return GradedComplex(
+        class_label=f"orbit:{gen.label}",
+        generators_by_grading={gen.grading: [gen]},
+        differential={gen.grading: RationalMatrix(0, 1)},
+    )
+
+
 def fiber_classes(data, grading_floor) -> int:
     """The fiber classes n whose top grading -2nw is >= the floor."""
     n = 0
@@ -80,7 +96,7 @@ def long_chain_homology(data, grading_floor, classes=None) -> dict[int, int]:
             if grading >= grading_floor:
                 total[grading] = total.get(grading, 0) + dim
     for cls in singleton_classes(data, grading_floor):
-        for grading, dim in graded_homology(build_complex(data, cls)).items():
+        for grading, dim in graded_homology(singleton_complex(data, *cls)).items():
             total[grading] = total.get(grading, 0) + dim
     return total
 

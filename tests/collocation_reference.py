@@ -4,21 +4,29 @@ The 2-stage Gauss-Legendre collocation of the variational system
 dz/dt = X(z), dM/dt = dX(z) M, written in its stage form over numpy arrays:
 the state is one 6-vector, and each step solves the stage equations
 K_i = F(y + h * sum_j a_ij K_j) by fixed-point iteration, with the field and
-the Jacobian evaluated at each stage's own base point. It shares the field
-and the Jacobian with the package and nothing of its step, which is the
-closed (2,2) Pade map of a constant A. Unlike the package, which integrates
-M' = dX(v) M at the model's zero v only, it also starts off the zero.
+the Jacobian evaluated at each stage's own base point. It shares the
+Jacobian with the package and nothing of its step, which is the closed
+(2,2) Pade map of a constant A. Unlike the package, which integrates
+M' = dX(v) M at the model's zero v only, it also starts off the zero, so
+it has the field X that the package never evaluates.
 """
 
 import math
 
 import numpy as np
 
-from brieskorn.dynamics import field_jacobian, hamiltonian_field
+from brieskorn.dynamics import field_jacobian
 
 _ROOT3 = math.sqrt(3.0)
 _GL_A = np.array([[0.25, 0.25 - _ROOT3 / 6.0], [0.25 + _ROOT3 / 6.0, 0.25]])
 _GL_B = np.array([0.5, 0.5])
+
+
+def hamiltonian_field(model, z: complex) -> tuple[float, float]:
+    """The projected Reeb field (-y^2 * (1/f)_y, y^2 * (1/f)_x) at z."""
+    gx, gy = model.grad_inv_f(z)
+    y2 = z.imag * z.imag
+    return -y2 * gy, y2 * gx
 
 
 def _collocation_step(deriv, state, h):

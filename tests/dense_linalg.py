@@ -1,11 +1,22 @@
 """Dense exact linear algebra that the tests use as oracles for the sparse engine.
 
-Both functions read a matrix only through its dense ``entries`` view and
-share no code with ``brieskorn.homology``.
+The oracles read a matrix only through its dense ``entries`` view and
+share no code with ``brieskorn.homology``; ``from_grid`` builds the
+sparse matrix of a dense integer grid.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from brieskorn.homology import RationalMatrix
+
+
+def from_grid(rows: int, cols: int, grid) -> RationalMatrix:
+    """The rows x cols integer grid as a RationalMatrix, its zeros left out."""
+    mat = RationalMatrix(rows, cols)
+    for sparse, row in zip(mat.sparse_rows, grid):
+        sparse.update((j, x) for j, x in enumerate(row) if x)
+    return mat
 
 
 def dense_rank(matrix) -> int:

@@ -3,14 +3,15 @@
 ``continued_arg`` is the package's continued argument as it ran on numpy
 scalars: c*w + d and the quotient in complex128 arithmetic, phases by
 ``cmath.phase``. The package computes the same on Python floats and must
-match it bit for bit. ``random_matrix``, ``random_point`` and
-``random_mobius`` draw one sample at a time as objects or rows, and
-``canonical`` builds the ``LiftedIsometry`` that ``random_samples`` and
-``invariance_residuals`` handle as arrays. ``power`` and
-``action_deviation`` are the lifted relation check point by point:
-``k`` calls of ``compose`` and one ``apply`` per point, which
-``halfplane.lifted_powers``, ``halfplane.lifted_images`` and
-``polygon.check_relations`` compute as arrays.
+match it bit for bit. ``apply`` maps one ``UpperHalfPoint`` by a lift.
+``random_matrix``, ``random_point`` and ``random_mobius`` draw one sample
+at a time as objects or rows, and ``canonical`` builds the
+``LiftedIsometry`` that ``random_samples`` and ``invariance_residuals``
+handle as arrays. ``power`` and ``action_deviation`` are the lifted
+relation check point by point: ``k`` calls of ``compose`` and one
+``apply`` per point, which ``halfplane.lifted_powers``,
+``halfplane.lifted_images`` and ``polygon.check_relations`` compute as
+arrays.
 
 ``frame_at``, ``contact_covector`` and ``lifted_jacobian`` give the
 invariant frame, the contact form and the lift's analytic Jacobian at one
@@ -28,13 +29,35 @@ scalars, rounded as the array operations round them.
 import cmath
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from brieskorn import tolerances
-from brieskorn.halfplane import LiftedIsometry, MobiusElement, UpperHalfPoint
+from brieskorn.halfplane import LiftedIsometry, MobiusElement
 
 REF = 1j
+
+
+@dataclass(frozen=True)
+class UpperHalfPoint:
+    x: float
+    y: float
+    t: float
+
+    def __post_init__(self):
+        if not self.y > 0:
+            raise ValueError(f"point must have y > 0, got y = {self.y}")
+
+    @property
+    def z(self) -> complex:
+        return complex(self.x, self.y)
+
+
+def apply(h: LiftedIsometry, p: UpperHalfPoint) -> UpperHalfPoint:
+    """The image of p under h: the Moebius image of p.z, and t plus h's t-shift at p.z."""
+    image = h.base.apply(p.z)
+    return UpperHalfPoint(image.real, image.imag, p.t + h.theta_shift(p.z))
 
 
 def continued_arg(c, d, z_to, *, z_from=REF, arg_from=None, _depth=0):
@@ -102,7 +125,7 @@ def action_deviation(h: LiftedIsometry, vertical_shift: float, points) -> float:
     """Worst distance of h from the vertical shift, point by point."""
     deviations = []
     for p in points:
-        image = h.apply(p)
+        image = apply(h, p)
         deviations += [abs(image.x - p.x) + abs(image.y - p.y),
                        abs(image.t - (p.t + vertical_shift))]
     return tolerances.worst(deviations)
@@ -185,9 +208,9 @@ def _frame_residual(jac: np.ndarray, p: UpperHalfPoint, image: UpperHalfPoint) -
 
 def contact_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     """Norm of (pullback of the contact form under h at p) minus the form at p."""
-    return _form_residual(lifted_jacobian(h, p), p, h.apply(p))
+    return _form_residual(lifted_jacobian(h, p), p, apply(h, p))
 
 
 def frame_invariance_residual(h: LiftedIsometry, p: UpperHalfPoint) -> float:
     """Worst mismatch between the pushed-forward frame and the frame at the image."""
-    return _frame_residual(lifted_jacobian(h, p), p, h.apply(p))
+    return _frame_residual(lifted_jacobian(h, p), p, apply(h, p))

@@ -103,7 +103,7 @@ def test_criterion_3_saddle_differentials():
             minima = [g.label for g in complex_.generators_by_grading[base - 2]]
             assert minima == [f"v1.1^{2 * n}", f"v2.1^{3 * n}", f"v3.1^{7 * n}"]
             mat = complex_.differential[base - 1]
-            assert [[int(mat[i, j]) for j in range(2)] for i in range(3)] == [
+            assert [list(row) for row in mat.entries] == [
                 [1, 0],
                 [-1, 1],
                 [0, -1],

@@ -23,6 +23,7 @@ from chain_oracle import (
     long_closed_form,
     loop_tile,
     singleton_classes,
+    singleton_complex,
     singleton_grading,
 )
 
@@ -292,7 +293,7 @@ def test_singleton_complexes_have_homology_one_at_their_grading(fuzz_corpus):
         for j, i, k in singleton_classes(data, -30):
             grading = conley_zehnder(data, EXCEPTIONAL, k, j) - 1
             assert grading == singleton_grading(data, j, k)
-            assert graded_homology(build_complex(data, (j, i, k))) == {grading: 1}
+            assert graded_homology(singleton_complex(data, j, i, k)) == {grading: 1}
 
 
 def test_compare_eight_twos_at_floor_minus_8():

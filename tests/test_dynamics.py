@@ -16,13 +16,12 @@ from brieskorn.dynamics import (
     LocalModel,
     analytic_return,
     field_jacobian,
-    hamiltonian_field,
     integrate_monodromy,
     linearized_return_map,
 )
 from brieskorn.errors import ConfigError
 from brieskorn.polygon import build_polygon_group
-from collocation_reference import reference_monodromy, reference_steps
+from collocation_reference import hamiltonian_field, reference_monodromy, reference_steps
 
 
 def test_a_model_outside_its_domain_is_a_config_error():
@@ -97,7 +96,7 @@ def test_contraction_identity_random_points():
 
 
 class CallablePerturbation:
-    """General smooth perturbation given by f alone; derivatives by differences."""
+    """General smooth perturbation given by f alone; its gradient by differences."""
 
     def __init__(self, f, step: float = 1e-5):
         self._f = f
@@ -114,16 +113,6 @@ class CallablePerturbation:
         gx = (self.inv_f(z + h) - self.inv_f(z - h)) / (2.0 * h)
         gy = (self.inv_f(z + 1j * h) - self.inv_f(z - 1j * h)) / (2.0 * h)
         return gx, gy
-
-    def hess_inv_f(self, z: complex) -> np.ndarray:
-        h = self.step
-
-        def grad(w):
-            return np.array(self.grad_inv_f(w))
-
-        col_x = (grad(z + h) - grad(z - h)) / (2.0 * h)
-        col_y = (grad(z + 1j * h) - grad(z - 1j * h)) / (2.0 * h)
-        return np.column_stack([col_x, col_y])
 
 
 def test_contraction_identity_general_perturbation():
@@ -365,7 +354,9 @@ def test_the_rotation_is_unwrapped_over_several_turns():
     "model, T", [(LocalModel(1j, 1.0, 0.2), 1.0), (LocalModel(0.3 + 1.4j, 1.2, 0.2), 5.0)]
 )
 def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch, model, T):
-    calls = {"hamiltonian_field": [], "field_jacobian": []}
+    # the field itself lives in the collocation reference: dynamics has none
+    assert not hasattr(dynamics, "hamiltonian_field")
+    calls = {"field_jacobian": []}
 
     def recording(name):
         real = getattr(dynamics, name)
@@ -380,7 +371,7 @@ def test_integration_evaluates_the_jacobian_once_and_never_the_field(monkeypatch
         monkeypatch.setattr(dynamics, name, recording(name))
     result = integrate_monodromy(model, T)
     monkeypatch.undo()
-    assert calls == {"hamiltonian_field": [], "field_jacobian": [(model, model.v)]}
+    assert calls == {"field_jacobian": [(model, model.v)]}
     # the fixed step count: ceil(T * spin / 0.1), more than one step here
     assert result.steps == reference_steps(model, T) > 1
 

@@ -1,12 +1,130 @@
-"""The public names of the package."""
+"""The public names of the package, the code its command line runs, and the
+exact side's kept mutants."""
+
+import ast
+import contextlib
+import io
+import os
+import sys
+import types
+from pathlib import Path
+
+import pytest
 
 import brieskorn
+import test_cli
+import test_closedform
+import test_homology
+from brieskorn import cli, closedform, homology, orbits, tolerances
+from test_golden import ARGV
+
+PACKAGE = Path(brieskorn.__file__).resolve().parent
 
 
 def test_star_import_binds_every_public_name_once():
     names = brieskorn.__all__
     assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(brieskorn, name)] == []
     namespace = {}
     exec("from brieskorn import *", namespace)
     for name in names:
         assert namespace[name] is getattr(brieskorn, name)
+
+
+def package_defs(tree, prefix=""):
+    """(first line, qualified name) of every def under an AST node: methods
+    under their class, nested defs under ``<locals>``. A decorated def's first
+    line is its first decorator's, as its code object counts it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            yield min([node.lineno] + [d.lineno for d in node.decorator_list]), name
+            yield from package_defs(node, f"{name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from package_defs(node, f"{prefix}{node.name}.")
+        else:
+            yield from package_defs(node, prefix)
+
+
+# the defs that no command-line run enters, by name or, for any class's
+# __repr__, by method name, each with the reason it stays in the package
+NOT_ENTERED = {
+    "__repr__": "a debugging aid: no report prints an object",
+    "RationalMatrix.multiply": "the compose-to-zero check multiplies two consecutive "
+    "differentials only when both are non-zero, and no fiber-class complex has two: "
+    "its outer ones are zero",
+}
+
+
+def test_every_def_of_the_package_runs_in_some_golden_case(monkeypatch):
+    # every golden argv, in all three formats, under a profile hook: a def
+    # that none of them enters is code only the tests use, and belongs there
+    monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(hook)
+        try:
+            for argv in ARGV.values():
+                cli.main(argv)
+        finally:
+            sys.setprofile(previous)
+    entered = {(os.path.realpath(path), line) for path, line in entered}
+    missed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in package_defs(ast.parse(path.read_text())):
+            if (str(path), line) not in entered:
+                missed.add(f"{path.stem}.{name}")
+    allowed = {name for name in missed
+               if {name.rsplit(".", 1)[-1], name.split(".", 1)[1]} & NOT_ENTERED.keys()}
+    assert missed - allowed == set()
+    assert "homology.RationalMatrix.multiply" in missed
+
+
+def test_homology_imports_nothing_from_fractions():
+    # its matrices hold ints, and their rank over Q needs no Fraction
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "homology.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module)
+    assert "fractions" not in imported
+
+
+# mutants of the exact side: (a module, a substitution in its source, how
+# the mutated copy of the module is bound, the test that must fail against it)
+EXACT_MUTANTS = {
+    "tree one column short": (
+        orbits, test_cli._substitute("for col in range(M - 1):", "for col in range(M - 2):"),
+        lambda mp, copy: mp.setattr(closedform, "build_complex", copy.build_complex),
+        lambda mp: test_closedform.test_chain_equals_closed_form_on_window()),
+    "rank eliminates the matrix's own rows": (
+        homology, test_cli._substitute(".append(dict(row))", ".append(row)"),
+        # on the module's own globals, which the killer patches
+        lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", types.FunctionType(
+            copy.RationalMatrix.rank.__code__, vars(homology))),
+        test_homology.test_rank_eliminates_copies_of_the_rows),
+    "stale __all__ entry": (
+        brieskorn, test_cli._substitute('    "measured_interior_angles",\n',
+                                        '    "measured_interior_angles",\n    "mobius_apply",\n'),
+        lambda mp, copy: (mp.setitem(sys.modules, "brieskorn", copy),
+                          mp.setitem(globals(), "brieskorn", copy)),
+        lambda mp: test_star_import_binds_every_public_name_once()),
+}
+
+
+@pytest.mark.parametrize("mutant", EXACT_MUTANTS)
+def test_the_exact_side_tests_kill_each_mutant(mutant, monkeypatch):
+    module, mutate, bind, killer = EXACT_MUTANTS[mutant]
+    copy = types.ModuleType(module.__name__)
+    copy.__package__ = module.__package__  # its relative imports reach the loaded modules
+    exec(compile(mutate(Path(module.__file__).read_text()), module.__file__, "exec"), vars(copy))
+    bind(monkeypatch, copy)
+    with pytest.raises(AssertionError):
+        killer(monkeypatch)

@@ -23,7 +23,7 @@ from brieskorn.polygon import (
     measured_interior_angles,
 )
 from fan_reference import solve_fan
-from halfplane_reference import lifted_residuals, power, random_point
+from halfplane_reference import apply, lifted_residuals, power, random_point
 from test_lab_reports import LAB_TUPLES
 
 # fans far from the fuzz family: many right angles, large and mixed exponents
@@ -120,7 +120,7 @@ def test_lifted_square_is_vertical_shift_2_3_7():
     rng = random.Random(9)
     for _ in range(20):
         p = random_point(rng)
-        q = squared.apply(p)
+        q = apply(squared, p)
         assert abs(q.x - p.x) + abs(q.y - p.y) < 1e-8
         assert abs(q.t - (p.t + 2 * math.pi)) < 1e-8
 
