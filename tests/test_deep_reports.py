@@ -4,8 +4,9 @@ The golden fixtures hold no dims dict with more than about 15 entries. This
 test pins the sha256 digest of the json, tsv and text output and the exit
 code of ``compare`` on tuples with 3 to 10 orbifold points, fiber winding
 w <= 4 and grading floors from -500 to -4000, the range of the benchmark's
-``exact-deep`` workload. So a change to the tiling, the comparison or the
-rendering of a deep report that moves one byte fails here.
+``exact-deep`` workload, and of ``homology`` on four of them. So a change to
+the tiling, the comparison, the Poincare series or the rendering of a deep
+report that moves one byte fails here.
 
 One more case swaps in a closed form that differs from the real one at a
 single deep grading, so a report with ``comparison.first_mismatch`` and
@@ -41,7 +42,13 @@ DEEP_CASES = (
     ((2, 2, 3, 3), -2366),    # 10 minima, w = 2, genus 2
     ((2, 2, 2, 5), -500),     # 10 minima, w = 3
 )
-CASES = [f"compare {','.join(map(str, exponents))} {floor}" for exponents, floor in DEEP_CASES]
+# homology mode on one tuple of each genus 0, 1 and 2, and the shallowest floor
+HOMOLOGY_CASES = (DEEP_CASES[0], DEEP_CASES[3], DEEP_CASES[6], DEEP_CASES[8])
+CASES = [
+    f"{mode} {','.join(map(str, exponents))} {floor}"
+    for mode, cases in (("compare", DEEP_CASES), ("homology", HOMOLOGY_CASES))
+    for exponents, floor in cases
+]
 # the closed form is off by one at this grading only
 MISMATCH_CASE = "compare 2,3,7 -2000 mismatch at -1501"
 MISMATCH_GRADING = -1501
