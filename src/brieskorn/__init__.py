@@ -11,6 +11,7 @@ lifted relations, linearized return-map rotation).
 from .closedform import (
     ClosedFormAnswer,
     ComparisonReport,
+    PeriodicDims,
     chain_homology,
     closed_form_answer,
     closed_form_homology,
@@ -78,6 +79,7 @@ __all__ = [
     "NondegeneracyFailure",
     "NotHyperbolic",
     "OrbitGenerator",
+    "PeriodicDims",
     "PoincareSeries",
     "PolygonGroup",
     "RationalMatrix",

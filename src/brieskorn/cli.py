@@ -95,7 +95,8 @@ class RunConfig:
 
 
 def _dims_payload(dims) -> dict[str, int]:
-    return {str(k): v for k, v in sorted(dims.items(), reverse=True)}
+    """The report's dims of a dict already in descending grading order."""
+    return dict(zip(map(str, dims), dims.values()))
 
 
 def _seifert_payload(data) -> dict:
@@ -212,23 +213,22 @@ def _run_complex(config: RunConfig, data, report: dict) -> list:
 
 
 def _run_homology(config: RunConfig, data, report: dict) -> list:
-    dims = chain_homology(data, config.grading_floor)
+    dims = chain_homology(data, config.grading_floor).tiled()
     series = poincare_series(dims, config.grading_floor)
     report["homology"] = {"dims": _dims_payload(dims), "series": series.text}
     return []
 
 
 def _run_compare(config: RunConfig, data, report: dict) -> list:
-    floor = config.grading_floor
-    chain = chain_homology(data, floor)
-    oracle = closed_form_homology(data, floor)
-    comparison = compare_graded(chain, oracle, floor)
-    dims = _dims_payload(chain)
+    chain = chain_homology(data, config.grading_floor)
+    oracle = closed_form_homology(data, config.grading_floor)
+    comparison = compare_graded(chain, oracle)
+    dims = _dims_payload(chain.tiled())
     report["homology"] = {"dims": dims}
-    # equal dicts have equal payloads: the report holds one dict twice, and
-    # render encodes it once
-    report["oracle"] = dims if oracle == chain else _dims_payload(oracle)
-    report["comparison"] = {"equal": comparison.equal, "floor": floor}
+    # sides that agree have equal payloads: the report holds one dict twice,
+    # render encodes it once, and the oracle is tiled only on a mismatch
+    report["oracle"] = dims if comparison.equal else _dims_payload(oracle.tiled())
+    report["comparison"] = {"equal": comparison.equal, "floor": comparison.floor}
     if comparison.equal:
         return []
     grading, chain_dim, oracle_dim = comparison.first_mismatch

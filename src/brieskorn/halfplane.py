@@ -126,6 +126,9 @@ class MobiusElement:
         return MobiusElement(self.d, -self.b, -self.c, self.a)
 
     def power(self, k: int) -> "MobiusElement":
+        """The k-th power for k >= 0; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"MobiusElement.power needs k >= 0, got {k}")
         out = MobiusElement.identity()
         for _ in range(k):
             out = out.compose(self)

@@ -15,7 +15,9 @@ one orbifold point, and one fiber class, at a time down to the floor,
 where ``closed_form_answer`` tiles one period.
 
 ``loop_tile`` repeats every block entry one grading at a time, where
-``closedform._tile`` writes each run of equal values in one update.
+``closedform._tile`` writes every copy of the last period in one update, and
+``full_scan`` compares two periodic answers at every grading down to the
+floor, where ``compare_graded`` scans a window of a few periods.
 """
 
 import math
@@ -41,6 +43,19 @@ def loop_tile(blocks, period, grading_floor) -> dict[int, int]:
                 for shifted in range(grading, grading_floor - 1, -period):
                     total[shifted] = total.get(shifted, 0) + dim
     return total
+
+
+def full_scan(chain, oracle) -> tuple[bool, tuple[int, int, int] | None]:
+    """Equality of two ``PeriodicDims`` at every grading from 0 down to the
+    higher floor, and the first mismatch from the top as (grading, chain
+    dimension, oracle dimension)."""
+    floor = max(chain.floor, oracle.floor)
+    ours = loop_tile([chain.block], chain.period, floor)
+    theirs = loop_tile([oracle.block], oracle.period, floor)
+    for grading in range(0, floor - 1, -1):
+        if ours.get(grading, 0) != theirs.get(grading, 0):
+            return False, (grading, ours.get(grading, 0), theirs.get(grading, 0))
+    return True, None
 
 
 def singleton_grading(data, j, k) -> int:

@@ -66,11 +66,12 @@ def test_compare_equal():
 
 def test_compare_mismatch_exit_code(monkeypatch):
     def broken_oracle(data, floor):
+        # the closed form's base block is one too large at its top grading
         from brieskorn import closed_form_homology
 
-        dims = closed_form_homology(data, floor)
-        dims[-2] = dims.get(-2, 0) + 1
-        return dims
+        answer = closed_form_homology(data, floor)
+        answer.block[-2] = answer.block.get(-2, 0) + 1
+        return answer
 
     monkeypatch.setattr(cli, "closed_form_homology", broken_oracle)
     code, report = run_cli(["compare", "--exponents", "2,3,7", "--grading-floor", "-6"])

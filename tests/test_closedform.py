@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from brieskorn import (
     InconsistentComplex,
+    PeriodicDims,
     RationalMatrix,
     chain_homology,
     closed_form_answer,
@@ -19,6 +20,7 @@ from brieskorn.homology import graded_homology
 from brieskorn.orbits import EXCEPTIONAL, MAXIMUM, build_complex, conley_zehnder
 from chain_oracle import (
     fiber_classes,
+    full_scan,
     long_chain_homology,
     long_closed_form,
     loop_tile,
@@ -33,12 +35,12 @@ def data_for(*exponents):
 
 
 def test_closed_form_2_3_7_window():
-    dims = closed_form_homology(data_for(2, 3, 7), -6)
+    dims = closed_form_homology(data_for(2, 3, 7), -6).tiled()
     assert dims == {-2: 10, -4: 11, -6: 11}
 
 
 def test_closed_form_2_3_7_deep_window():
-    dims = closed_form_homology(data_for(2, 3, 7), -40)
+    dims = closed_form_homology(data_for(2, 3, 7), -40).tiled()
     assert dims[-2] == 10
     for k in range(2, 21):
         assert dims[-2 * k] == 11
@@ -46,12 +48,12 @@ def test_closed_form_2_3_7_deep_window():
 
 
 def test_closed_form_2_3_11():
-    dims = closed_form_homology(data_for(2, 3, 11), -6)
+    dims = closed_form_homology(data_for(2, 3, 11), -6).tiled()
     assert dims == {-2: 2, -4: 3, -6: 3}
 
 
 def test_closed_form_2_2_3_3_3():
-    dims = closed_form_homology(data_for(2, 2, 3, 3, 3), -30)
+    dims = closed_form_homology(data_for(2, 2, 3, 3, 3), -30).tiled()
     expected = {}
     for n in (1, 2):
         expected[-12 * n] = 1
@@ -87,7 +89,7 @@ def test_chain_equals_closed_form_on_window():
     floor = -10
     chain = chain_homology(data, floor)
     oracle = closed_form_homology(data, floor)
-    report = compare_graded(chain, oracle, floor)
+    report = compare_graded(chain, oracle)
     assert report.equal and report.first_mismatch is None
 
 
@@ -95,26 +97,40 @@ def test_compare_flags_mismatch():
     data = data_for(2, 3, 7)
     chain = chain_homology(data, -6)
     oracle = closed_form_homology(data, -6)
-    oracle[-4] += 1
-    report = compare_graded(chain, oracle, -6)
+    oracle.block[-4] += 1  # every grading -4 - 2k of the oracle is one higher
+    report = compare_graded(chain, oracle)
     assert not report.equal
     assert report.first_mismatch == (-4, 11, 12)
 
 
+def _unrepeated(block, floor):
+    """The block alone above the floor: its period reaches below the floor."""
+    return PeriodicDims(block, 1 - floor, floor)
+
+
 def test_compare_identical_inputs_equal():
     dims = {-2: 3, -5: 1}
-    assert compare_graded(dims, dict(dims), -8).equal
+    assert compare_graded(_unrepeated(dims, -8), _unrepeated(dict(dims), -8)).equal
 
 
 def test_compare_ignores_explicit_zeros_and_entries_below_the_floor():
-    # unequal dicts that agree at every grading of the window take the scan
-    oracle = {-2: 3, -5: 1}
-    for chain in ({-2: 3, -5: 1, -4: 0}, {-2: 3, -5: 1, -9: 2}, {-2: 3, -5: 1, -4: 0, -20: 1}):
-        report = compare_graded(chain, oracle, -8)
-        assert report.equal and report.first_mismatch is None, chain
-        assert compare_graded(oracle, chain, -8).equal, chain
-    report = compare_graded({-2: 3, -5: 1, -8: 2}, oracle, -8)
+    # unequal blocks that agree at every grading of the window take the scan
+    oracle = _unrepeated({-2: 3, -5: 1}, -8)
+    for block in ({-2: 3, -5: 1, -4: 0}, {-2: 3, -5: 1, -9: 2}, {-2: 3, -5: 1, -4: 0, -20: 1}):
+        chain = _unrepeated(block, -8)
+        report = compare_graded(chain, oracle)
+        assert report.equal and report.first_mismatch is None, block
+        assert compare_graded(oracle, chain).equal, block
+    report = compare_graded(_unrepeated({-2: 3, -5: 1, -8: 2}, -8), oracle)
     assert report.first_mismatch == (-8, 2, 0)
+
+
+def _merged(blocks):
+    merged = {}
+    for block in blocks:
+        for grading, dim in block.items():
+            merged[grading] = merged.get(grading, 0) + dim
+    return merged
 
 
 @st.composite
@@ -142,13 +158,86 @@ def _tiling_cases(draw):
 @example(([{}], 1, 0))
 def test_run_tiling_equals_the_loop_oracle(case):
     blocks, period, floor = case
-    assert closedform._tile(blocks, period, floor) == loop_tile(blocks, period, floor)
+    tiled = closedform._tile(_merged(blocks), period, floor)
+    assert tiled == loop_tile(blocks, period, floor)
+    assert list(tiled) == sorted(tiled, reverse=True)
+
+
+@st.composite
+def _periodic_pairs(draw):
+    """Two periodic answers: either drawn apart, or one the other's block
+    unfolded over k of its periods (equal at every grading), and then some
+    entries moved on either side, deep below the blocks included."""
+    floor = draw(st.integers(-150, 0))
+    period = draw(st.integers(1, 12))
+    block = draw(st.dictionaries(st.integers(-30, 0), st.integers(0, 5), max_size=6))
+    if draw(st.booleans()):
+        other = draw(st.dictionaries(st.integers(-30, 0), st.integers(0, 5), max_size=6))
+        other_period = draw(st.integers(1, 12))
+    else:
+        k = draw(st.integers(1, 4))
+        other = _merged([{g - i * period: dim for g, dim in block.items()} for i in range(k)])
+        other_period = k * period
+    blocks = [block, other]
+    for _ in range(draw(st.integers(0, 2))):
+        side = blocks[draw(st.integers(0, 1))]
+        grading = draw(st.integers(-80, 0))
+        side[grading] = side.get(grading, 0) + draw(st.integers(1, 3))
+    other_floor = draw(st.sampled_from([floor, floor, draw(st.integers(-150, 0))]))
+    return PeriodicDims(block, period, floor), PeriodicDims(other, other_period, other_floor)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_periodic_pairs())
+# the first mismatch is the window's last grading, L - lcm + 1 for the lowest entry L
+@example((PeriodicDims({0: 1}, 1, -5), PeriodicDims({0: 1}, 2, -5)))
+@example((PeriodicDims({-3: 2}, 1, -9), PeriodicDims({-3: 2}, 2, -6)))
+def test_window_agrees_with_the_full_scan(pair):
+    chain, oracle = pair
+    report = compare_graded(chain, oracle)
+    assert (report.equal, report.first_mismatch) == full_scan(chain, oracle)
+    assert report.floor == max(chain.floor, oracle.floor)
+
+
+def test_compare_tiles_to_the_floor_once_and_the_window_otherwise(monkeypatch):
+    tilings = []
+    real_tile, real_oracle = closedform._tile, cli.closed_form_homology
+
+    def counted(block, period, floor):
+        dims = real_tile(block, period, floor)
+        tilings.append((floor, len(dims)))
+        return dims
+
+    def skewed(data, grading_floor):  # the oracle's block one too large at grading -3
+        answer = real_oracle(data, grading_floor)
+        answer.block[-3] = 1
+        return answer
+
+    monkeypatch.setattr(closedform, "_tile", counted)
+    windows = {}
+    for skew in (False, True):
+        if skew:
+            monkeypatch.setattr(cli, "closed_form_homology", skewed)
+        for floor in (-300, -30_000):
+            tilings.clear()
+            code, report = cli.run(
+                cli.RunConfig(exponents=[2, 3, 7], mode="compare", grading_floor=floor))
+            assert code == (cli.EXIT_MISMATCH if skew else cli.EXIT_OK)
+            # floor-many gradings for the chain side's report, and for the
+            # oracle's only on a mismatch
+            expected = [len(report["homology"]["dims"])] + [len(report["oracle"])] * skew
+            assert [count for at, count in tilings if at == floor] == expected
+            assert expected[0] == -floor // 2
+            windows[skew, floor] = [tiling for tiling in tilings if tiling[0] != floor]
+    # sides that agree take no window; the window of a mismatch is a few periods
+    assert windows[False, -300] == windows[False, -30_000] == []
+    assert windows[True, -300] == windows[True, -30_000] == [(-5, 2), (-5, 4)]
 
 
 def test_odd_gradings_carry_exactly_the_handle_dimensions(fuzz_corpus):
     for data in fuzz_corpus[:80]:
         floor = -30
-        dims = closed_form_homology(data, floor)
+        dims = closed_form_homology(data, floor).tiled()
         w = data.fiber_winding
         saddle_slots = set()
         n = 1
@@ -165,7 +254,7 @@ def test_odd_gradings_carry_exactly_the_handle_dimensions(fuzz_corpus):
 
 def test_nothing_above_grading_minus_two_and_top_dimension(fuzz_corpus):
     for data in fuzz_corpus[:80]:
-        dims = closed_form_homology(data, -8)
+        dims = closed_form_homology(data, -8).tiled()
         assert all(g <= -2 for g in dims)
         expected_top = 0
         for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
@@ -185,9 +274,7 @@ def test_nothing_above_grading_minus_two_and_top_dimension(fuzz_corpus):
 def test_chain_matches_closed_form_on_fuzz_sample(fuzz_corpus):
     for data in fuzz_corpus[:25]:
         floor = -16
-        report = compare_graded(
-            chain_homology(data, floor), closed_form_homology(data, floor), floor
-        )
+        report = compare_graded(chain_homology(data, floor), closed_form_homology(data, floor))
         assert report.equal, (data.params.exponents, report.first_mismatch)
 
 
@@ -195,8 +282,7 @@ def test_chain_matches_closed_form_full_window(fuzz_corpus):
     for data in fuzz_corpus[:10]:
         for floor in (-40, -7, -2):
             report = compare_graded(
-                chain_homology(data, floor), closed_form_homology(data, floor), floor
-            )
+                chain_homology(data, floor), closed_form_homology(data, floor))
             assert report.equal, (data.params.exponents, floor, report.first_mismatch)
 
 
@@ -230,13 +316,13 @@ def test_chain_homology_eliminates_each_distinct_matrix_once_per_call(monkeypatc
     for _ in range(2):  # the second call eliminates again: nothing outlives a call
         built.clear()
         eliminated.clear()
-        results.append(chain_homology(data, floor))
+        results.append(chain_homology(data, floor).tiled())
         # one complex per call: the class-1 M x S boundary and S x 1 zero matrix
         assert [c.class_label for c in built] == ["fiber:1"]
         matrices = nonempty(built[0].differential.values())
         assert len(matrices) == len(set(matrices)) == 2
         assert sorted(nonempty(eliminated)) == sorted(matrices)
-    assert results[0] == results[1] == closed_form_homology(data, floor)
+    assert results[0] == results[1] == closed_form_homology(data, floor).tiled()
 
 
 def test_deep_window_builds_one_complex(monkeypatch):
@@ -247,13 +333,13 @@ def test_deep_window_builds_one_complex(monkeypatch):
     assert singletons + fiber_classes(data, floor) == 20_000
     chain = chain_homology(data, floor)
     assert len(built) == 1
-    assert compare_graded(chain, closed_form_homology(data, floor), floor).equal
+    assert compare_graded(chain, closed_form_homology(data, floor)).equal
 
 
 def test_chain_homology_equals_the_class_by_class_oracle(fuzz_corpus):
     for data in fuzz_corpus[100:160]:
         for floor in (-2, -9, -30):
-            assert chain_homology(data, floor) == long_chain_homology(data, floor), (
+            assert chain_homology(data, floor).tiled() == long_chain_homology(data, floor), (
                 data.params.exponents, floor)
 
 
@@ -269,7 +355,7 @@ def test_the_oracle_needs_every_fiber_class_it_counts(fuzz_corpus):
     checked = 0
     for data, floor in cases:
         classes = fiber_classes(data, floor)
-        chain = chain_homology(data, floor)
+        chain = chain_homology(data, floor).tiled()
         assert long_chain_homology(data, floor) == chain, (data.params.exponents, floor)
         if classes:
             checked += 1
@@ -299,9 +385,7 @@ def test_singleton_complexes_have_homology_one_at_their_grading(fuzz_corpus):
 def test_compare_eight_twos_at_floor_minus_8():
     # 512 minima and genus 129: a 512 x 769 boundary matrix, eliminated once per call
     data, floor = data_for(*[2] * 8), -8
-    report = compare_graded(
-        chain_homology(data, floor), closed_form_homology(data, floor), floor
-    )
+    report = compare_graded(chain_homology(data, floor), closed_form_homology(data, floor))
     assert report.equal, report.first_mismatch
 
 
@@ -311,16 +395,16 @@ def test_both_sides_equal_their_long_oracles(fuzz_corpus):
         for floor in (-2, -3, -2 * w - 2, -2 * w - 3, -6 * w - 10):
             label = (data.params.exponents, floor)
             answer, long = closed_form_answer(data, floor), long_closed_form(data, floor)
-            assert answer.combined == long.combined, label
+            assert answer.combined.tiled() == long.combined, label
             assert answer.g_block == long.g_block, label
-            assert chain_homology(data, floor) == long_chain_homology(data, floor), label
+            assert chain_homology(data, floor).tiled() == long_chain_homology(data, floor), label
 
 
 def test_answer_repeats_every_two_w_below_grading_minus_two(fuzz_corpus):
     for data in fuzz_corpus[:300]:
         w = data.fiber_winding
         floor = -6 * w - 10
-        dims = closed_form_homology(data, floor)
+        dims = closed_form_homology(data, floor).tiled()
         assert dims.get(-2 * w - 2, 0) == dims.get(-2, 0) + 1
         for grading in range(-3, floor + 2 * w - 1, -1):
             assert dims.get(grading - 2 * w, 0) == dims.get(grading, 0), (
@@ -345,7 +429,7 @@ def test_work_outside_the_tiling_does_not_depend_on_the_floor(monkeypatch):
             calls[name] = 0
         chain = chain_homology(data, floor)
         oracle = closed_form_homology(data, floor)
-        assert min(chain) == min(oracle) == floor
+        assert min(chain.tiled()) == min(oracle.tiled()) == floor
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert seen[0]["build_complex"] == 1
@@ -360,7 +444,7 @@ def test_chain_side_never_reads_the_closed_form(monkeypatch):
         monkeypatch.setattr(closedform, name, refuse)
     for exponents in ((2, 3, 7), (2, 2, 3, 3, 3), (3, 4, 5)):
         data = data_for(*exponents)
-        assert chain_homology(data, -40) == long_chain_homology(data, -40)
+        assert chain_homology(data, -40).tiled() == long_chain_homology(data, -40)
 
 
 def test_inconsistent_period_is_a_typed_failure(monkeypatch):

@@ -467,3 +467,8 @@ def test_canonical_lift_projects_to_the_base_action():
         principal = -2.0 * cmath.phase(g.c * z + g.d)
         wrapped = (shift - principal + math.pi) % (2 * math.pi) - math.pi
         assert abs(wrapped) < 1e-10
+
+
+def test_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="k >= 0, got -1"):
+        halfplane.rotation_about_i(1.0).power(-1)

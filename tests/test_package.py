@@ -110,6 +110,11 @@ EXACT_MUTANTS = {
         lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", types.FunctionType(
             copy.RationalMatrix.rank.__code__, vars(homology))),
         test_homology.test_rank_eliminates_copies_of_the_rows),
+    "comparison window one grading short": (
+        closedform, test_cli._substitute("math.lcm(chain.period, oracle.period) + 1)",
+                                         "math.lcm(chain.period, oracle.period) + 2)"),
+        lambda mp, copy: mp.setattr(test_closedform, "compare_graded", copy.compare_graded),
+        lambda mp: test_closedform.test_window_agrees_with_the_full_scan()),
     "stale __all__ entry": (
         brieskorn, test_cli._substitute('    "measured_interior_angles",\n',
                                         '    "measured_interior_angles",\n    "mobius_apply",\n'),
