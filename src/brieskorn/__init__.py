@@ -6,100 +6,66 @@ homology -> closed-form cross-check) and a numerical laboratory that
 verifies the hyperbolic-geometric and dynamical inputs behind it
 (invariant contact form and frame, polygon reflection groups and their
 lifted relations, linearized return-map rotation).
+
+Each public name is loaded from its module on first use, so the exact
+pipeline runs without the laboratory's modules or numpy.
 """
 
-from .closedform import (
-    ClosedFormAnswer,
-    ComparisonReport,
-    PeriodicDims,
-    chain_homology,
-    closed_form_answer,
-    closed_form_homology,
-    compare_graded,
-)
-from .errors import (
-    BrieskornError,
-    ConfigError,
-    ConstructionFailure,
-    DegenerateInput,
-    InconsistentComplex,
-    InvalidExponent,
-    NondegeneracyFailure,
-    NotHyperbolic,
-)
-from .dynamics import (
-    LinearizedReturn,
-    LocalModel,
-    integrate_monodromy,
-    linearized_return_map,
-)
-from .halfplane import LiftedIsometry, MobiusElement
-from .homology import (
-    GradedDims,
-    PoincareSeries,
-    RationalMatrix,
-    graded_homology,
-    poincare_series,
-)
-from .invariants import BrieskornParams, SeifertData, seifert_data, validate_params
-from .orbits import (
-    GradedComplex,
-    OrbitGenerator,
-    build_complex,
-    conley_zehnder,
-    enumerate_generators,
-)
-from .polygon import (
-    PolygonGroup,
-    build_polygon_group,
-    check_relations,
-    expected_area,
-    measured_area,
-    measured_interior_angles,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BrieskornError",
-    "BrieskornParams",
-    "ClosedFormAnswer",
-    "ComparisonReport",
-    "ConfigError",
-    "ConstructionFailure",
-    "DegenerateInput",
-    "GradedComplex",
-    "GradedDims",
-    "InconsistentComplex",
-    "InvalidExponent",
-    "LiftedIsometry",
-    "LinearizedReturn",
-    "LocalModel",
-    "MobiusElement",
-    "NondegeneracyFailure",
-    "NotHyperbolic",
-    "OrbitGenerator",
-    "PeriodicDims",
-    "PoincareSeries",
-    "PolygonGroup",
-    "RationalMatrix",
-    "SeifertData",
-    "build_complex",
-    "build_polygon_group",
-    "chain_homology",
-    "check_relations",
-    "closed_form_answer",
-    "closed_form_homology",
-    "compare_graded",
-    "conley_zehnder",
-    "enumerate_generators",
-    "expected_area",
-    "graded_homology",
-    "integrate_monodromy",
-    "linearized_return_map",
-    "measured_area",
-    "measured_interior_angles",
-    "poincare_series",
-    "seifert_data",
-    "validate_params",
-]
+# each public name and the module that defines it
+_HOMES = {
+    "BrieskornError": "errors",
+    "BrieskornParams": "invariants",
+    "ClosedFormAnswer": "closedform",
+    "ComparisonReport": "closedform",
+    "ConfigError": "errors",
+    "ConstructionFailure": "errors",
+    "DegenerateInput": "errors",
+    "GradedComplex": "orbits",
+    "GradedDims": "homology",
+    "InconsistentComplex": "errors",
+    "InvalidExponent": "errors",
+    "LiftedIsometry": "halfplane",
+    "LinearizedReturn": "dynamics",
+    "LocalModel": "dynamics",
+    "MobiusElement": "halfplane",
+    "NondegeneracyFailure": "errors",
+    "NotHyperbolic": "errors",
+    "OrbitGenerator": "orbits",
+    "PeriodicDims": "closedform",
+    "PoincareSeries": "homology",
+    "PolygonGroup": "polygon",
+    "RationalMatrix": "homology",
+    "SeifertData": "invariants",
+    "build_complex": "orbits",
+    "build_polygon_group": "polygon",
+    "chain_homology": "closedform",
+    "check_relations": "polygon",
+    "closed_form_answer": "closedform",
+    "closed_form_homology": "closedform",
+    "compare_graded": "closedform",
+    "conley_zehnder": "orbits",
+    "enumerate_generators": "orbits",
+    "expected_area": "polygon",
+    "graded_homology": "homology",
+    "integrate_monodromy": "dynamics",
+    "linearized_return_map": "dynamics",
+    "measured_area": "polygon",
+    "measured_interior_angles": "polygon",
+    "poincare_series": "homology",
+    "seifert_data": "invariants",
+    "validate_params": "invariants",
+}
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    """Load a public name from its module on first use (PEP 562)."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOMES[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -20,7 +20,8 @@ measure, and this module decides: ``_checked_polygon`` the spin of each
 rotation and then the polygon's angles, for both lab modes, ``_hold`` each
 value, every group relation of ``verify-geometry`` included, and
 ``_ungradable`` the degenerate and window checks of each return map of
-``verify-dynamics``. The tolerances are resolved once per ``run``.
+``verify-dynamics``. The tolerances are resolved once per ``run``. The lab
+modules, and numpy with them, are imported only when a lab mode runs.
 ``run`` is the one place that turns failures into the report's ``errors``
 and an exit code: 0 success, 1 refused input, 2 comparison mismatch, 3
 failed computation or numerical tolerance, as each class in
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -49,7 +51,6 @@ from typing import NoReturn
 
 from . import tolerances as tol_mod
 from .closedform import chain_homology, closed_form_homology, compare_graded
-from .dynamics import LocalModel, linearized_return_map
 from .errors import (
     BrieskornError,
     CheckFailed,
@@ -58,16 +59,9 @@ from .errors import (
     ConstructionFailure,
     NondegeneracyFailure,
 )
-from .halfplane import invariance_residuals, random_samples
 from .homology import poincare_series
 from .invariants import seifert_data, validate_params
 from .orbits import EXCEPTIONAL, build_complex, conley_zehnder, enumerate_generators
-from .polygon import (
-    build_polygon_group,
-    check_relations,
-    expected_area,
-    measured_area,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = ConfigError.exit_code
@@ -141,7 +135,14 @@ _SPIN_TOL = 1e-6
 def _checked_polygon(params, tols: dict[str, float]) -> tuple:
     """The polygon group of params and its interior-angle errors, once each
     rotation's spin (vertex 1 first) and then the worst angle error have held;
-    the first miss, a NaN included, raises ConstructionFailure."""
+    the first miss, a NaN included, raises ConstructionFailure. An exponent
+    past float range, which has no float angle pi/a, is refused before the
+    build with ConfigError."""
+    from .polygon import build_polygon_group
+
+    for a in params.exponents:
+        if a > sys.float_info.max:
+            raise ConfigError(f"exponent {a} is past float range; the lab modes need pi/a")
     group = build_polygon_group(params)
     angles = [math.pi / a for a in params.exponents]
     for j, (spin, angle) in enumerate(zip(group.rotation_spins, angles), start=1):
@@ -244,6 +245,8 @@ def _run_compare(config: RunConfig, data, report: dict) -> list:
 
 
 def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
+    from .polygon import check_relations, expected_area, measured_area
+
     tols = config.tolerances
     group, angle_errors = _checked_polygon(data.params, tols)
     area = measured_area(group)
@@ -271,6 +274,9 @@ def _run_verify_geometry(config: RunConfig, data, report: dict) -> list:
 
 
 def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
+    from .dynamics import LocalModel, linearized_return_map
+    from .halfplane import invariance_residuals, random_samples
+
     tols = config.tolerances
     matrices, points = random_samples(random.Random(config.rng_seed), config.samples)
     # an array maximum carries a NaN through, where Python's max would drop it
@@ -603,10 +609,17 @@ def main(argv=None) -> int:
         config = config_from_args(build_parser().parse_args(argv))
     except (ValueError, ZeroDivisionError) as exc:  # ConfigError is a ValueError
         refused = ConfigError(str(exc))
-        print(render({"errors": [refused.payload()]}, _requested_format(argv)))
-        return refused.exit_code
-    code, report = run(config)
-    print(render(report, config.format))
+        code = refused.exit_code
+        text = render({"errors": [refused.payload()]}, _requested_format(argv))
+    else:
+        code, report = run(config)
+        text = render(report, config.format)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, as the Python
+        # docs advise, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

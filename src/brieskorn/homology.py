@@ -179,9 +179,8 @@ def poincare_series(dims: GradedDims, floor: int) -> PoincareSeries:
     """
     if floor > 0:
         raise ValueError("floor must be <= 0")
-    kept = sorted(
-        ((k, c) for k, c in dims.items() if k >= floor and c), key=lambda kc: -kc[0]
-    )
+    # gradings are unique, so the pairs sort by grading alone
+    kept = sorted(((k, c) for k, c in dims.items() if k >= floor and c), reverse=True)
     if not kept:
         return PoincareSeries(terms=(), text="0")
     pieces = []

@@ -7,8 +7,11 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import textwrap
 import types
 from fractions import Fraction
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brieskorn import cli, dynamics, errors, polygon, tolerances, validate_params
+from brieskorn import cli, dynamics, errors, halfplane, polygon, tolerances, validate_params
 from brieskorn.errors import NotHyperbolic
 from halfplane_reference import random_mobius, random_point
 import test_polygon
@@ -141,15 +144,15 @@ def _count_calls(monkeypatch, module, name):
 
 def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
     states = []
-    real = cli.random_samples
+    real = halfplane.random_samples
 
     def drawn(rng, count):
         rows = real(rng, count)
         states.append(rng.getstate())
         return rows
 
-    monkeypatch.setattr(cli, "random_samples", drawn)
-    residuals = _count_calls(monkeypatch, cli, "invariance_residuals")
+    monkeypatch.setattr(halfplane, "random_samples", drawn)
+    residuals = _count_calls(monkeypatch, halfplane, "invariance_residuals")
     integrations = _count_calls(monkeypatch, dynamics, "integrate_monodromy")
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
@@ -345,6 +348,9 @@ TYPED_EXITS = [
     # refused before the window's cap (0.042 on (2,3,7)) could hide it
     (["verify-dynamics", "--exponents", "2,3,7", "--samples", "5", "--epsilon", "1.5"], None,
      EXIT_VALIDATION, "ConfigError"),
+    # an exponent past float range has no float angle pi/a: refused before the build
+    (["verify-geometry", "--exponents", f"2,3,{10**400}"], None, EXIT_VALIDATION, "ConfigError"),
+    (["verify-dynamics", "--exponents", f"2,3,{10**400}"], None, EXIT_VALIDATION, "ConfigError"),
 ]
 
 
@@ -359,6 +365,32 @@ def test_failures_end_in_typed_exit_codes(
     out, err = capsys.readouterr()
     assert json.loads(out)["errors"][0]["type"] == error_type
     assert err == ""
+
+
+def test_the_exact_modes_accept_an_exponent_past_float_range(capsys):
+    huge = 10**400
+    for argv in (["invariants"], ["generators", "--grading-floor", "-10"], ["complex"]):
+        assert main([*argv, "--exponents", f"2,3,{huge}"]) == EXIT_OK
+        assert str(huge) in capsys.readouterr().out
+    assert main(["verify-geometry", "--exponents", f"2,3,{huge}"]) == EXIT_VALIDATION
+    [error] = json.loads(capsys.readouterr().out)["errors"]
+    assert error["message"] == f"exponent {huge} is past float range; the lab modes need pi/a"
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_not_the_run():
+    # some 200,000 lines of report: writing them fails long before the end
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop(tolerances.ENV_VAR, None)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "brieskorn", "compare", "--exponents", "2,3,7",
+         "--grading-floor", "-200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_OK
+    assert err == ""  # no traceback, nor an exception ignored at exit
 
 
 def test_a_refused_argument_prints_in_the_requested_format(capsys):
@@ -506,25 +538,25 @@ def test_run_refuses_fewer_than_one_class_in_direct_configs(mode):
 
 
 def _nan_frame_residual(monkeypatch):
-    real = cli.invariance_residuals
+    real = halfplane.invariance_residuals
 
     def patched(elements, points):
         form, frame = real(elements, points)
         frame[1] = math.nan  # not first: Python's max would drop it
         return form, frame
 
-    monkeypatch.setattr(cli, "invariance_residuals", patched)
+    monkeypatch.setattr(halfplane, "invariance_residuals", patched)
 
 
 def _nan_return_measure(name):
     """A patch that makes the measure ``name`` of every return map NaN."""
     def patch(monkeypatch):
-        real = cli.linearized_return_map
+        real = dynamics.linearized_return_map
 
         def patched(*args):
             return dataclasses.replace(real(*args), **{name: math.nan})
 
-        monkeypatch.setattr(cli, "linearized_return_map", patched)
+        monkeypatch.setattr(dynamics, "linearized_return_map", patched)
 
     return patch
 
@@ -538,14 +570,14 @@ def _nan_rotation(monkeypatch):
 
 
 def _nan_first_spin(monkeypatch):
-    real = cli.build_polygon_group
+    real = polygon.build_polygon_group
 
     def patched(params):
         group = real(params)
         group.rotation_spins[0] = math.nan
         return group
 
-    monkeypatch.setattr(cli, "build_polygon_group", patched)
+    monkeypatch.setattr(polygon, "build_polygon_group", patched)
 
 
 def _nan_last_angle(monkeypatch):
@@ -572,7 +604,7 @@ NAN_SITES = {
     "window": (["verify-dynamics", "--samples", "5"], _nan_rotation,
                "verification.rotation_table[0].ode_angle", math.pi),
     "area": (["verify-geometry"],
-             lambda mp: mp.setattr(cli, "measured_area", lambda group: math.nan),
+             lambda mp: mp.setattr(polygon, "measured_area", lambda group: math.nan),
              "verification.area.error", TOL["area"]),
     "angle": (["verify-geometry"], _nan_last_angle, "angle_error", TOL["angle"]),
     "spin": (["verify-geometry"], _nan_first_spin, "rotation_spin[1]", 1e-6),
@@ -631,7 +663,7 @@ def test_a_correction_outside_its_window_is_refused_at_its_row(monkeypatch):
     # uncapped, epsilon 0.9 turns the corrections of the rows at vertices 1
     # and 2 past their windows; the row at i, vertex 3, stays inside its own
     monkeypatch.delenv(tolerances.ENV_VAR, raising=False)
-    monkeypatch.setattr(cli.LocalModel, "in_window",
+    monkeypatch.setattr(dynamics.LocalModel, "in_window",
                         classmethod(lambda cls, v, ratio, epsilon: cls(v, 1.0, epsilon)))
     code, report = _lab_run(epsilons=(0.9,), iterates=1)
     assert code == EXIT_TOLERANCE
@@ -679,7 +711,7 @@ def _swap(first, second, end):
 
 # mutants of the lab's verdicts: (function, its module, a source
 # substitution, the test that must fail against it). The mutated copy
-# replaces the name cli calls.
+# replaces the function in its module, where cli reads it at call time.
 VERDICT_MUTANTS = {
     "window check dropped": (
         "_ungradable", cli,
@@ -717,7 +749,7 @@ def test_the_verdict_tests_kill_each_mutant(mutant, monkeypatch):
     exec(mutate(textwrap.dedent(inspect.getsource(getattr(home, name)))), namespace)
     # the copy reads the module's own globals, so a patch of the module reaches it
     mutated = types.FunctionType(namespace[name].__code__, vars(home), name)
-    monkeypatch.setattr(cli, name, mutated)
+    monkeypatch.setattr(home, name, mutated)
     with pytest.raises(AssertionError):
         killer(monkeypatch)
 

@@ -4,7 +4,10 @@ exact side's kept mutants."""
 import ast
 import contextlib
 import io
+import json
 import os
+import shutil
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -31,6 +34,77 @@ def test_star_import_binds_every_public_name_once():
         assert namespace[name] is getattr(brieskorn, name)
 
 
+# numpy and the lab's float modules: no exact mode may load one
+FLOAT_MODULES = ["numpy", "brieskorn.dynamics", "brieskorn.halfplane", "brieskorn.polygon"]
+EXACT_ARGVS = [
+    ["invariants", "--exponents", "2,3,7"],
+    ["generators", "--exponents", "2,3,7", "--grading-floor", "-10"],
+    ["generators", "--exponents", "2,3,7", "--action-bound", "5/2"],
+    ["complex", "--exponents", "2,3,7"],
+    ["homology", "--exponents", "2,3,7"],
+    ["compare", "--exponents", "2,3,7"],
+]
+# runs every exact argv, then both lab modes, in one fresh interpreter, and
+# prints the exit codes and which FLOAT_MODULES were loaded after each part
+_LOADED_CHILD = """
+import contextlib, io, json, sys
+from brieskorn import cli
+names, argvs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+    exact = [name for name in names if name in sys.modules]
+    codes += [cli.main([mode, "--exponents", "2,3,7"])
+              for mode in ("verify-geometry", "verify-dynamics")]
+print(json.dumps([codes, exact, [name for name in names if name in sys.modules]]))
+"""
+
+
+def assert_exact_modes_load_no_float_code(src):
+    """The exact modes, run from the package under ``src``, load none of
+    FLOAT_MODULES, in process and as ``python -m brieskorn compare``; the
+    two lab modes load them all."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(tolerances.ENV_VAR, None)
+    child = subprocess.run([sys.executable, "-c", _LOADED_CHILD, json.dumps(FLOAT_MODULES),
+                            json.dumps(EXACT_ARGVS)], cwd=src, env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    codes, exact, lab = json.loads(child.stdout)
+    assert codes == [0] * (len(EXACT_ARGVS) + 2)
+    assert exact == []
+    assert lab == FLOAT_MODULES
+    # -X importtime names on stderr every module the command imports
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "brieskorn", "compare",
+                            "--exponents", "2,3,7"], cwd=src, env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    imported = {line.rpartition("|")[2].strip() for line in child.stderr.splitlines()}
+    assert "brieskorn.cli" in imported
+    assert imported.isdisjoint(FLOAT_MODULES)
+
+
+def test_the_exact_modes_load_no_float_code():
+    assert_exact_modes_load_no_float_code(PACKAGE.parent)
+
+
+# mutants of the float-free import: (a module, a substitution in its source);
+# the package written with it must fail assert_exact_modes_load_no_float_code
+IMPORT_MUTANTS = {
+    "numpy imported by an exact module": (
+        "orbits.py", test_cli._substitute("\nimport math\n", "\nimport math\n\nimport numpy\n")),
+}
+
+
+@pytest.mark.parametrize("mutant", IMPORT_MUTANTS)
+def test_the_float_free_import_test_kills_each_mutant(mutant, tmp_path):
+    name, mutate = IMPORT_MUTANTS[mutant]
+    package = tmp_path / "brieskorn"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    (package / name).write_text(mutate((package / name).read_text()))
+    with pytest.raises(AssertionError):
+        assert_exact_modes_load_no_float_code(tmp_path)
+
+
 def package_defs(tree, prefix=""):
     """(first line, qualified name) of every def under an AST node: methods
     under their class, nested defs under ``<locals>``. A decorated def's first
@@ -50,6 +124,7 @@ def package_defs(tree, prefix=""):
 # __repr__, by method name, each with the reason it stays in the package
 NOT_ENTERED = {
     "__repr__": "a debugging aid: no report prints an object",
+    "__getattr__": "the library's public names; the command line imports the modules it runs",
     "RationalMatrix.multiply": "the compose-to-zero check multiplies two consecutive "
     "differentials only when both are non-zero, and no fiber-class complex has two: "
     "its outer ones are zero",
@@ -116,8 +191,9 @@ EXACT_MUTANTS = {
         lambda mp, copy: mp.setattr(test_closedform, "compare_graded", copy.compare_graded),
         lambda mp: test_closedform.test_window_agrees_with_the_full_scan()),
     "stale __all__ entry": (
-        brieskorn, test_cli._substitute('    "measured_interior_angles",\n',
-                                        '    "measured_interior_angles",\n    "mobius_apply",\n'),
+        brieskorn, test_cli._substitute('    "measured_interior_angles": "polygon",\n',
+                                        '    "measured_interior_angles": "polygon",\n'
+                                        '    "mobius_apply": "halfplane",\n'),
         lambda mp, copy: (mp.setitem(sys.modules, "brieskorn", copy),
                           mp.setitem(globals(), "brieskorn", copy)),
         lambda mp: test_star_import_binds_every_public_name_once()),
