@@ -48,18 +48,16 @@ pass. Each keeps the bits of its point-by-point form. Every array of
 Moebius images goes through ``_mobius_images``, which refuses a collapsed
 denominator or an image off the half-plane.
 
-A lift's t-shift (``continued_arg``) runs on Python floats, with no numpy
-scalar: c*w + d is formed by components, and the quotient of two such
-values by ``_quotient``, which is numpy's complex128 division written out
-(Smith's method, R. L. Smith, *Algorithm 116: Complex division*, CACM
-1962, scaled by a reciprocal as numpy scales it), so every shift keeps the
-bits it had when it was computed on numpy scalars. ``_lift_shifts`` takes
-the same operations over arrays, for one bottom row (c, d) per point or
-one for all points: c*i + d, c*z + d and their quotient as array
-arithmetic, ``_quotient``'s two branches chosen by ``np.where``, and the
-phases per point with ``math.atan2``. The few rows whose first turn is
-pi/2 or more (or NaN) go through ``continued_arg`` itself, which halves
-their segment, a bounded number of times.
+A lift's t-shift is -2*arg(c*w + d), continued over the half-plane from
+its value at i. For real (c, d) the imaginary part c*Im(w) of c*w + d has
+the sign of c on all of the half-plane (and c*w + d = d when c = 0), so
+c*w + d never crosses the branch cut of the principal argument, and the
+continued argument is the principal one: ``continued_arg`` is a single
+``math.atan2`` on Python floats. ``_lift_shifts`` takes the same operations
+over arrays, with the phases per point by ``math.atan2``. Both refuse a
+point where c*w + d rounds so that its half-plane is lost (see
+``continued_arg``). The tests hold both to an independent oracle, a walk
+that halves the segment from i until each turn is less than pi/2.
 """
 
 from __future__ import annotations
@@ -193,11 +191,6 @@ def point_transport(z: complex) -> MobiusElement:
     return MobiusElement(z.imag / root, z.real / root, 0.0, 1.0 / root)
 
 
-def _phase(c: float, d: float, z: complex) -> float:
-    """The principal argument of c*z + d, formed as ``continued_arg`` forms it."""
-    return math.atan2(c * z.imag + 0.0, c * z.real + d)
-
-
 def _quotient(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
     """(ar + ai*i) / (br + bi*i), rounded as numpy's complex128 division rounds it.
 
@@ -218,52 +211,25 @@ def _quotient(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]
     return (ar * rat + ai) * scl, (ai * rat - ar) * scl
 
 
-_MAX_DEPTH = 60  # halvings of a piece before its turn is taken as it stands
-# for real (c, d) at most one half of a halved piece is halved again, so a
-# segment takes at most 1 + 2*61 pieces
-_MAX_PIECES = 2 * _MAX_DEPTH + 3
+def continued_arg(c: float, d: float, z: complex) -> float:
+    """The argument of c*z + d, continued over the upper half-plane from i.
 
+    c*w + d keeps the sign of its imaginary part c*Im(w) on the whole
+    half-plane, or is the real d when c = 0, so the continued argument is
+    the principal one. c*z + d is formed by components, rounded as numpy's
+    complex128 product and sum round it: adding 0.0 turns a -0.0 imaginary
+    part into 0.0, which keeps the sign atan2 reads on the cut.
 
-def continued_arg(c: float, d: float, z_to: complex) -> float:
-    """Continuous branch of arg(c*w + d) along the segment from i to z_to.
-
-    The segment is halved until successive principal arguments differ by
-    less than pi/2, which pins the lift. For real (c, d) the image of the
-    segment is a line segment that misses zero, so the argument is monotone
-    along it and turns by less than pi in all: the first turn is taken
-    whole for all but a few segments, and a piece still turning by pi/2
-    or more after 61 halvings is taken as it stands.
-
-    Raises DegenerateInput when a turn is NaN (a product that overflows, a
-    divisor that underflows to zero) or when the segment needs more than
-    ``_MAX_PIECES`` pieces, so every call ends after at most that many
-    quotients.
+    Raises DegenerateInput when the argument is NaN, or when the imaginary
+    part rounds to zero although c is not zero (it underflows, so the side
+    of the cut is lost) or d is zero too (c*z + d is zero).
     """
-    # c*w + d by components, rounded as numpy's complex128 product and sum
-    # round it: adding 0.0 turns a -0.0 imaginary part into 0.0, as the
-    # product's cross term does, which keeps the sign atan2 reads on the cut
-    z_from = _REF
-    re0, im0 = c * z_from.real + d, c * z_from.imag + 0.0
-    arg = math.atan2(im0, re0)
-    pending = [(z_to, 0)]  # ends of the pieces still to walk, the next one last
-    for _ in range(_MAX_PIECES):
-        z, depth = pending.pop()
-        re1, im1 = c * z.real + d, c * z.imag + 0.0
-        q_re, q_im = _quotient(re1, im1, re0, im0)
-        turn = math.atan2(q_im, q_re)
-        if turn != turn:
-            raise DegenerateInput(
-                f"arg(c*w + d) for c = {c!r}, d = {d!r} turns by NaN toward z = {z}")
-        if abs(turn) < 0.5 * math.pi or depth > _MAX_DEPTH:
-            arg += turn
-            if not pending:
-                return arg
-            z_from, re0, im0 = z, re1, im1
-        else:
-            pending += ((z, depth + 1), (0.5 * (z_from + z), depth + 1))
-    raise DegenerateInput(
-        f"arg(c*w + d) for c = {c!r}, d = {d!r} does not settle along the segment "
-        f"from i to z = {z_to} in {_MAX_PIECES} pieces")
+    re, im = c * z.real + d, c * z.imag + 0.0
+    arg = math.atan2(im, re)
+    if arg != arg or im == 0.0 and (c != 0.0 or d == 0.0):
+        raise DegenerateInput(f"arg(c*w + d) for c = {c!r}, d = {d!r} is lost at z = {z}: "
+                              "c*z + d rounds to zero or NaN, or onto the real axis")
+    return arg
 
 
 class LiftedIsometry:
@@ -291,12 +257,12 @@ class LiftedIsometry:
         the resulting group relations.
         """
         c, d = base.c, base.d
-        return cls(base, shift + 2.0 * (continued_arg(c, d, z0) - _phase(c, d, _REF)))
+        return cls(base, shift + 2.0 * (continued_arg(c, d, z0) - continued_arg(c, d, _REF)))
 
     def theta_shift(self, z: complex) -> float:
         """The continuous t-shift this element applies over the point z."""
         c, d = self.base.c, self.base.d
-        return self.winding_offset - 2.0 * (continued_arg(c, d, z) - _phase(c, d, _REF))
+        return self.winding_offset - 2.0 * (continued_arg(c, d, z) - continued_arg(c, d, _REF))
 
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         """Composition acting as self after other, with the lift chained
@@ -392,29 +358,25 @@ def _lift_shifts(c, d, x: np.ndarray, y: np.ndarray, offset=None) -> np.ndarray:
     None); (c, d) and ``offset`` are one for all points or one per point.
 
     Entry k equals offset - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r_k),
-    with r_k the principal argument of c_k*i + d_k, bit for bit: both
-    values c*w + d and their ``_quotient`` are formed as arrays, by the
-    same operations in the same order, and the phases are taken per point
-    with ``math.atan2``. A row whose first turn is pi/2 or more, or NaN (a
-    zero or NaN divisor, where ``_quotient`` leaves Smith's formula), goes
-    through ``continued_arg`` itself.
+    with r_k = continued_arg(c_k, d_k, i), bit for bit (see ``_args``).
     """
     c, d, x, y = np.broadcast_arrays(c, d, x, y)
-    # the branch np.where does not select may divide by zero or overflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        re0, im0 = c * 0.0 + d, c * 1.0 + 0.0
-        re1, im1 = c * x + d, c * y + 0.0
-        real_first = np.abs(re0) >= np.abs(im0)
-        rat = np.where(real_first, im0 / re0, re0 / im0)
-        scl = 1.0 / np.where(real_first, re0 + im0 * rat, im0 + re0 * rat)
-        q_re = np.where(real_first, (re1 + im1 * rat) * scl, (re1 * rat + im1) * scl)
-        q_im = np.where(real_first, (im1 - re1 * rat) * scl, (im1 * rat - re1) * scl)
-    ref = np.array(list(map(math.atan2, im0.tolist(), re0.tolist())))
-    turn = np.array(list(map(math.atan2, q_im.tolist(), q_re.tolist())))
-    arg = ref + turn
-    for k in np.flatnonzero(~(np.abs(turn) < 0.5 * math.pi)).tolist():
-        arg[k] = continued_arg(float(c[k]), float(d[k]), complex(x[k], y[k]))
-    return (-2.0 * ref if offset is None else offset) - 2.0 * (arg - ref)
+    ref = _args(c, d, np.zeros_like(x), np.ones_like(y))
+    return (-2.0 * ref if offset is None else offset) - 2.0 * (_args(c, d, x, y) - ref)
+
+
+def _args(c, d, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``continued_arg(c_k, d_k, x_k + y_k*i)`` for each k, bit for bit: c*z + d
+    by the same operations over arrays, the phases per point with
+    ``math.atan2``. Raises DegenerateInput at the first point where
+    ``continued_arg`` raises it."""
+    re, im = c * x + d, c * y + 0.0
+    arg = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    lost = np.isnan(arg) | (im == 0.0) & ((c != 0.0) | (d == 0.0))
+    if lost.any():  # the point form raises at the first such point
+        k = int(lost.argmax())
+        continued_arg(float(c[k]), float(d[k]), complex(x[k], y[k]))
+    return arg
 
 
 def invariance_residuals(matrices, points) -> tuple[np.ndarray, np.ndarray]:

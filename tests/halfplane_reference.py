@@ -1,9 +1,16 @@
 """Object and numpy-scalar references for ``halfplane``'s array paths.
 
-``continued_arg`` is the package's continued argument as it ran on numpy
-scalars: c*w + d and the quotient in complex128 arithmetic, phases by
-``cmath.phase``. The package computes the same on Python floats and must
-match it bit for bit. ``apply`` maps one ``UpperHalfPoint`` by a lift.
+``continued_arg`` is the independent oracle for the argument of c*w + d
+continued over the half-plane from i: it walks the segment from i to the
+point, halving it until successive principal arguments differ by less
+than pi/2, on numpy scalars (c*w + d and the quotients in complex128
+arithmetic, phases by ``cmath.phase``). The package needs no walk: the
+imaginary part c*Im(w) keeps one sign on the whole half-plane, so the
+continued argument is the principal one, and the tests hold the package
+within 4 ulp(pi) of the walk. ``principal_arg`` is that principal argument
+on numpy scalars, which the package matches bit for bit, and
+``theta_shift`` a lift's t-shift by it. ``apply`` maps one
+``UpperHalfPoint`` by a lift.
 ``random_matrix``, ``random_point`` and ``random_mobius`` draw one sample
 at a time as objects or rows, and ``canonical`` builds the
 ``LiftedIsometry`` that ``random_samples`` and ``invariance_residuals``
@@ -74,10 +81,15 @@ def continued_arg(c, d, z_to, *, z_from=REF, arg_from=None, _depth=0):
     return continued_arg(c, d, z_to, z_from=mid, arg_from=half, _depth=_depth + 1)
 
 
+def principal_arg(c, d, z) -> float:
+    """The principal argument of c*z + d, in complex128 arithmetic."""
+    return cmath.phase(np.float64(c) * z + np.float64(d))
+
+
 def theta_shift(h: LiftedIsometry, z: complex) -> float:
     """``h.theta_shift(z)`` on numpy scalars."""
     c, d = h.base.c, h.base.d
-    return h.winding_offset - 2.0 * (continued_arg(c, d, z) - cmath.phase(c * 1j + d))
+    return h.winding_offset - 2.0 * (principal_arg(c, d, z) - principal_arg(c, d, REF))
 
 
 def random_matrix(rng: random.Random, *, entry_bound: float = 2.0,

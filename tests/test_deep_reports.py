@@ -17,6 +17,8 @@ single deep grading.)
 Regenerate the digests (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_deep_reports.py
+
+which prints each case whose bytes or exit code changed before it writes.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ def test_a_deep_mismatch_report_keeps_its_bytes(expected, monkeypatch):
 def _regenerate() -> None:
     import os
 
+    from regeneration import print_changes
+
     os.environ.pop(tolerances.ENV_VAR, None)
     digests = {case: _digest(case) for case in CASES}
     cli.closed_form_homology = _skewed_closed_form
     digests[MISMATCH_CASE] = _digest(MISMATCH_CASE)
+    print_changes(json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}, digests)
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
 
 

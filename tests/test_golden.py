@@ -9,6 +9,8 @@ keeps the program's behaviour keeps all of them byte-identical.
 Regenerate the fixtures (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each case whose bytes or exit code changed before it writes.
 """
 
 from __future__ import annotations
@@ -139,15 +141,25 @@ def _regenerate() -> None:
     import io
     import os
 
+    from regeneration import print_changes
+
     os.environ.pop(tolerances.ENV_VAR, None)
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+    codes = json.loads(EXIT_CODES.read_text()) if EXIT_CODES.exists() else {}
+    paths = {case: GOLDEN / f"{case}.out" for case in IDS}
+    old = {case: {"exit": codes.get(case), "out": path.read_text()}
+           for case, path in paths.items() if path.exists()}
+    new = {}
     for case in IDS:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            codes[case] = cli.main(ARGV[case])
-        (GOLDEN / f"{case}.out").write_text(buffer.getvalue())
-    EXIT_CODES.write_text(json.dumps(codes, indent=1) + "\n")
+            code = cli.main(ARGV[case])
+        new[case] = {"exit": code, "out": buffer.getvalue()}
+    print_changes(old, new)
+    for case, entry in new.items():
+        paths[case].write_text(entry["out"])
+    EXIT_CODES.write_text(json.dumps({case: entry["exit"] for case, entry in new.items()},
+                                     indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brieskorn import halfplane, validate_params
+from brieskorn import halfplane, polygon, validate_params
 from brieskorn.errors import DegenerateInput
 from brieskorn.halfplane import (
     LiftedIsometry,
     MobiusElement,
     _lift_shifts,
-    _phase,
     _quotient,
     continued_arg,
     invariance_residuals,
@@ -27,6 +28,7 @@ from brieskorn.halfplane import (
 )
 from brieskorn.polygon import build_polygon_group
 import halfplane_reference as reference
+import test_polygon
 from halfplane_reference import (
     UpperHalfPoint,
     apply,
@@ -214,28 +216,52 @@ def _sample_rows(seed, count):
     return [rows.tolist() for rows in random_samples(random.Random(seed), count)]
 
 
-def test_continued_arg_equals_the_numpy_scalar_reference_bit_for_bit():
-    matrices, points = _sample_rows(0, 1000)
-    recursive = 0
-    for (_, _, c, d), (x, y, _) in zip(matrices, points):
-        z = complex(x, y)
-        assert continued_arg(c, d, z) == reference.continued_arg(c, d, z)
-        recursive += abs(cmath.phase((c * z + d) / (c * 1j + d))) >= 0.5 * math.pi
-    # 12 of these samples turn by pi/2 or more and subdivide their segment
-    assert recursive >= 10
+# the principal argument and the walk each round a few times; 4 ulp(pi) covers both
+WALK_BOUND = 4 * math.ulp(math.pi)
+
+
+def _walk_gap(c, d, z):
+    return abs(continued_arg(c, d, z) - reference.continued_arg(c, d, z))
+
+
+def test_continued_arg_is_the_halving_walk_within_rounding():
+    turning = 0
+    for seed in range(50):
+        matrices, points = _sample_rows(seed, 1000)
+        for (_, _, c, d), (x, y, _) in zip(matrices, points):
+            z = complex(x, y)
+            assert _walk_gap(c, d, z) <= WALK_BOUND, (c, d, z)
+            turning += abs(cmath.phase((c * z + d) / (c * 1j + d))) >= 0.5 * math.pi
+    # about 1.2% of the rows turn by pi/2 or more at the first step, where
+    # the walk halves its segment
+    assert turning >= 300
     # bottom rows on the branch cut and with signed zeros
     for c, d in itertools.product((0.0, -0.0, 1e-300, -0.75), (-2.0, -0.0, 0.0, 1.5)):
         if (c, d) == (0.0, 0.0):
             continue
         for z in (0.5j, -3.0 + 0.1j, 2.0 + 4.0j, -0.0 + 1.0j):
-            assert _bits(continued_arg(c, d, z)) == _bits(reference.continued_arg(c, d, z))
+            assert _walk_gap(c, d, z) <= WALK_BOUND, (c, d, z)
+
+
+def _signed(low, high):
+    """Floats of either sign whose magnitude is log-uniform in [low, high]."""
+    return st.tuples(st.floats(math.log10(low), math.log10(high)), st.booleans()).map(
+        lambda drawn: (-1.0 if drawn[1] else 1.0) * 10.0 ** drawn[0])
+
+
+@settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+@given(_signed(1e-8, 1e8), _signed(1e-8, 1e8), _signed(1e-6, 1e4),
+       st.floats(math.log10(1e-6), math.log10(1e4)))
+def test_continued_arg_is_the_halving_walk_at_mixed_scales(c, d, x, log_y):
+    z = complex(x, 10.0 ** log_y)
+    assert _walk_gap(c, d, z) <= WALK_BOUND
 
 
 def _point_shifts(rows):
     """The canonical lift's t-shift over each (c, d, x, y), by ``continued_arg``."""
     out = []
     for c, d, x, y in rows:
-        ref = _phase(c, d, 1j)
+        ref = continued_arg(c, d, 1j)
         out.append(-2.0 * ref - 2.0 * (continued_arg(c, d, complex(x, y)) - ref))
     return out
 
@@ -245,31 +271,34 @@ def _array_shifts(rows):
 
 
 def test_array_shifts_equal_the_continued_arg_of_each_point_bit_for_bit():
-    recursive = []
     for seed in range(50):
         matrices, points = _sample_rows(seed, 1000)
         rows = [(c, d, x, y) for (_, _, c, d), (x, y, _) in zip(matrices, points)]
         assert list(map(_bits, _array_shifts(rows))) == list(map(_bits, _point_shifts(rows)))
-        recursive += [(c, d, x, y) for c, d, x, y in rows
-                      if abs(cmath.phase((c * complex(x, y) + d) / (c * 1j + d)))
-                      >= 0.5 * math.pi]
-    # about 1.2% of the rows turn by pi/2 or more and subdivide their segment
-    assert len(recursive) >= 300
-    assert list(map(_bits, _array_shifts(recursive))) == list(
-        map(_bits, _point_shifts(recursive)))
 
 
 def test_array_shifts_keep_signed_zeros_the_cut_and_extreme_entries():
     # c*i + d on the negative real axis (c a signed zero, d < 0), signed
-    # zeros in c, d and x, huge and tiny entries and coordinates. Rows whose
-    # turn is NaN or pi at every subdivision (a product that overflows or
-    # underflows to zero, a subnormal divisor) are left out: continued_arg
-    # would subdivide their segment 2**61 times
-    entries = (0.0, -0.0, -2.0, 1.5, 1e-300, -1e-300, 1e150, -1e150)
+    # zeros in c, d and x, huge and tiny entries and coordinates, and NaNs.
+    # A row the point form refuses (c*z + d underflows to zero or onto the
+    # real axis, or is NaN) is refused by the array form too, with the
+    # same message
+    entries = (0.0, -0.0, -2.0, 1.5, 1e-300, -1e-300, 1e150, -1e150, math.nan)
     points = ((0.5, 1.0), (-3.0, 0.1), (-0.0, 1.0), (2.0, 4.0), (-1e150, 1e150),
-              (1e-3, 1e-300), (-0.5, 1e150))
-    rows = [(c, d, x, y) for c, d in itertools.product(entries, repeat=2)
-            if (c, d) != (0.0, 0.0) for x, y in points]
+              (1e-3, 1e-300), (-0.5, 1e150), (math.nan, 1.0))
+    rows, refused = [], 0
+    for c, d in itertools.product(entries, repeat=2):
+        for x, y in points:
+            try:
+                _point_shifts([(c, d, x, y)])
+            except DegenerateInput as error:
+                refused += 1
+                with pytest.raises(DegenerateInput) as caught:
+                    _array_shifts([(c, d, x, y)])
+                assert str(caught.value) == str(error)
+            else:
+                rows.append((c, d, x, y))
+    assert len(rows) >= 300 and refused >= 100
     assert list(map(_bits, _array_shifts(rows))) == list(map(_bits, _point_shifts(rows)))
     assert _array_shifts([]) == []
 
@@ -348,9 +377,8 @@ SAMPLER_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", SAMPLER_MUTANTS)
-def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, monkeypatch):
-    text, replacement, killers = SAMPLER_MUTANTS[mutant]
+def _mutated(text, replacement, tmp_path, monkeypatch):
+    """A copy of halfplane.py with one substitution, loaded as a module."""
     source = Path(halfplane.__file__).read_text()
     assert source.count(text) == 1
     path = tmp_path / "halfplane.py"
@@ -359,43 +387,53 @@ def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, mon
     mutated = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, mutated)
     spec.loader.exec_module(mutated)
+    return mutated
+
+
+@pytest.mark.parametrize("mutant", SAMPLER_MUTANTS)
+def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, monkeypatch):
+    text, replacement, killers = SAMPLER_MUTANTS[mutant]
+    mutated = _mutated(text, replacement, tmp_path, monkeypatch)
     for check, count in killers:
         check(halfplane, 0, count)
         with pytest.raises(AssertionError):
             check(mutated, 0, count)
 
 
-def test_continued_arg_returns_or_raises_within_a_bounded_number_of_quotients(monkeypatch):
-    quotients = []
-    real = halfplane._quotient
+# source substitutions on a copy of halfplane.py, (text, replacement), whose
+# LiftedIsometry the polygon builds its lifts with, and the test that must
+# then fail
+LIFT_MUTANTS = {
+    "with_shift_at drops -arg(c*i + d)": (
+        "shift + 2.0 * (continued_arg(c, d, z0) - continued_arg(c, d, _REF))",
+        "shift + 2.0 * continued_arg(c, d, z0)",
+        test_polygon.test_lifted_square_is_vertical_shift_2_3_7),
+}
 
-    def counted(*parts):
-        quotients.append(parts)
-        return real(*parts)
 
-    monkeypatch.setattr(halfplane, "_quotient", counted)
-    # c*w + d is a negative subnormal everywhere, so its reciprocal
-    # overflows; c*z overflows to -inf + inf*i; c*z underflows to zero, so
-    # the pieces ending at z turn by pi until a midpoint's turn is NaN
-    for c, d, z in ((0.0, -5e-324, 0.5 + 1j), (1e300, 1.5, -1e150 + 1e150j),
-                    (-1e-300, 0.0, 1e-300 + 1e-300j)):
-        quotients.clear()
-        with pytest.raises(DegenerateInput, match="turns by NaN"):
+@pytest.mark.parametrize("mutant", LIFT_MUTANTS)
+def test_the_lift_tests_kill_each_lift_mutant(mutant, tmp_path, monkeypatch):
+    text, replacement, killer = LIFT_MUTANTS[mutant]
+    killer()
+    mutated = _mutated(text, replacement, tmp_path, monkeypatch)
+    monkeypatch.setattr(polygon, "LiftedIsometry", mutated.LiftedIsometry)
+    with pytest.raises(AssertionError):
+        killer()
+
+
+def test_continued_arg_refuses_only_an_argument_it_cannot_place():
+    # c*z + d rounds to zero, or c*y underflows so that its side of the real
+    # axis is lost; the walk gave -pi for the second
+    for c, d, z in ((-1e-300, 0.0, 1e-300 + 1e-300j), (-1e-300, -1.0, 1e-30j),
+                    (0.0, 0.0, 1j), (math.nan, 1.0, 1j), (1.0, 1.0, complex(math.nan, 1.0))):
+        with pytest.raises(DegenerateInput, match="is lost at z"):
             continued_arg(c, d, z)
-        assert 1 <= len(quotients) <= halfplane._MAX_PIECES == 123, (c, d, z)
-    # the last piece turns by pi/2 at every halving and is taken as it
-    # stands after 61 halvings: two pieces per halving, 1 + 2*61 in all
-    quotients.clear()
-    value = continued_arg(-2.0, -2.0, -1e150 + 1e150j)
-    assert len(quotients) == 123
-    assert value == reference.continued_arg(-2.0, -2.0, -1e150 + 1e150j)
-    # a quotient that turns by pi halves both halves of every piece; the
-    # walk stops at its bound, where the recursion ran 2**62 - 1 pieces
-    monkeypatch.setattr(halfplane, "_quotient", lambda *parts: counted(-1.0, 0.0, 1.0, 0.0))
-    quotients.clear()
-    with pytest.raises(DegenerateInput, match="does not settle"):
-        continued_arg(0.5, 1.0, 2.0 + 1j)
-    assert len(quotients) == 123
+    # well defined, but the walk refused them: a subnormal d, whose
+    # reciprocal overflowed, and c*z overflowing to -inf + inf*i
+    assert continued_arg(0.0, -5e-324, 0.5 + 1j) == math.pi
+    assert continued_arg(1e300, 1.5, -1e150 + 1e150j) == 0.75 * math.pi
+    # the walk took its last piece as it stood after 61 halvings here
+    assert _walk_gap(-2.0, -2.0, -1e150 + 1e150j) <= WALK_BOUND
 
 
 def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():
@@ -406,8 +444,9 @@ def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():
                 group.lifted_generators, group.rotation_generators, group.vertices, angles):
             c, d = rotation.c, rotation.d
             expected = 2.0 * angle + 2.0 * (
-                reference.continued_arg(c, d, vertex) - cmath.phase(c * 1j + d))
+                reference.principal_arg(c, d, vertex) - reference.principal_arg(c, d, 1j))
             assert lift.winding_offset == expected
+            assert _walk_gap(c, d, vertex) <= WALK_BOUND
         product = LiftedIsometry.identity()
         for a_j, lift in zip(exponents, group.lifted_generators):
             power = LiftedIsometry.identity()

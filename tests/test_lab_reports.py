@@ -14,6 +14,8 @@ Regenerate the digests (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_lab_reports.py
 
+which prints each case whose bytes or exit code changed before it writes.
+
 The lab makes no BLAS or LAPACK call: an AST guard keeps ``@`` and the
 names ``matmul``, ``linalg``, ``dot`` and ``einsum`` out of the package,
 and where numpy reports OpenBLAS, whose kernels round a matrix product
@@ -168,8 +170,12 @@ def test_lab_reports_do_not_depend_on_the_openblas_kernel(monkeypatch):
 def _regenerate() -> None:
     import os
 
+    from regeneration import print_changes
+
     os.environ.pop(tolerances.ENV_VAR, None)
-    DIGESTS.write_text(json.dumps({case: _digest(case) for case in CASES}, indent=1) + "\n")
+    digests = {case: _digest(case) for case in CASES}
+    print_changes(json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}, digests)
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
 
 
 if __name__ == "__main__":
