@@ -10,10 +10,9 @@ acts on the bundle by
 
 and an element of the universal cover group is such a matrix together
 with a continuous choice of the argument, recorded here as the exact
-t-shift the element applies at the reference point w = i. Points of the
-bundle are held only as arrays of coordinates: the one-point forms of the
-array paths below (a point object, a lift applied to it) are the tests'
-oracles, and the package has none.
+t-shift the element applies at the reference point w = i. A point of the
+bundle is held as its coordinates (x, y, t), one at a time or as arrays;
+the package has no point object, and the tests' oracles do.
 
 The isometries, ``MobiusElement`` and ``EdgeReflection``, hold their
 matrix as four Python floats; products, inverses, actions and derivatives
@@ -38,15 +37,12 @@ point, so they do not depend on numpy's SIMD dispatch. The residuals are
 rounding noise, pinned in reports, and the point-by-point oracles in the
 tests repeat the same operations, bit for bit.
 
-The relation check of ``verify-geometry`` works on arrays too. Its sample
-points come from ``random_points``. ``lifted_powers`` builds the lifted
-powers of all the generators at once: each chain of matrices by the
-``MobiusElement.compose`` calls that repeated ``LiftedIsometry.compose``
-makes, and the t-shifts along all the chains as one array.
-``lifted_images`` applies any number of lifts to all the points in one
-pass. Each keeps the bits of its point-by-point form. Every array of
-Moebius images goes through ``_mobius_images``, which refuses a collapsed
-denominator or an image off the half-plane.
+The relation check of ``verify-geometry`` works point by point on the
+floats, with points from ``random_points`` (one ``rng.random()`` call per
+coordinate, in the box and order of ``random_samples``). Every Moebius
+image, of a point or of i under a composition, is refused in one place,
+``_image``: a collapsed denominator, or an image off the half-plane (a NaN
+included). The array images of ``_mobius_images`` raise through it.
 
 A lift's t-shift is -2*arg(c*w + d), continued over the half-plane from
 its value at i. For real (c, d) the imaginary part c*Im(w) of c*w + d has
@@ -103,13 +99,7 @@ class MobiusElement:
         return cls(1.0, 0.0, 0.0, 1.0)
 
     def apply(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        # c*z + d and a*z + b by components, rounded as numpy's complex128
-        # product and sum round them (see ``continued_arg``)
-        den_re, den_im = self.c * x + self.d, self.c * y + 0.0
-        if abs(complex(den_re, den_im)) < _DENOMINATOR_TOL * max(1.0, abs(z)):
-            raise DegenerateInput(f"Moebius denominator collapsed at z = {z}")
-        return complex(*_quotient(self.a * x + self.b, self.a * y + 0.0, den_re, den_im))
+        return _image(self.a, self.b, self.c, self.d, z)
 
     def derivative(self, z: complex) -> complex:
         """1/(c*z + d)**2, the square formed by components."""
@@ -157,6 +147,22 @@ class EdgeReflection:
 
     def compose(self, other: "EdgeReflection") -> MobiusElement:
         return MobiusElement(*_product(self, other))
+
+
+def _image(a: float, b: float, c: float, d: float, z: complex) -> complex:
+    """(a*z + b)/(c*z + d), both by components, rounded as numpy's complex128
+    product, sum and division round them (see ``continued_arg``). The one
+    refusal of a Moebius image: DegenerateInput when the denominator
+    collapses or the image leaves the upper half-plane, a NaN included."""
+    x, y = z.real, z.imag
+    den_re, den_im = c * x + d, c * y + 0.0
+    image = complex(*_quotient(a * x + b, a * y + 0.0, den_re, den_im))
+    if abs(complex(den_re, den_im)) < _DENOMINATOR_TOL * max(1.0, abs(z)):
+        raise DegenerateInput(f"Moebius denominator collapsed at z = {z}")
+    if not image.imag > 0:
+        raise DegenerateInput(
+            f"image of z = {z} has y = {image.imag}, outside the upper half-plane")
+    return image
 
 
 def _product(m, n) -> tuple[float, float, float, float]:
@@ -275,94 +281,35 @@ class LiftedIsometry:
         return f"LiftedIsometry({self.base!r}, winding_offset={self.winding_offset:.6g})"
 
 
-def lifted_powers(lifts: list[LiftedIsometry], exponents) -> list[LiftedIsometry]:
-    """Each lift h composed with itself k >= 0 times, for the paired
-    exponents k, bit for bit as k calls of ``h.compose`` from the identity
-    build it.
-
-    Each chain of matrices is built by ``MobiusElement.compose``, as those
-    calls build it. The images of i under every chain's matrices but the
-    last go through one ``_mobius_images`` call, and the t-shifts of each h
-    over its chain's images through one ``_lift_shifts`` call; each power's
-    offset is its shifts added from left to right.
-    """
-    chains, rows = [], []  # rows: (h, the chain's matrix whose image of i h shifts over)
-    for h, k in zip(lifts, exponents):
-        chain = [MobiusElement.identity()]
-        for _ in range(k):
-            chain.append(h.base.compose(chain[-1]))
-        chains.append(chain)
-        rows += ((h, m) for m in chain[:-1])
-    images, _ = _mobius_images(*(np.array([getattr(m, e) for _, m in rows]) for e in "abcd"),
-                               np.full(len(rows), _REF.real), np.full(len(rows), _REF.imag))
-    shifts = _lift_shifts(np.array([h.base.c for h, _ in rows]),
-                          np.array([h.base.d for h, _ in rows]), images.real, images.imag,
-                          np.array([h.winding_offset for h, _ in rows])).tolist()
-    powers, start = [], 0
-    for k, chain in zip(exponents, chains):
-        offset = 0.0
-        for shift in shifts[start:start + k]:
-            offset += shift
-        start += k
-        powers.append(LiftedIsometry(chain[-1], offset))
-    return powers
-
-
-def lifted_images(lifts: list[LiftedIsometry], x: np.ndarray, y: np.ndarray,
-                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every lift applied to every point (x_k, y_k, t_k) in one pass, as
-    three (len(lifts), N) arrays of image coordinates: row j holds the
-    Moebius image of each point under ``lifts[j]`` and t plus its
-    ``theta_shift`` there, bit for bit. A degenerate point raises
-    DegenerateInput (see ``_mobius_images``)."""
-    count = len(x)
-    a, b, c, d = (np.repeat([getattr(h.base, e) for h in lifts], count) for e in "abcd")
-    offset = np.repeat([h.winding_offset for h in lifts], count)
-    xs, ys, ts = (np.tile(v, len(lifts)) for v in (x, y, t))
-    image, _ = _mobius_images(a, b, c, d, xs, ys)
-    shape = (len(lifts), count)
-    return (image.real.reshape(shape), image.imag.reshape(shape),
-            (ts + _lift_shifts(c, d, xs, ys, offset)).reshape(shape))
-
-
 def _mobius_images(a, b, c, d, x: np.ndarray,
                    y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The image (a*z + b)/(c*z + d) of each point z = x + y*i and its
-    denominator, rounded as ``MobiusElement.apply`` rounds them; the entries
-    are one matrix for all points or one per point.
+    """The image (a*z + b)/(c*z + d) of each point z = x + y*i under its own
+    matrix, and its denominator, rounded as ``_image`` rounds them.
 
-    Raises DegenerateInput at the first point whose denominator collapses
-    or whose image leaves the upper half-plane.
+    Raises DegenerateInput through ``_image`` at the first point whose
+    denominator collapses, or else at the first whose image leaves the
+    upper half-plane.
     """
     z = np.empty(len(x), dtype=complex)
     z.real, z.imag = x, y
     den = c * z + d
-    collapsed = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
-    if collapsed.any():
-        k = int(collapsed.argmax())
-        raise DegenerateInput(f"Moebius denominator collapsed at z = {complex(x[k], y[k])}")
-    image = (a * z + b) / den
-    outside = ~(image.imag > 0)
-    if outside.any():
-        k = int(outside.argmax())
-        raise DegenerateInput(
-            f"image of z = {complex(x[k], y[k])} has y = {image.imag[k]}, "
-            "outside the upper half-plane"
-        )
+    refused = np.abs(den) < _DENOMINATOR_TOL * np.maximum(1.0, np.abs(z))
+    if not refused.any():
+        image = (a * z + b) / den
+        refused = ~(image.imag > 0)
+    if refused.any():  # ``_image`` raises at the first such point
+        k = int(refused.argmax())
+        _image(float(a[k]), float(b[k]), float(c[k]), float(d[k]), complex(x[k], y[k]))
     return image, den
 
 
-def _lift_shifts(c, d, x: np.ndarray, y: np.ndarray, offset=None) -> np.ndarray:
-    """The t-shift over each point x + y*i of the lift of the bottom row
-    (c, d) whose shift at i is ``offset`` (the canonical lift's -2*r if
-    None); (c, d) and ``offset`` are one for all points or one per point.
-
-    Entry k equals offset - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r_k),
+def _lift_shifts(c, d, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The t-shift of the canonical lift of each bottom row (c_k, d_k) over
+    the point x_k + y_k*i: -2*r_k - 2*(continued_arg(c_k, d_k, x_k + y_k*i) - r_k),
     with r_k = continued_arg(c_k, d_k, i), bit for bit (see ``_args``).
     """
-    c, d, x, y = np.broadcast_arrays(c, d, x, y)
     ref = _args(c, d, np.zeros_like(x), np.ones_like(y))
-    return (-2.0 * ref if offset is None else offset) - 2.0 * (_args(c, d, x, y) - ref)
+    return -2.0 * ref - 2.0 * (_args(c, d, x, y) - ref)
 
 
 def _args(c, d, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -456,19 +403,18 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     return ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
 
 
-# a point's coordinates (x, y, t) are uniform in [-2, 2] x [0.2, 3] x [-6, 6]
-_POINT_LOW = np.array([-2.0, 0.2, -6.0])
-_POINT_SPAN = np.array([4.0, 2.8, 12.0])
+# the (low, span) of a point's coordinates x, y and t: each is low + span * rng.random()
+_POINT_BOX = ((-2.0, 4.0), (0.2, 2.8), (-6.0, 12.0))
 # a sample is a matrix of entries uniform in [-2, 2], then a point
-_SAMPLE_LOW = np.concatenate([np.full(4, -2.0), _POINT_LOW])
-_SAMPLE_SPAN = np.concatenate([np.full(4, 4.0), _POINT_SPAN])
+_SAMPLE_LOW = np.array([-2.0] * 4 + [low for low, _ in _POINT_BOX])
+_SAMPLE_SPAN = np.array([4.0] * 4 + [span for _, span in _POINT_BOX])
 
 
-def random_points(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` points as a (count, 3) array of rows (x, y, t), uniform in
-    [-2, 2] x [0.2, 3] x [-6, 6], as ``rng.uniform`` draws each coordinate in
-    turn: ``rng.uniform(low, high)`` is low + (high - low) * rng.random()."""
-    return _POINT_LOW + _POINT_SPAN * _uniforms(rng, 3 * count).reshape(count, 3)
+def random_points(rng: random.Random, count: int) -> list[tuple[float, float, float]]:
+    """``count`` points (x, y, t), uniform in [-2, 2] x [0.2, 3] x [-6, 6], as
+    ``rng.uniform`` draws each coordinate in turn: one ``rng.random()`` each."""
+    draw, ((x, dx), (y, dy), (t, dt)) = rng.random, _POINT_BOX
+    return [(x + dx * draw(), y + dy * draw(), t + dt * draw()) for _ in range(count)]
 
 
 def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:

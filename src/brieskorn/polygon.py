@@ -27,10 +27,9 @@ vertical shift by 2*pi and the product of all lifted generators the
 ``check_relations`` measures the residual of each relation and returns
 them by name; it decides nothing, as ``cli`` holds each one against its
 tolerance. It tests the lifted relations as actions on sample points
-held as arrays: the powers of all the lifted generators come from one
-``halfplane.lifted_powers`` call, and they and the lifted product act on
-all the points in one ``halfplane.lifted_images`` pass, with the bits of
-one Moebius image and one ``theta_shift`` per point. The matrix relations
+from ``halfplane.random_points``, one point at a time: each lifted power
+is a_j calls of ``LiftedIsometry.compose``, and each image of a point
+one ``MobiusElement.apply`` and one ``theta_shift``. The matrix relations
 run on the isometries' four floats.
 """
 
@@ -48,8 +47,6 @@ from .halfplane import (
     EdgeReflection,
     LiftedIsometry,
     MobiusElement,
-    lifted_images,
-    lifted_powers,
     point_transport,
     random_points,
     reflection_across,
@@ -281,11 +278,12 @@ def check_relations(
     is the worst of |dx| + |dy| and |dt - shift| over the points, NaN if
     any is NaN.
 
-    Only measures: ``cli`` holds each residual against its tolerance.
+    Only measures: ``cli`` holds each residual against its tolerance. A
+    Moebius image that ``MobiusElement.apply`` refuses raises DegenerateInput.
     """
     params = group.params
     n = params.n
-    x, y, t = random_points(random.Random(seed), max(1, samples)).T
+    points = random_points(random.Random(seed), max(1, samples))
 
     residuals: dict[str, float] = {}
 
@@ -298,14 +296,26 @@ def check_relations(
         product = product.compose(rot)
     residuals["rotation_product"] = _matrix_deviation(product)
 
+    two_pi = 2.0 * math.pi
     lifted_product = LiftedIsometry.identity()
     for lift in group.lifted_generators:
         lifted_product = lifted_product.compose(lift)
-    lifts = [*lifted_powers(group.lifted_generators, params.exponents), lifted_product]
-    names = [f"lift_order[{j}]" for j in range(1, n + 1)] + ["lift_product"]
-    shifts = [2.0 * math.pi] * n + [2.0 * math.pi * (n - 2)]
-    images = zip(names, shifts, *lifted_images(lifts, x, y, t))
-    for name, shift, image_x, image_y, image_t in images:
-        residuals[name] = tol_mod.worst([*(abs(image_x - x) + abs(image_y - y)).tolist(),
-                                         *abs(image_t - (t + shift)).tolist()])
+    for j, (a_j, lift) in enumerate(zip(params.exponents, group.lifted_generators), start=1):
+        power = LiftedIsometry.identity()
+        for _ in range(a_j):
+            power = lift.compose(power)
+        residuals[f"lift_order[{j}]"] = _shift_deviation(power, two_pi, points)
+    residuals["lift_product"] = _shift_deviation(lifted_product, two_pi * (n - 2), points)
     return residuals
+
+
+def _shift_deviation(lift: LiftedIsometry, shift: float, points) -> float:
+    """The distance of ``lift`` from the vertical shift by ``shift`` over the
+    points (x, y, t), as ``check_relations`` measures it."""
+    deviations = []
+    for x, y, t in points:
+        z = complex(x, y)
+        image = lift.base.apply(z)
+        deviations += (abs(image.real - x) + abs(image.imag - y),
+                       abs(t + lift.theta_shift(z) - (t + shift)))
+    return tol_mod.worst(deviations)

@@ -15,10 +15,9 @@ on numpy scalars, which the package matches bit for bit, and
 at a time as objects or rows, and ``canonical`` builds the
 ``LiftedIsometry`` that ``random_samples`` and ``invariance_residuals``
 handle as arrays. ``power`` and ``action_deviation`` are the lifted
-relation check point by point: ``k`` calls of ``compose`` and one
-``apply`` per point, which ``halfplane.lifted_powers``,
-``halfplane.lifted_images`` and ``polygon.check_relations`` compute as
-arrays.
+relation check on objects: ``k`` calls of ``compose`` and one ``apply``
+per ``UpperHalfPoint``, which ``polygon.check_relations`` computes on
+coordinates, with the same bits.
 
 ``frame_at``, ``contact_covector`` and ``lifted_jacobian`` give the
 invariant frame, the contact form and the lift's analytic Jacobian at one

@@ -165,10 +165,16 @@ def test_array_residuals_refuse_degenerate_samples():
     with pytest.raises(DegenerateInput, match=r"collapsed at z = 1j$"):
         invariance_residuals([*matrices[:2], collapsing, *matrices[2:]],
                              [*points[:2], bad, *points[2:]])
-    # an image y that underflows to 0 is refused with the same type
+    # an image y that underflows to 0, or is NaN, is refused with the same
+    # type, by the point form and the arrays alike
     crushing = (0.0, -1e-200, 1e200, 0.0)
-    with pytest.raises(DegenerateInput, match="outside the upper half-plane"):
+    off = r"z = \(0.3\+1j\) has y = 0.0, outside the upper half-plane$"
+    with pytest.raises(DegenerateInput, match=off):
+        MobiusElement(*crushing).apply(0.3 + 1j)
+    with pytest.raises(DegenerateInput, match=off):
         invariance_residuals([matrices[0], crushing], [points[0], (0.3, 1.0, 0.0)])
+    with pytest.raises(DegenerateInput, match="has y = nan, outside the upper half-plane$"):
+        MobiusElement(math.nan, 0.0, 0.0, 1.0).apply(1j)
 
 
 def test_random_matrix_is_the_mobius_element_of_its_draws():
@@ -328,10 +334,8 @@ def _assert_samples_exact(hp, seed, count):
 
 def _assert_points_exact(hp, seed, count):
     rng, raw = random.Random(seed), random.Random(seed)
-    drawn = hp.random_points(rng, count)
-    assert drawn.shape == (count, 3)
-    assert drawn.tolist() == [
-        [raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0)]
+    assert hp.random_points(rng, count) == [
+        (raw.uniform(-2.0, 2.0), raw.uniform(0.2, 3.0), raw.uniform(-6.0, 6.0))
         for _ in range(count)]
     assert rng.getstate() == raw.getstate()
 
@@ -347,9 +351,9 @@ def test_random_point_is_the_uniform_draw_of_each_coordinate():
         for count in (0, 1, 100, 1000):
             _assert_points_exact(halfplane, seed, count)
     rng, rows = random.Random(8), random.Random(8)
-    for row in random_points(rows, 100).tolist():
+    for row in random_points(rows, 100):
         p = random_point(rng)
-        assert [p.x, p.y, p.t] == row
+        assert (p.x, p.y, p.t) == row
     assert rng.getstate() == rows.getstate()
 
 
@@ -373,7 +377,7 @@ SAMPLER_MUTANTS = {
     "hi and lo words swapped": (
         "((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6))",
         "((words[1::2] >> 5) * 2.0**26 + (words[0::2] >> 6))",
-        ((_assert_uniforms_exact, 1), (_assert_samples_exact, 1), (_assert_points_exact, 1))),
+        ((_assert_uniforms_exact, 1), (_assert_samples_exact, 1))),
 }
 
 
@@ -400,25 +404,37 @@ def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, mon
             check(mutated, 0, count)
 
 
-# source substitutions on a copy of halfplane.py, (text, replacement), whose
-# LiftedIsometry the polygon builds its lifts with, and the test that must
-# then fail
+# source substitutions on a copy of halfplane.py, (text, replacement), how
+# the package is bound to the mutated copy, and the test that must then fail
 LIFT_MUTANTS = {
     "with_shift_at drops -arg(c*i + d)": (
         "shift + 2.0 * (continued_arg(c, d, z0) - continued_arg(c, d, _REF))",
         "shift + 2.0 * continued_arg(c, d, z0)",
-        test_polygon.test_lifted_square_is_vertical_shift_2_3_7),
+        # the polygon builds its lifts with the mutated LiftedIsometry
+        lambda mp, copy: mp.setattr(polygon, "LiftedIsometry", copy.LiftedIsometry),
+        lambda mp: test_polygon.test_lifted_square_is_vertical_shift_2_3_7()),
+    "no refusal of a Moebius image": (
+        "    if abs(complex(den_re, den_im)) < _DENOMINATOR_TOL * max(1.0, abs(z)):\n"
+        "        raise DegenerateInput(f\"Moebius denominator collapsed at z = {z}\")\n"
+        "    if not image.imag > 0:\n"
+        "        raise DegenerateInput(\n"
+        "            f\"image of z = {z} has y = {image.imag}, outside the upper half-plane\")\n",
+        "",
+        # every MobiusElement.apply goes through the mutated _image
+        lambda mp, copy: mp.setattr(halfplane, "_image", copy._image),
+        test_polygon.test_a_nan_matrix_lift_is_refused_as_degenerate),
 }
 
 
 @pytest.mark.parametrize("mutant", LIFT_MUTANTS)
 def test_the_lift_tests_kill_each_lift_mutant(mutant, tmp_path, monkeypatch):
-    text, replacement, killer = LIFT_MUTANTS[mutant]
-    killer()
+    text, replacement, bind, killer = LIFT_MUTANTS[mutant]
+    with monkeypatch.context() as mp:
+        killer(mp)
     mutated = _mutated(text, replacement, tmp_path, monkeypatch)
-    monkeypatch.setattr(polygon, "LiftedIsometry", mutated.LiftedIsometry)
+    bind(monkeypatch, mutated)
     with pytest.raises(AssertionError):
-        killer()
+        killer(monkeypatch)
 
 
 def test_continued_arg_refuses_only_an_argument_it_cannot_place():
