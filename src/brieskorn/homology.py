@@ -6,11 +6,15 @@ stored as sparse integer rows, one ``{column: nonzero entry}`` dict per
 row. A boundary matrix has its entries in {-1, 0, 1}, and the rank of an
 integer matrix over Q is reached by scaling rows by nonzero integers and
 subtracting integer multiples of others, so elimination works on Python
-ints alone. Elimination, products and zero tests cost in proportion to the
-nonzeros: a boundary matrix has two per tree column, however many minima
-it has. The compose-to-zero check forms a product only when both
-differentials are non-zero, so it forms none on a fiber-class complex,
-whose outer differentials are zero.
+ints alone. A row whose only entry is in the column being eliminated is
+the pivot whenever there is one; the other rows then just lose their entry
+in that column, with no arithmetic. Eliminating a boundary matrix is all
+such deletions: its tree is a path, so at every column the row carried
+down from the path's first end is a singleton. Elimination, products and
+zero tests cost in proportion to the nonzeros: a boundary matrix has two
+per tree column, however many minima it has. The compose-to-zero check
+forms a product only when both differentials are non-zero, so it forms
+none on a fiber-class complex, whose outer differentials are zero.
 """
 
 from __future__ import annotations
@@ -64,14 +68,21 @@ class RationalMatrix:
         Each row is copied, so the matrix is left as it is. Columns are
         then eliminated left to right. Every row not yet used as a pivot
         waits in the bucket of its leading column, so the rows with a
-        nonzero in the current column are exactly that column's bucket. The
-        pivot is the first candidate with the smallest |entry| p; when the
-        first candidate's entry is a unit, it is taken without a search.
-        Every other candidate, with entry a, becomes (p/g)*row -
-        (a/g)*pivot_row with g = gcd(a, p), and is then divided by the gcd
-        of its entries. Each step scales a row by a nonzero rational or
-        subtracts a multiple of another, so the rank over Q is exact, and
-        dividing out the gcd keeps the ints from growing with every step.
+        nonzero in the current column are exactly that column's bucket.
+
+        When a candidate is a singleton, its only entry in the current
+        column, the first such candidate is the pivot: every other
+        candidate loses its entry in the column by deletion, which is
+        what subtracting a multiple of the singleton would leave, and no
+        entry is scaled or subtracted. Otherwise the pivot is the first
+        candidate with the smallest |entry| p; when the first candidate's
+        entry is a unit, it is taken without a search. Every other
+        candidate, with entry a, becomes (p/g)*row - (a/g)*pivot_row with
+        g = gcd(a, p). Either way, each changed candidate is then divided by
+        the gcd of its entries and waits in the bucket of its new leading
+        column. Each step scales a row by a nonzero rational or subtracts a
+        multiple of another, so the rank over Q is exact, and dividing out
+        the gcd keeps the ints from growing with every step.
         """
         buckets: dict[int, list[dict[int, int]]] = {}
         for row in self.sparse_rows:
@@ -84,28 +95,34 @@ class RationalMatrix:
                 continue
             rank += 1
             if len(candidates) > 1:
-                pivot_row = candidates[0]
-                if pivot_row[col] not in (1, -1):  # a unit is already the smallest
-                    pivot_row = min(candidates, key=lambda r: abs(r[col]))
-                pivot = pivot_row.pop(col)
-                rest = pivot_row.items()
+                for pivot_row in candidates:
+                    if len(pivot_row) == 1:  # a singleton: the others lose col by deletion
+                        rest = ()
+                        break
+                else:
+                    pivot_row = candidates[0]
+                    if pivot_row[col] not in (1, -1):  # a unit is already the smallest
+                        pivot_row = min(candidates, key=lambda r: abs(r[col]))
+                    pivot = pivot_row.pop(col)
+                    rest = pivot_row.items()
                 for row in candidates:
                     if row is pivot_row:
                         continue
                     a = row.pop(col)
-                    if a % pivot:
-                        g = gcd(a, pivot)
-                        scale, factor = pivot // g, a // g
-                        for j in row:
-                            row[j] *= scale
-                    else:
-                        factor = a // pivot
-                    for j, y in rest:
-                        z = row.get(j, 0) - factor * y
-                        if z:
-                            row[j] = z
+                    if rest:
+                        if a % pivot:
+                            g = gcd(a, pivot)
+                            scale, factor = pivot // g, a // g
+                            for j in row:
+                                row[j] *= scale
                         else:
-                            del row[j]
+                            factor = a // pivot
+                        for j, y in rest:
+                            z = row.get(j, 0) - factor * y
+                            if z:
+                                row[j] = z
+                            else:
+                                del row[j]
                     if row:
                         content = gcd(*row.values())
                         if content > 1:

@@ -1,7 +1,12 @@
 """Exponent validation and Seifert fibration invariants.
 
-Everything in this module is exact: arbitrary precision integers and
-``fractions.Fraction``. No floating point enters any invariant.
+Everything in this module is exact: every invariant is computed on
+arbitrary precision integers, and no floating point enters any of them.
+The hyperbolic gap is carried as an integer numerator over lcm(a_1, ...,
+a_n), so the hyperbolicity test and d each cost one lcm and n floor
+divisions. A ``fractions.Fraction`` is made only for ``SeifertData.s``
+(n = 3), for the ``BrieskornParams.hyperbolic_gap`` property, and for an
+error message.
 
 A tuple of exponents (a_1, ..., a_n), each a_j >= 2 with n >= 3, is of
 hyperbolic type when sum(1/a_j) < n - 2. For such a tuple the associated
@@ -32,13 +37,19 @@ class BrieskornParams:
         return len(self.exponents)
 
     @property
-    def reciprocal_sum(self) -> Fraction:
-        return sum((Fraction(1, a) for a in self.exponents), Fraction(0))
+    def gap_over_lcm(self) -> tuple[int, int]:
+        """The pair (N, L) with (n - 2) - sum(1/a_j) = N / L, not reduced.
+
+        L = lcm(a_1, ..., a_n), so N is an integer; its sign is the sign of
+        the gap.
+        """
+        lcm = math.lcm(*self.exponents)
+        return (self.n - 2) * lcm - sum(lcm // a for a in self.exponents), lcm
 
     @property
     def hyperbolic_gap(self) -> Fraction:
         """(n - 2) - sum(1/a_j); positive exactly for hyperbolic type."""
-        return Fraction(self.n - 2) - self.reciprocal_sum
+        return Fraction(*self.gap_over_lcm)
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,8 @@ def validate_params(raw: Sequence[int]) -> BrieskornParams:
         if a < 2:
             raise InvalidExponent(f"every exponent must be >= 2, got {a}")
     params = BrieskornParams(exponents)
-    gap = params.hyperbolic_gap
-    if gap <= 0:
+    if params.gap_over_lcm[0] <= 0:
+        gap = params.hyperbolic_gap
         raise NotHyperbolic(
             f"exponents {exponents} are not of hyperbolic type: "
             f"(n-2) - sum(1/a_j) = {gap}",
@@ -98,14 +109,14 @@ def seifert_data(params: BrieskornParams) -> SeifertData:
     a = params.exponents
     n = len(a)
     product = math.prod(a)
-    lcm_all = math.lcm(*a)
+    numerator, lcm_all = params.gap_over_lcm
 
     # d = (prod a_j) * ((n-2) - sum 1/a_j), an integer since each term
     # of the reciprocal sum clears the product.
-    d_frac = product * params.hyperbolic_gap
-    if d_frac.denominator != 1:
-        raise ConstructionFailure(f"d = {d_frac} is not an integer")
-    d = int(d_frac)
+    d, rem = divmod(product * numerator, lcm_all)
+    if rem:
+        raise ConstructionFailure(
+            f"d = {Fraction(product * numerator, lcm_all)} is not an integer")
 
     partial_products = []
     partial_lcms = []

@@ -10,6 +10,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -377,20 +378,44 @@ def test_the_exact_modes_accept_an_exponent_past_float_range(capsys):
     assert error["message"] == f"exponent {huge} is past float range; the lab modes need pi/a"
 
 
-def test_a_reader_that_closes_the_pipe_early_ends_the_output_not_the_run():
-    # some 200,000 lines of report: writing them fails long before the end
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+def assert_a_closed_pipe_ends_the_output_not_the_run(root):
+    """Run the package under ``root`` into pipes whose reader goes away.
+
+    The child has Python's default buffered stdout, as in a shell: with
+    PYTHONUNBUFFERED set, no data can be left in a buffer to flush at exit.
+    """
+    env = dict(os.environ, PYTHONPATH=str(root))
     env.pop(tolerances.ENV_VAR, None)
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def finish(child):
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_OK
+        assert err == ""  # no traceback, nor an exception ignored at exit
+
+    # some 200,000 lines of report: writing them fails long before the end
     child = subprocess.Popen(
         [sys.executable, "-m", "brieskorn", "compare", "--exponents", "2,3,7",
          "--grading-floor", "-200000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert child.stdout.readline() == b"{\n"
     child.stdout.close()
-    err = child.stderr.read().decode()
-    child.stderr.close()
-    assert child.wait(timeout=60) == EXIT_OK
-    assert err == ""  # no traceback, nor an exception ignored at exit
+    finish(child)
+    # a report that fits the buffer, into a pipe closed before it is written:
+    # the failed flush leaves it in the buffer, and the flush at exit fails
+    # again unless stdout was pointed elsewhere
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "brieskorn", "invariants", "--exponents", "2,3,7"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    finish(child)
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_not_the_run():
+    assert_a_closed_pipe_ends_the_output_not_the_run(Path(cli.__file__).parents[1])
 
 
 def test_a_refused_argument_prints_in_the_requested_format(capsys):
@@ -752,6 +777,25 @@ def test_the_verdict_tests_kill_each_mutant(mutant, monkeypatch):
     monkeypatch.setattr(home, name, mutated)
     with pytest.raises(AssertionError):
         killer(monkeypatch)
+
+
+# mutants of the broken-pipe handling: (a substitution in cli.py); the
+# package written with it must fail assert_a_closed_pipe_ends_the_output_not_the_run
+PIPE_MUTANTS = {
+    "stdout not pointed at devnull": _substitute(
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "        pass\n"),
+}
+
+
+@pytest.mark.parametrize("mutant", PIPE_MUTANTS)
+def test_the_closed_pipe_test_kills_each_mutant(mutant, tmp_path):
+    package = tmp_path / "brieskorn"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (package / "cli.py").write_text(PIPE_MUTANTS[mutant]((package / "cli.py").read_text()))
+    with pytest.raises(AssertionError):
+        assert_a_closed_pipe_ends_the_output_not_the_run(tmp_path)
 
 
 @pytest.mark.parametrize("loosened, check, value, tolerance", [

@@ -1,5 +1,6 @@
 """Exact elimination engine and series formatting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -146,7 +147,9 @@ def eliminate_watching(monkeypatch, mat):
 
 def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
     # column 0 lists 3 first and a unit later: the search must pass over the
-    # 3 to the unit, which then loses its pivot entry and nothing else
+    # 3 to the unit, which then loses its pivot entry and nothing else. Every
+    # row has a second nonzero, so no candidate is a singleton, which would
+    # be the pivot without a search
     rng = random.Random(3)
     for _ in range(40):
         rows, cols = rng.randint(3, 8), rng.randint(2, 8)
@@ -155,6 +158,7 @@ def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
         for i, row in enumerate(grid):
             row[0] = 3 if i == 0 else rng.choice([1, -1]) if i == unit else rng.choice(
                 [2, 3, -4, 5, 0])
+            row[rng.randrange(1, cols)] = rng.choice([-9, -2, 1, 4, 7])
         mat = from_grid(rows, cols, grid)
         rank, working, searches = eliminate_watching(monkeypatch, mat)
         assert rank == dense_rank(mat)
@@ -167,6 +171,63 @@ def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
         for row in grid:
             hadamard_sq *= sum(x * x for x in row)
         assert all(x * x <= hadamard_sq for row in working for x in row.values())
+
+
+def test_a_singleton_pivot_eliminates_by_deletion(monkeypatch):
+    # column 0's candidates include a singleton {0: p}; the others are
+    # x_i * e_0 + c_i * v_i with v_i primitive and each v_i leading in a
+    # column of its own, so no later column touches them. The singleton is
+    # the pivot even behind a unit, and without a search; it is left as it
+    # is, and every other candidate loses its entry in column 0 and its
+    # content c_i, and nothing else
+    rng = random.Random(32)
+    for _ in range(60):
+        others = rng.randint(1, 6)
+        cols = 1 + others + rng.randint(0, 4)
+        leads = rng.sample(range(1, cols), others)
+        grid, primitive = [], []
+        for lead in leads:
+            v = [0] * cols
+            v[lead] = rng.choice([1, -1, 2, -3])
+            for j in range(lead + 1, cols):
+                v[j] = rng.choice([0, 0, 1, -2, 3, 5, 6])
+            v[lead] //= math.gcd(*v)  # the gcd is 1 or |v[lead]|, so v is now primitive
+            primitive.append({j: x for j, x in enumerate(v) if x})
+            content = rng.choice([1, 2, 3, 6, 10])
+            grid.append([rng.choice([1, -1, 2, -4, 6])] + [content * x for x in v[1:]])
+        singleton = rng.randrange(others + 1)
+        pivot = rng.choice([1, -1, 5, -6, 12])
+        grid.insert(singleton, [pivot] + [0] * (cols - 1))
+        primitive.insert(singleton, {0: pivot})
+        mat = from_grid(len(grid), cols, grid)
+        rank, working, searches = eliminate_watching(monkeypatch, mat)
+        assert rank == dense_rank(mat) == len(grid)
+        assert searches == 0
+        assert working == primitive
+
+
+def test_singleton_candidates_agree_with_dense_rank():
+    # sparse integer matrices, some rows cut down to one nonzero, and
+    # repeated rows: the singleton's column empties by deletion, and each
+    # row that loses an entry must wait for its next column
+    rng = random.Random(20261020)
+    shared = 0
+    for _ in range(300):
+        rows, cols = rng.randint(2, 14), rng.randint(1, 10)
+        grid = [[random_integer(rng) if rng.random() < 0.35 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        for _ in range(rng.randint(0, rows // 2)):
+            grid[rng.randrange(rows)] = list(rng.choice(grid))
+        for row in rng.sample(grid, rng.randint(1, rows)):
+            keep = rng.randrange(cols)
+            row[:] = [x if j == keep else 0 for j, x in enumerate(row)]
+            row[keep] = row[keep] or rng.choice([1, -2, 3])
+        mat = from_grid(rows, cols, grid)
+        leads = [min(row) for row in mat.sparse_rows if row]
+        shared += any(len(row) == 1 and leads.count(min(row)) > 1 for row in mat.sparse_rows)
+        assert mat.rank() == dense_rank(mat)
+    # most draws start with a singleton sharing its column with another row
+    assert shared > 200
 
 
 def test_boundary_matrices_need_no_pivot_search(monkeypatch):

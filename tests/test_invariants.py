@@ -5,6 +5,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brieskorn import InvalidExponent, NotHyperbolic, cli, invariants, seifert_data, validate_params
 
@@ -12,6 +14,41 @@ from brieskorn import InvalidExponent, NotHyperbolic, cli, invariants, seifert_d
 def test_hyperbolic_gap_2_3_7():
     params = validate_params([2, 3, 7])
     assert params.hyperbolic_gap == Fraction(1, 42)
+
+
+def reciprocal_sum(exponents):
+    """sum(1/a_j), summed in Fractions: the oracle for the integer gap."""
+    return sum((Fraction(1, a) for a in exponents), Fraction(0))
+
+
+# every tuple that is not of hyperbolic type, in any order: (2, 2, k), the
+# five spherical and flat triples beside it, and (2, 2, 2, 2)
+NOT_HYPERBOLIC = st.one_of(
+    st.integers(2, 10**6).map(lambda k: (2, 2, k)),
+    st.sampled_from([(2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6), (2, 4, 4), (3, 3, 3),
+                     (2, 2, 2, 2)]),
+).flatmap(st.permutations)
+
+
+def test_the_gap_is_an_integer_numerator_over_the_lcm(fuzz_corpus):
+    corpus = [data.params.exponents for data in fuzz_corpus]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(corpus), NOT_HYPERBOLIC))
+    def check(exponents):
+        params = invariants.BrieskornParams(tuple(exponents))
+        numerator, lcm = params.gap_over_lcm
+        assert lcm == math.lcm(*exponents)
+        assert Fraction(numerator, lcm) == len(exponents) - 2 - reciprocal_sum(exponents)
+        assert params.hyperbolic_gap == Fraction(numerator, lcm)
+        if numerator > 0:
+            assert validate_params(exponents) == params
+        else:
+            with pytest.raises(NotHyperbolic) as excinfo:
+                validate_params(exponents)
+            assert excinfo.value.gap == Fraction(numerator, lcm)
+
+    check()
 
 
 def test_spherical_triple_rejected():
@@ -105,8 +142,9 @@ def test_a_broken_identity_is_a_typed_construction_failure(monkeypatch, message)
 
 
 def test_a_fractional_d_is_a_typed_construction_failure(monkeypatch):
-    monkeypatch.setattr(invariants.BrieskornParams, "hyperbolic_gap",
-                        property(lambda self: Fraction(1, 84)))
+    # a gap of 1/84 on (2, 3, 7), whose exponents multiply to 42, makes d = 1/2
+    monkeypatch.setattr(invariants.BrieskornParams, "gap_over_lcm",
+                        property(lambda self: (1, 84)))
     code, report = cli.run(cli.RunConfig(exponents=[2, 3, 7], mode="compare"))
     assert code == 3
     assert report["errors"] == [

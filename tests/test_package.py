@@ -18,7 +18,8 @@ import brieskorn
 import test_cli
 import test_closedform
 import test_homology
-from brieskorn import cli, closedform, homology, orbits, tolerances
+import test_invariants
+from brieskorn import cli, closedform, homology, invariants, orbits, tolerances
 from test_golden import ARGV
 
 PACKAGE = Path(brieskorn.__file__).resolve().parent
@@ -178,34 +179,45 @@ EXACT_MUTANTS = {
     "tree one column short": (
         orbits, test_cli._substitute("for col in range(M - 1):", "for col in range(M - 2):"),
         lambda mp, copy: mp.setattr(closedform, "build_complex", copy.build_complex),
-        lambda mp: test_closedform.test_chain_equals_closed_form_on_window()),
+        lambda mp, _: test_closedform.test_chain_equals_closed_form_on_window()),
     "rank eliminates the matrix's own rows": (
         homology, test_cli._substitute(".append(dict(row))", ".append(row)"),
         # on the module's own globals, which the killer patches
         lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", types.FunctionType(
             copy.RationalMatrix.rank.__code__, vars(homology))),
-        test_homology.test_rank_eliminates_copies_of_the_rows),
+        lambda mp, _: test_homology.test_rank_eliminates_copies_of_the_rows(mp)),
+    "a singleton pivot drops the rows it deletes from": (
+        homology, test_cli._substitute("                    if row:\n",
+                                       "                    if row and rest:\n"),
+        lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", copy.RationalMatrix.rank),
+        lambda mp, _: test_homology.test_singleton_candidates_agree_with_dense_rank()),
+    "gap numerator without the first exponent": (
+        invariants, test_cli._substitute("for a in self.exponents)", "for a in self.exponents[1:])"),
+        lambda mp, copy: mp.setattr(invariants.BrieskornParams, "gap_over_lcm",
+                                    copy.BrieskornParams.gap_over_lcm),
+        lambda mp, corpus: test_invariants.test_the_gap_is_an_integer_numerator_over_the_lcm(
+            corpus)),
     "comparison window one grading short": (
         closedform, test_cli._substitute("math.lcm(chain.period, oracle.period) + 1)",
                                          "math.lcm(chain.period, oracle.period) + 2)"),
         lambda mp, copy: mp.setattr(test_closedform, "compare_graded", copy.compare_graded),
-        lambda mp: test_closedform.test_window_agrees_with_the_full_scan()),
+        lambda mp, _: test_closedform.test_window_agrees_with_the_full_scan()),
     "stale __all__ entry": (
         brieskorn, test_cli._substitute('    "measured_interior_angles": "polygon",\n',
                                         '    "measured_interior_angles": "polygon",\n'
                                         '    "mobius_apply": "halfplane",\n'),
         lambda mp, copy: (mp.setitem(sys.modules, "brieskorn", copy),
                           mp.setitem(globals(), "brieskorn", copy)),
-        lambda mp: test_star_import_binds_every_public_name_once()),
+        lambda mp, _: test_star_import_binds_every_public_name_once()),
 }
 
 
 @pytest.mark.parametrize("mutant", EXACT_MUTANTS)
-def test_the_exact_side_tests_kill_each_mutant(mutant, monkeypatch):
+def test_the_exact_side_tests_kill_each_mutant(mutant, monkeypatch, fuzz_corpus):
     module, mutate, bind, killer = EXACT_MUTANTS[mutant]
     copy = types.ModuleType(module.__name__)
     copy.__package__ = module.__package__  # its relative imports reach the loaded modules
     exec(compile(mutate(Path(module.__file__).read_text()), module.__file__, "exec"), vars(copy))
     bind(monkeypatch, copy)
     with pytest.raises(AssertionError):
-        killer(monkeypatch)
+        killer(monkeypatch, fuzz_corpus)
