@@ -24,7 +24,9 @@ conserve det M = 1, on four Python floats: no step calls numpy or BLAS, so
 the integration is IEEE-deterministic. The monodromy and the closed-form
 map are nested float tuples too, and the return map's determinant and
 Frobenius norms are written out on their entries: this module calls no
-numpy at all.
+numpy at all. Each row's period and grading window come from the exact
+period ratio p/q by integer division (``_rotation_window``), with no
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ Matrix = tuple[tuple[float, float], tuple[float, float]]  # rows ((a, b), (c, d)
 def _rotation_window(period_ratio: Fraction) -> tuple[float, float]:
     """The period 2*pi*period_ratio and the gap 2*pi*(1 - frac(period_ratio)):
     a correction in the window (0, gap) keeps the orbit's grading. Every
-    row's epsilon cap and window check read both from here."""
-    period = 2.0 * math.pi * float(period_ratio)
-    gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
-    return period, gap
+    row's epsilon cap and window check read both from here.
+
+    With period_ratio = p/q, q > 0, 1 - frac is (q - p % q)/q exactly, and
+    each ratio becomes a float by one correctly rounded int division, as
+    ``float`` of a ``Fraction`` does: no ``Fraction`` is formed."""
+    p, q = period_ratio.numerator, period_ratio.denominator
+    return 2.0 * math.pi * (p / q), 2.0 * math.pi * ((q - p % q) / q)
 
 
 class LocalModel:

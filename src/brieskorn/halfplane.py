@@ -25,8 +25,9 @@ The invariance block of ``verify-dynamics`` draws its samples from
 arrays: ``random_samples`` gives an (N, 4) array of matrices (a, b, c, d)
 and an (N, 3) array of points (x, y, t), drawn in turn, each matrix
 rescaled to determinant one as ``MobiusElement`` rescales it. The draws
-are the values of ``rng.random`` calls, taken in bulk by ``_uniforms``,
-bit for bit, and leave ``rng`` where those calls leave it.
+are the values of ``rng.random`` calls, taken by ``_uniforms`` in chunks,
+in bulk from 64 values on and call by call below, bit for bit, and leave
+``rng`` where those calls leave it.
 ``invariance_residuals`` then computes all the residuals in one call, as
 elementwise arithmetic over (N,) arrays: complex squares are built from
 real and imaginary parts, because numpy's complex array multiply may fuse
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -244,6 +246,11 @@ class LiftedIsometry:
     ``winding_offset`` is the exact t-shift applied at the reference point
     i; the shift elsewhere follows by continuing arg(c*w + d) from i. The
     center of the group is the pure vertical shift by 2*pi.
+
+    The argument at i is taken on the first ``theta_shift`` (or ``compose``,
+    which takes one) and kept, so each later point costs one ``math.atan2``.
+    The argument at the point is always taken first, so a lost argument is
+    refused at the point, as if none were kept.
     """
 
     def __init__(self, base: MobiusElement, winding_offset: float):
@@ -265,10 +272,15 @@ class LiftedIsometry:
         c, d = base.c, base.d
         return cls(base, shift + 2.0 * (continued_arg(c, d, z0) - continued_arg(c, d, _REF)))
 
+    @cached_property
+    def _ref_arg(self) -> float:
+        """``continued_arg(c, d, i)``, taken on first use and kept."""
+        return continued_arg(self.base.c, self.base.d, _REF)
+
     def theta_shift(self, z: complex) -> float:
         """The continuous t-shift this element applies over the point z."""
-        c, d = self.base.c, self.base.d
-        return self.winding_offset - 2.0 * (continued_arg(c, d, z) - continued_arg(c, d, _REF))
+        arg = continued_arg(self.base.c, self.base.d, z)
+        return self.winding_offset - 2.0 * (arg - self._ref_arg)
 
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         """Composition acting as self after other, with the lift chained
@@ -318,7 +330,7 @@ def _args(c, d, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``math.atan2``. Raises DegenerateInput at the first point where
     ``continued_arg`` raises it."""
     re, im = c * x + d, c * y + 0.0
-    arg = np.array(list(map(math.atan2, im.tolist(), re.tolist())))
+    arg = np.fromiter(map(math.atan2, im.tolist(), re.tolist()), float, len(re))
     lost = np.isnan(arg) | (im == 0.0) & ((c != 0.0) | (d == 0.0))
     if lost.any():  # the point form raises at the first such point
         k = int(lost.argmax())
@@ -376,8 +388,8 @@ def _frame(y: np.ndarray, t: np.ndarray) -> tuple[tuple, tuple]:
     y cos t, sin t) of the contact planes at many points, each vector as
     three (N,) arrays; cosines and sines are taken per point with ``math``."""
     t = t.tolist()
-    cos_t = np.array(list(map(math.cos, t)))
-    sin_t = np.array(list(map(math.sin, t)))
+    cos_t = np.fromiter(map(math.cos, t), float, len(t))
+    sin_t = np.fromiter(map(math.sin, t), float, len(t))
     return (y * cos_t, y * sin_t, -cos_t), (-y * sin_t, y * cos_t, sin_t)
 
 
@@ -393,11 +405,17 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     """The next ``count`` values of ``rng.random()`` as one float64 array, bit
     for bit, leaving ``rng`` where ``count`` calls of ``random()`` leave it.
 
-    ``random()`` forms ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the
-    next two 32-bit outputs w0, w1 of the Mersenne Twister, and
-    ``getrandbits(64*count)`` returns the next 2*count outputs, in order, as
-    the little-endian 32-bit words of one integer. Every step is exact.
+    Fewer than 64 values are those calls, made one by one: there the
+    word path's dozen array operations cost more than the calls. From 64
+    on, the values are read from words: ``random()`` forms
+    ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the next two 32-bit
+    outputs w0, w1 of the Mersenne Twister, and ``getrandbits(64*count)``
+    returns the next 2*count outputs, in order, as the little-endian
+    32-bit words of one integer. Every step is exact.
     """
+    if count < 64:
+        draw = rng.random
+        return np.array([draw() for _ in range(count)], dtype=float)
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
                           dtype="<u4")
     return ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
@@ -432,17 +450,21 @@ def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarr
     The draws come from ``_uniforms`` in chunks. Each chunk is the fewest
     draws that could still finish, seven per sample left less the draws in
     hand past p, so no draw is taken that the per-draw loop would not take.
-    The determinants are computed over a chunk's new windows only.
+    The chunks shrink some threefold each; at 1000 samples the last two to
+    four hold fewer than 64 draws, which ``_uniforms`` takes call by call,
+    and the others are read from words. The determinants are
+    computed over a chunk's new windows only, and each window's flag is
+    kept as one byte, read by index while the windows are walked.
     """
     drawn = np.zeros(0)
-    taken: list[bool] = []  # taken[q]: the window of draws q..q+3 is a matrix
+    taken = bytearray()  # taken[q]: 1 if the window of draws q..q+3 is a matrix
     starts: list[int] = []  # the windows taken, in order
     take, p = starts.append, 0
     while len(starts) < count:
         drawn = np.concatenate(
             [drawn, _uniforms(rng, 7 * (count - len(starts)) - (len(drawn) - p))])
         e = -2.0 + 4.0 * drawn[len(taken):]  # the entries of the new windows
-        taken += (e[:-3] * e[3:] - e[1:-2] * e[2:-1] > 0.05).tolist()
+        taken += (e[:-3] * e[3:] - e[1:-2] * e[2:-1] > 0.05).tobytes()
         # a window taken past end has its point still to draw
         end, windows = len(drawn) - 7, len(taken)
         while p < windows:

@@ -88,6 +88,8 @@ class RationalMatrix:
         for row in self.sparse_rows:
             if row:
                 buckets.setdefault(min(row), []).append(dict(row))
+        if not buckets:  # no nonzero row: no column need be walked
+            return 0
         rank = 0
         for col in range(self.cols):
             candidates = buckets.pop(col, None)

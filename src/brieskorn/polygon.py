@@ -77,44 +77,50 @@ def _cosh_side(opposite: float, adj1: float, adj2: float) -> float:
     )
 
 
-def _apex_angle(cosh_side: float, near: float, far: float) -> float | None:
-    """Apex angle of a triangle from the adjacent side and the two other angles.
-
-    The side of length acosh(cosh_side) joins the apex to the vertex with
-    angle ``near``; ``far`` is the angle opposite that side. The principal
-    branch of the resulting transcendental equation is the geometric one;
-    a branch whose angle sum reaches pi signals no valid triangle.
-    """
-    a = math.sin(near) * cosh_side
-    b = math.cos(near)
-    r = math.hypot(a, b)
-    beta = math.atan2(b, a) + math.asin(min(1.0, math.cos(far) / r))
-    if beta <= 0.0 or beta + near + far >= math.pi:
-        return None
-    return beta
-
-
-def _trace_fan(angles: list[float], first_diagonal: float):
-    """Walk the fan triangles given the length of the diagonal to v_1.
+def _fan_triangles(angles: list[float]) -> list[tuple[float, ...]]:
+    """Each fan triangle's fixed angles, with their sines and cosines, taken
+    once per solve: (near, far, sin near, cos near, cos far, sin far).
 
     Interior fan vertices give half their angle to each adjacent triangle;
     v_1 and v_{n-1} spend their whole angle in the single triangle that
-    contains them. Returns (apex angles, apex-to-vertex cosh distances)
-    or None if some triangle degenerates. The closing constraint is that
-    the apex angles sum to the prescribed angle at v_n.
+    contains them. ``near`` is a triangle's angle where the diagonal from
+    the apex ends, and ``far`` its angle at the next vertex.
     """
     n = len(angles)
-    cosh_diag = math.cosh(first_diagonal)
-    cosh_to_vertex = [cosh_diag]
-    betas = []
+    triangles = []
     for tri in range(n - 2):
         near = angles[tri] if tri == 0 else 0.5 * angles[tri]
         far = angles[tri + 1] if tri == n - 3 else 0.5 * angles[tri + 1]
-        beta = _apex_angle(cosh_diag, near, far)
-        if beta is None:
+        triangles.append((near, far, math.sin(near), math.cos(near),
+                          math.cos(far), math.sin(far)))
+    return triangles
+
+
+def _trace_fan(triangles: list[tuple[float, ...]], first_diagonal: float):
+    """Walk the fan triangles (see ``_fan_triangles``) given the length of the
+    diagonal to v_1.
+
+    In each triangle the side of length acosh(cosh_diag) joins the apex to
+    the vertex with angle ``near``, and ``far`` is the angle opposite it.
+    The apex angle beta is the principal branch of the resulting
+    transcendental equation, the geometric one; a branch whose angle sum
+    reaches pi signals no valid triangle. The next diagonal is the side
+    opposite ``near``, by the hyperbolic law of cosines. Returns (apex
+    angles, apex-to-vertex cosh distances) or None if some triangle
+    degenerates. The closing constraint is that the apex angles sum to the
+    prescribed angle at v_n.
+    """
+    cosh_diag = math.cosh(first_diagonal)
+    cosh_to_vertex = [cosh_diag]
+    betas = []
+    for near, far, sin_near, cos_near, cos_far, sin_far in triangles:
+        a = sin_near * cosh_diag
+        r = math.hypot(a, cos_near)
+        beta = math.atan2(cos_near, a) + math.asin(min(1.0, cos_far / r))
+        if beta <= 0.0 or beta + near + far >= math.pi:
             return None
         betas.append(beta)
-        cosh_diag = _cosh_side(near, beta, far)
+        cosh_diag = (cos_near + math.cos(beta) * cos_far) / (math.sin(beta) * sin_far)
         cosh_to_vertex.append(cosh_diag)
     return betas, cosh_to_vertex
 
@@ -132,12 +138,15 @@ def _solve_fan(angles: list[float]) -> float:
     point where it is exactly zero. Bisecting that cell stops at the first
     midpoint where the defect is exactly zero (``hm == 0.0``), or when the
     midpoint is one of the cell's ends, the root to the last float; a
-    bracket narrower than 1e-16 * max(1, a) also stops it.
+    bracket narrower than 1e-16 * max(1, a) also stops it. The sines and
+    cosines of the triangles' fixed angles are taken once, before the
+    first probe, so a traced fan takes five libm calls per triangle.
     """
     target = angles[-1]
+    triangles = _fan_triangles(angles)
 
     def defect(diagonal: float) -> float:
-        traced = _trace_fan(angles, diagonal)
+        traced = _trace_fan(triangles, diagonal)
         if traced is None:
             raise ConstructionFailure(
                 f"fan degenerates at diagonal {diagonal!r}; construction failed")
@@ -187,7 +196,7 @@ def build_polygon_group(params: BrieskornParams) -> PolygonGroup:
         ]
     else:
         diagonal = _solve_fan(angles)
-        traced = _trace_fan(angles, diagonal)
+        traced = _trace_fan(_fan_triangles(angles), diagonal)
         if traced is None:
             raise ConstructionFailure("fan construction degenerated at the solved diagonal")
         betas, cosh_to_vertex = traced

@@ -1,11 +1,19 @@
-"""The fan solver as it scanned its grid from the left: the test oracle.
+"""The fan solver as it scanned its grid from the left, and the fan as it
+was traced with every angle's sine and cosine taken per evaluation: the
+test oracles.
 
 ``polygon._solve_fan`` finds the closing defect's sign change by bisecting
 over the grid's indices and stops its bisection once the bracket holds two
-adjacent floats. This is the solver it replaced, kept step for step: scan
-the log grid from the left for the first sign change between two defined
-probes, then bisect that bracket up to 200 times. The tests hold the
-solver to it bit for bit.
+adjacent floats. ``solve_fan`` is the solver it replaced, kept step for
+step: scan the log grid from the left for the first sign change between
+two defined probes, then bisect that bracket up to 200 times.
+
+``polygon._trace_fan`` reads each triangle's fixed sines and cosines from
+``polygon._fan_triangles``, taken once per solve. ``trace_fan`` is the
+trace it replaced, which took them again in ``apex_angle`` and
+``_cosh_side`` at every evaluation: 11 libm calls per triangle where the
+package makes 5. ``solve_fan`` traces with it. The tests hold the package
+to both bit for bit.
 """
 
 from __future__ import annotations
@@ -13,14 +21,51 @@ from __future__ import annotations
 import math
 
 from brieskorn.errors import ConstructionFailure
-from brieskorn.polygon import _trace_fan
+from brieskorn.polygon import _cosh_side
+
+
+def apex_angle(cosh_side: float, near: float, far: float) -> float | None:
+    """Apex angle of a triangle from the adjacent side and the two other angles.
+
+    The side of length acosh(cosh_side) joins the apex to the vertex with
+    angle ``near``; ``far`` is the angle opposite that side. The principal
+    branch of the resulting transcendental equation is the geometric one;
+    a branch whose angle sum reaches pi signals no valid triangle.
+    """
+    a = math.sin(near) * cosh_side
+    b = math.cos(near)
+    r = math.hypot(a, b)
+    beta = math.atan2(b, a) + math.asin(min(1.0, math.cos(far) / r))
+    if beta <= 0.0 or beta + near + far >= math.pi:
+        return None
+    return beta
+
+
+def trace_fan(angles: list[float], first_diagonal: float):
+    """Walk the fan triangles given the length of the diagonal to v_1:
+    (apex angles, apex-to-vertex cosh distances), or None if some triangle
+    degenerates."""
+    n = len(angles)
+    cosh_diag = math.cosh(first_diagonal)
+    cosh_to_vertex = [cosh_diag]
+    betas = []
+    for tri in range(n - 2):
+        near = angles[tri] if tri == 0 else 0.5 * angles[tri]
+        far = angles[tri + 1] if tri == n - 3 else 0.5 * angles[tri + 1]
+        beta = apex_angle(cosh_diag, near, far)
+        if beta is None:
+            return None
+        betas.append(beta)
+        cosh_diag = _cosh_side(near, beta, far)
+        cosh_to_vertex.append(cosh_diag)
+    return betas, cosh_to_vertex
 
 
 def solve_fan(angles: list[float]) -> float:
     target = angles[-1]
 
     def defect(diagonal: float) -> float | None:
-        traced = _trace_fan(angles, diagonal)
+        traced = trace_fan(angles, diagonal)
         if traced is None:
             return None
         return sum(traced[0]) - target

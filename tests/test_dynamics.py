@@ -221,6 +221,29 @@ def test_the_return_map_and_the_epsilon_cap_share_one_window():
     assert linearized_return_map(model, ratio).window == window
 
 
+def fraction_rotation_window(period_ratio: Fraction) -> tuple[float, float]:
+    """``dynamics._rotation_window`` as it was, in ``Fraction`` arithmetic:
+    the oracle of its integer form."""
+    period = 2.0 * math.pi * float(period_ratio)
+    gap = 2.0 * math.pi * float(1 - (period_ratio - math.floor(period_ratio)))
+    return period, gap
+
+
+def test_the_integer_window_is_the_fraction_window_bit_for_bit():
+    # negative and integer ratios, and numerators past 2**53, where the
+    # int division is rounded once
+    rng = random.Random(33)
+    ratios = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 3),
+              Fraction(2**53 + 1, 2), Fraction(-(2**60) - 1, 3), Fraction(2**200 + 1, 2**199)]
+    for _ in range(20000):
+        scale = 2 ** rng.choice((4, 16, 53, 64, 120))
+        ratios.append(Fraction(rng.randint(-scale, scale), rng.choice((1, rng.randint(1, scale)))))
+    assert any(r.denominator == 1 for r in ratios) and any(r < 0 for r in ratios)
+    for ratio in ratios:
+        window = dynamics._rotation_window(ratio)
+        assert [x.hex() for x in window] == [x.hex() for x in fraction_rotation_window(ratio)], ratio
+
+
 def test_monodromy_preserves_the_hyperbolic_area_form():
     # the flow preserves dx dy / y^2, so the Euclidean determinant of the
     # derivative equals the square of the conformal factor ratio; on the

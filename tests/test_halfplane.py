@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -374,9 +375,17 @@ SAMPLER_MUTANTS = {
         "    rows = _SAMPLE_LOW",
         "    if starts:\n        rng.getrandbits(32)\n    rows = _SAMPLE_LOW",
         ((_assert_samples_exact, 1), (_assert_samples_exact, 1000))),
+    # the word path draws chunks of 64 values or more: at 1000 samples it
+    # draws every chunk but the last few
     "hi and lo words swapped": (
         "((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6))",
         "((words[1::2] >> 5) * 2.0**26 + (words[0::2] >> 6))",
+        ((_assert_uniforms_exact, 1000), (_assert_samples_exact, 1000))),
+    # chunks under 64 values are drawn call by call, as is one sample's first
+    # chunk (one draw too few would leave random_samples waiting for a draw)
+    "one draw too many in a small chunk": (
+        "[draw() for _ in range(count)]",
+        "[draw() for _ in range(count + 1)]",
         ((_assert_uniforms_exact, 1), (_assert_samples_exact, 1))),
 }
 
@@ -473,6 +482,32 @@ def test_polygon_lifts_equal_the_numpy_scalar_reference_bit_for_bit():
             offset = lift.winding_offset + reference.theta_shift(product, lift.base.apply(1j))
             product = product.compose(lift)
             assert product.winding_offset == offset
+
+
+def test_a_lift_takes_its_reference_argument_once(monkeypatch):
+    # from its first t-shift on, a lift keeps arg(c*i + d): one argument per
+    # point, taken after the point's own, and each shift the reference's bits
+    rng = random.Random(6)
+    lifts = [canonical(random_mobius(rng)) for _ in range(20)]
+    points = [complex(x, y) for x, y, _ in random_points(rng, 30)]
+    calls = []
+    arg = halfplane.continued_arg
+    monkeypatch.setattr(halfplane, "continued_arg",
+                        lambda c, d, z: calls.append(z) or arg(c, d, z))
+    for lift in lifts:
+        calls.clear()
+        for z in points * 2:
+            assert lift.theta_shift(z) == reference.theta_shift(lift, z)
+        assert calls == [points[0], 1j, *points[1:], *points]
+
+
+def test_a_lift_refuses_a_lost_argument_at_its_point_first():
+    # a NaN bottom row loses the argument at every point, i included: the
+    # refusal names the point, at every call
+    lift = LiftedIsometry(MobiusElement(1.0, 0.0, math.nan, 1.0), 0.0)
+    for z in (0.5 + 2j, 3j, 0.5 + 2j):
+        with pytest.raises(DegenerateInput, match=re.escape(f"is lost at z = {z}")):
+            lift.theta_shift(z)
 
 
 def test_invariance_identity_and_vertical_shift():

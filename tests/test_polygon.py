@@ -16,14 +16,16 @@ from brieskorn.halfplane import (
 )
 from brieskorn.polygon import (
     _FAN_GRID,
+    _fan_triangles,
     _solve_fan,
+    _trace_fan,
     build_polygon_group,
     check_relations,
     expected_area,
     measured_area,
     measured_interior_angles,
 )
-from fan_reference import solve_fan
+from fan_reference import solve_fan, trace_fan
 from halfplane_reference import apply, lifted_residuals, power, random_point
 from test_lab_reports import LAB_TUPLES
 
@@ -187,6 +189,62 @@ def test_fan_solver_matches_the_grid_scan_bit_for_bit():
         assert _solve_fan(angles).hex() == solve_fan(angles).hex(), exponents
 
 
+def _traced_hex(traced):
+    return None if traced is None else [[x.hex() for x in part] for part in traced]
+
+
+def test_the_fan_traced_from_its_triangles_is_the_per_evaluation_fan_bit_for_bit():
+    # the sines and cosines of the fixed angles, taken once per solve, leave
+    # every apex angle and diagonal as the trace that took them per probe
+    # left it: at the solved diagonal of every lab fan, on the whole grid,
+    # at seeded diagonals, and on seeded angles, where about 40% of the
+    # fans degenerate
+    rng = random.Random(33)
+    lab_fans = [t for t in LAB_TUPLES if len(t) > 3]
+    cases = [(angles, [*_FAN_GRID, *(math.exp(rng.uniform(-12.0, 6.0)) for _ in range(50))])
+             for angles in map(fan_angles, [*lab_fans, *fan_tuples(33, 60), *EXTREME_FANS])]
+    cases += [([rng.uniform(0.05, 3.0) for _ in range(rng.randint(4, 8))],
+               [math.exp(rng.uniform(-12.0, 6.0)) for _ in range(50)]) for _ in range(200)]
+    for exponents in lab_fans:
+        angles = fan_angles(exponents)
+        assert _solve_fan(angles).hex() == solve_fan(angles).hex(), exponents
+        cases.append((angles, [_solve_fan(angles)]))
+    for angles, diagonals in cases:
+        triangles = _fan_triangles(angles)
+        for diagonal in diagonals:
+            assert (_traced_hex(_trace_fan(triangles, diagonal))
+                    == _traced_hex(trace_fan(angles, diagonal))), (angles, diagonal)
+
+
+class _CountingMath:
+    """``math`` with every call of a function counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        value = getattr(math, name)
+        if not callable(value):
+            return value
+
+        def counted(*args):
+            self.calls += 1
+            return value(*args)
+        return counted
+
+
+def test_a_traced_fan_takes_five_libm_calls_per_triangle(monkeypatch):
+    # cosh of the first diagonal, then hypot, atan2, asin, cos and sin of
+    # each apex angle; min is no libm call
+    fans = [_fan_triangles(fan_angles(t)) for t in LAB_TUPLES if len(t) > 3]
+    counting = _CountingMath()
+    monkeypatch.setattr(polygon, "math", counting)
+    for triangles in fans:
+        counting.calls = 0
+        assert _trace_fan(triangles, _FAN_GRID[210]) is not None
+        assert counting.calls == 5 * len(triangles) + 1, triangles
+
+
 def test_fan_defect_is_defined_on_the_whole_grid_and_changes_sign_once():
     # the premise of bisecting over the grid's indices: the first sign
     # change the scan finds is the only one, and no probe degenerates
@@ -195,7 +253,7 @@ def test_fan_defect_is_defined_on_the_whole_grid_and_changes_sign_once():
         angles = fan_angles(exponents)
         signs = []
         for diagonal in _FAN_GRID:
-            traced = polygon._trace_fan(angles, diagonal)
+            traced = _trace_fan(_fan_triangles(angles), diagonal)
             assert traced is not None, (exponents, diagonal)
             defect = sum(traced[0]) - angles[-1]
             signs.append("+" if defect > 0.0 else "-" if defect < 0.0 else "0")
@@ -206,11 +264,10 @@ def test_fan_defect_is_defined_on_the_whole_grid_and_changes_sign_once():
 
 def test_fan_solver_traces_at_most_64_fans_per_solve(monkeypatch):
     calls = []
-    trace_fan = polygon._trace_fan
 
-    def counted(angles, diagonal):
+    def counted(triangles, diagonal):
         calls.append(diagonal)
-        return trace_fan(angles, diagonal)
+        return _trace_fan(triangles, diagonal)
 
     monkeypatch.setattr(polygon, "_trace_fan", counted)
     for exponents in [t for t in LAB_TUPLES if len(t) > 3]:
