@@ -88,10 +88,10 @@ class RationalMatrix:
         for row in self.sparse_rows:
             if row:
                 buckets.setdefault(min(row), []).append(dict(row))
-        if not buckets:  # no nonzero row: no column need be walked
-            return 0
         rank = 0
         for col in range(self.cols):
+            if not buckets:  # every row is a pivot or zero: no column is left to walk
+                break
             candidates = buckets.pop(col, None)
             if candidates is None:
                 continue
@@ -131,8 +131,6 @@ class RationalMatrix:
                             for j in row:
                                 row[j] //= content
                         buckets.setdefault(min(row), []).append(row)
-            if not buckets:
-                break
         return rank
 
 

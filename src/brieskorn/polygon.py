@@ -70,16 +70,17 @@ class PolygonGroup:
         return measured_interior_angles(self)
 
 
-def _cosh_side(opposite: float, adj1: float, adj2: float) -> float:
-    """Hyperbolic length (as cosh) of the side opposite one angle of a triangle."""
-    return (math.cos(opposite) + math.cos(adj1) * math.cos(adj2)) / (
-        math.sin(adj1) * math.sin(adj2)
-    )
+def _cosh_side(cos_opposite: float, adj: float, cos_other: float, sin_other: float) -> float:
+    """Hyperbolic length (as cosh) of the side opposite one angle of a triangle,
+    from that angle's cosine, the angle ``adj`` at one end of the side and
+    the cosine and sine of the angle at its other end."""
+    return (cos_opposite + math.cos(adj) * cos_other) / (math.sin(adj) * sin_other)
 
 
 def _fan_triangles(angles: list[float]) -> list[tuple[float, ...]]:
     """Each fan triangle's fixed angles, with their sines and cosines, taken
-    once per solve: (near, far, sin near, cos near, cos far, sin far).
+    once per build: (near, far, sin near, cos near, cos far, sin far). For
+    n = 3 the one triangle is the polygon.
 
     Interior fan vertices give half their angle to each adjacent triangle;
     v_1 and v_{n-1} spend their whole angle in the single triangle that
@@ -105,7 +106,7 @@ def _trace_fan(triangles: list[tuple[float, ...]], first_diagonal: float):
     The apex angle beta is the principal branch of the resulting
     transcendental equation, the geometric one; a branch whose angle sum
     reaches pi signals no valid triangle. The next diagonal is the side
-    opposite ``near``, by the hyperbolic law of cosines. Returns (apex
+    opposite ``near``, by ``_cosh_side``. Returns (apex
     angles, apex-to-vertex cosh distances) or None if some triangle
     degenerates. The closing constraint is that the apex angles sum to the
     prescribed angle at v_n.
@@ -120,7 +121,7 @@ def _trace_fan(triangles: list[tuple[float, ...]], first_diagonal: float):
         if beta <= 0.0 or beta + near + far >= math.pi:
             return None
         betas.append(beta)
-        cosh_diag = (cos_near + math.cos(beta) * cos_far) / (math.sin(beta) * sin_far)
+        cosh_diag = _cosh_side(cos_near, beta, cos_far, sin_far)
         cosh_to_vertex.append(cosh_diag)
     return betas, cosh_to_vertex
 
@@ -129,8 +130,9 @@ def _trace_fan(triangles: list[tuple[float, ...]], first_diagonal: float):
 _FAN_GRID = tuple(math.exp(-9.0 + 15.0 * k / 420) for k in range(421))
 
 
-def _solve_fan(angles: list[float]) -> float:
-    """Diagonal length closing the fan, by bisection on a log grid, then on floats.
+def _solve_fan(triangles: list[tuple[float, ...]], target: float) -> float:
+    """Diagonal length closing the fan (see ``_fan_triangles``) at the apex
+    angle ``target``, by bisection on a log grid, then on floats.
 
     The defect sum(apex angles) - pi/a_n decreases from positive at a
     collapsing fan to negative at a diverging one. Bisecting over the
@@ -138,12 +140,10 @@ def _solve_fan(angles: list[float]) -> float:
     point where it is exactly zero. Bisecting that cell stops at the first
     midpoint where the defect is exactly zero (``hm == 0.0``), or when the
     midpoint is one of the cell's ends, the root to the last float; a
-    bracket narrower than 1e-16 * max(1, a) also stops it. The sines and
-    cosines of the triangles' fixed angles are taken once, before the
-    first probe, so a traced fan takes five libm calls per triangle.
+    bracket narrower than 1e-16 * max(1, a) also stops it. The triangles
+    carry the sines and cosines of their fixed angles, taken once per
+    build, so a traced fan takes five libm calls per triangle.
     """
-    target = angles[-1]
-    triangles = _fan_triangles(angles)
 
     def defect(diagonal: float) -> float:
         traced = _trace_fan(triangles, diagonal)
@@ -186,17 +186,18 @@ def build_polygon_group(params: BrieskornParams) -> PolygonGroup:
     only a fan that cannot be solved raises ConstructionFailure."""
     angles = [math.pi / a for a in params.exponents]
     n = len(angles)
+    triangles = _fan_triangles(angles)
 
     if n == 3:
         # all three angles are known; no shooting needed
+        (_, _, sin_near, cos_near, cos_far, sin_far), = triangles
         betas = [angles[2]]
         cosh_to_vertex = [
-            _cosh_side(angles[1], betas[0], angles[0]),
-            _cosh_side(angles[0], betas[0], angles[1]),
+            _cosh_side(cos_far, betas[0], cos_near, sin_near),
+            _cosh_side(cos_near, betas[0], cos_far, sin_far),
         ]
     else:
-        diagonal = _solve_fan(angles)
-        traced = _trace_fan(_fan_triangles(angles), diagonal)
+        traced = _trace_fan(triangles, _solve_fan(triangles, angles[-1]))
         if traced is None:
             raise ConstructionFailure("fan construction degenerated at the solved diagonal")
         betas, cosh_to_vertex = traced

@@ -9,9 +9,9 @@ step: scan the log grid from the left for the first sign change between
 two defined probes, then bisect that bracket up to 200 times.
 
 ``polygon._trace_fan`` reads each triangle's fixed sines and cosines from
-``polygon._fan_triangles``, taken once per solve. ``trace_fan`` is the
+``polygon._fan_triangles``, taken once per build. ``trace_fan`` is the
 trace it replaced, which took them again in ``apex_angle`` and
-``_cosh_side`` at every evaluation: 11 libm calls per triangle where the
+``cosh_side`` at every evaluation: 11 libm calls per triangle where the
 package makes 5. ``solve_fan`` traces with it. The tests hold the package
 to both bit for bit.
 """
@@ -21,7 +21,13 @@ from __future__ import annotations
 import math
 
 from brieskorn.errors import ConstructionFailure
-from brieskorn.polygon import _cosh_side
+
+
+def cosh_side(opposite: float, adj1: float, adj2: float) -> float:
+    """Hyperbolic length (as cosh) of the side opposite one angle of a triangle."""
+    return (math.cos(opposite) + math.cos(adj1) * math.cos(adj2)) / (
+        math.sin(adj1) * math.sin(adj2)
+    )
 
 
 def apex_angle(cosh_side: float, near: float, far: float) -> float | None:
@@ -56,7 +62,7 @@ def trace_fan(angles: list[float], first_diagonal: float):
         if beta is None:
             return None
         betas.append(beta)
-        cosh_diag = _cosh_side(near, beta, far)
+        cosh_diag = cosh_side(near, beta, far)
         cosh_to_vertex.append(cosh_diag)
     return betas, cosh_to_vertex
 

@@ -343,7 +343,7 @@ def _assert_points_exact(hp, seed, count):
 
 def test_uniforms_are_the_values_of_random_calls_bit_for_bit():
     for seed in range(20):
-        for count in (0, 1, 2, 1000):
+        for count in (0, 1, 2, 63, 64, 1000):
             _assert_uniforms_exact(halfplane, seed, count)
 
 

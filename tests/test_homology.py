@@ -263,15 +263,19 @@ def test_rank_eliminates_copies_of_the_rows(monkeypatch):
 
 
 def test_a_matrix_without_a_nonzero_row_is_ranked_without_walking_a_column(monkeypatch):
-    # every compare ranks a 0 x M differential: its rank is 0 at once,
-    # whatever M, as it is for zero rows
+    # every compare ranks a 0 x M differential: with no nonzero row the
+    # walk stops at its first column, whatever M, as it does for zero rows
     empty, zero = RationalMatrix(0, 10**8), RationalMatrix(3, 10**8)
+    walked = []
 
-    def walked(*args):
-        raise AssertionError(f"rank walks range{args}")
+    def columns(*args):
+        walked.append(args)
+        yield 0
+        raise AssertionError(f"rank walks past the first column of range{args}")
 
-    monkeypatch.setattr(homology, "range", walked, raising=False)
+    monkeypatch.setattr(homology, "range", columns, raising=False)
     assert empty.rank() == zero.rank() == 0
+    assert walked == [(10**8,), (10**8,)]
 
 
 def test_product_that_cancels_is_zero_and_stores_nothing():

@@ -183,10 +183,15 @@ def fan_angles(exponents):
     return [math.pi / a for a in exponents]
 
 
+def solved(angles):
+    """The package's closing diagonal of the fan with these angles."""
+    return _solve_fan(_fan_triangles(angles), angles[-1])
+
+
 def test_fan_solver_matches_the_grid_scan_bit_for_bit():
     for exponents in [*fan_tuples(20261019, 2000), *EXTREME_FANS]:
         angles = fan_angles(exponents)
-        assert _solve_fan(angles).hex() == solve_fan(angles).hex(), exponents
+        assert solved(angles).hex() == solve_fan(angles).hex(), exponents
 
 
 def _traced_hex(traced):
@@ -194,7 +199,7 @@ def _traced_hex(traced):
 
 
 def test_the_fan_traced_from_its_triangles_is_the_per_evaluation_fan_bit_for_bit():
-    # the sines and cosines of the fixed angles, taken once per solve, leave
+    # the sines and cosines of the fixed angles, taken once per build, leave
     # every apex angle and diagonal as the trace that took them per probe
     # left it: at the solved diagonal of every lab fan, on the whole grid,
     # at seeded diagonals, and on seeded angles, where about 40% of the
@@ -207,8 +212,8 @@ def test_the_fan_traced_from_its_triangles_is_the_per_evaluation_fan_bit_for_bit
                [math.exp(rng.uniform(-12.0, 6.0)) for _ in range(50)]) for _ in range(200)]
     for exponents in lab_fans:
         angles = fan_angles(exponents)
-        assert _solve_fan(angles).hex() == solve_fan(angles).hex(), exponents
-        cases.append((angles, [_solve_fan(angles)]))
+        assert solved(angles).hex() == solve_fan(angles).hex(), exponents
+        cases.append((angles, [solved(angles)]))
     for angles, diagonals in cases:
         triangles = _fan_triangles(angles)
         for diagonal in diagonals:
@@ -272,7 +277,7 @@ def test_fan_solver_traces_at_most_64_fans_per_solve(monkeypatch):
     monkeypatch.setattr(polygon, "_trace_fan", counted)
     for exponents in [t for t in LAB_TUPLES if len(t) > 3]:
         calls.clear()
-        _solve_fan(fan_angles(exponents))
+        solved(fan_angles(exponents))
         # about nine grid probes and one bisection step per bit of the root
         assert len(calls) <= 64, (exponents, len(calls))
 
