@@ -43,7 +43,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -278,7 +277,7 @@ def _run_verify_dynamics(config: RunConfig, data, report: dict) -> list:
     from .halfplane import invariance_residuals, random_samples
 
     tols = config.tolerances
-    matrices, points = random_samples(random.Random(config.rng_seed), config.samples)
+    matrices, points = random_samples(config.rng_seed, config.samples)
     # an array maximum carries a NaN through, where Python's max would drop it
     worst_form, worst_frame = (
         float(r.max(initial=0.0)) for r in invariance_residuals(matrices, points)

@@ -25,9 +25,9 @@ The invariance block of ``verify-dynamics`` draws its samples from
 arrays: ``random_samples`` gives an (N, 4) array of matrices (a, b, c, d)
 and an (N, 3) array of points (x, y, t), drawn in turn, each matrix
 rescaled to determinant one as ``MobiusElement`` rescales it. The draws
-are the values of ``rng.random`` calls, taken by ``_uniforms`` in chunks,
-in bulk from 64 values on and call by call below, bit for bit, and leave
-``rng`` where those calls leave it.
+are the values of ``random()`` calls on ``random.Random(seed)``, bit for
+bit, read from the generator's words by ``_uniforms`` in one chunk, with
+another only when that one falls short.
 ``invariance_residuals`` then computes all the residuals in one call, as
 elementwise arithmetic over (N,) arrays: complex squares are built from
 real and imaginary parts, because numpy's complex array multiply may fuse
@@ -405,24 +405,20 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     """The next ``count`` values of ``rng.random()`` as one float64 array, bit
     for bit, leaving ``rng`` where ``count`` calls of ``random()`` leave it.
 
-    Fewer than 64 values are those calls, made one by one: there the
-    word path's dozen array operations cost more than the calls (on a
-    2-core x86-64 machine, 1.0 against 4.3 us at 4 values; the two cost
-    the same near 100 values, and a bound of 100 ran the lab no faster than
-    64). From 64 on, the values are read from words: ``random()`` forms
+    The values are read from words: ``random()`` forms
     ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the next two 32-bit
     outputs w0, w1 of the Mersenne Twister, and ``getrandbits(64*count)``
     returns the next 2*count outputs, in order, as the little-endian
     32-bit words of one integer. Every step is exact.
     """
-    if count < 64:
-        draw = rng.random
-        return np.array([draw() for _ in range(count)], dtype=float)
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
                           dtype="<u4")
     return ((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6)) / 2.0**53
 
 
+# a sample takes four draws per try of its matrix, taken at a rate near 0.487,
+# then three for its point: about 11.2 draws on average
+_DRAWS_PER_SAMPLE = 12
 # the (low, span) of a point's coordinates x, y and t: each is low + span * rng.random()
 _POINT_BOX = ((-2.0, 4.0), (0.2, 2.8), (-6.0, 12.0))
 # a sample is a matrix of entries uniform in [-2, 2], then a point
@@ -437,46 +433,48 @@ def random_points(rng: random.Random, count: int) -> list[tuple[float, float, fl
     return [(x + dx * draw(), y + dy * draw(), t + dt * draw()) for _ in range(count)]
 
 
-def random_samples(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` matrices and points, drawn in turn, as a (count, 4) array of
-    rows (a, b, c, d) and a (count, 3) array of rows (x, y, t).
+def random_samples(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` matrices and points, drawn in turn from ``random.Random(seed)``,
+    as a (count, 4) array of rows (a, b, c, d) and a (count, 3) array of
+    rows (x, y, t).
 
     Each matrix has entries uniform in [-2, 2], redrawn until its
     determinant exceeds 0.05, and is divided by sqrt(det) as
     ``MobiusElement`` divides it; each point is drawn as ``random_points``
-    draws it. The values and the state ``rng`` is left in are those of one
-    ``rng.random()`` call per draw: a window of four draws at p is tried as
-    a matrix, and the next is tried at p + 4 if it is refused, at p + 7
-    (after its point) if it is taken.
+    draws it. The values are those of one ``rng.random()`` call per draw:
+    a window of four draws at p is tried as a matrix, and the next is
+    tried at p + 4 if it is refused, at p + 7 (after its point) if it is
+    taken.
 
-    The draws come from ``_uniforms`` in chunks. Each chunk is the fewest
-    draws that could still finish, seven per sample left less the draws in
-    hand past p, so no draw is taken that the per-draw loop would not take.
-    The chunks shrink some threefold each; at 1000 samples the last two to
-    four hold fewer than 64 draws, which ``_uniforms`` takes call by call,
-    and the others are read from words. The determinants are
-    computed over a chunk's new windows only, and each window's flag is
-    kept as one byte, read by index while the windows are walked.
+    The draws come from ``_uniforms``, in one chunk of ``_DRAWS_PER_SAMPLE``
+    draws per sample plus seven. A sample takes about 11.2 draws on
+    average, so the chunk falls short only now and then, mostly at small
+    counts; another chunk is then drawn for the samples still missing, and
+    the window flags are computed again over all the draws. The walk stops
+    at ``count`` samples, and the draws past it are never read.
     """
+    rng = random.Random(seed)
     drawn = np.zeros(0)
-    taken = bytearray()  # taken[q]: 1 if the window of draws q..q+3 is a matrix
     starts: list[int] = []  # the windows taken, in order
     take, p = starts.append, 0
     while len(starts) < count:
+        # no name keeps the chunk alive: at 1000 samples it is ~100 KB, and
+        # held through the walk it raised a lab operation's heap peak, whose
+        # freed top was paged in again (86 minor faults an operation, glibc)
         drawn = np.concatenate(
-            [drawn, _uniforms(rng, 7 * (count - len(starts)) - (len(drawn) - p))])
-        e = -2.0 + 4.0 * drawn[len(taken):]  # the entries of the new windows
-        taken += (e[:-3] * e[3:] - e[1:-2] * e[2:-1] > 0.05).tobytes()
-        # a window taken past end has its point still to draw
-        end, windows = len(drawn) - 7, len(taken)
-        while p < windows:
+            [drawn, _uniforms(rng, _DRAWS_PER_SAMPLE * (count - len(starts)) + 7)])
+        e = -2.0 + 4.0 * drawn
+        # taken[q]: 1 if the window of draws q..q+3 is a matrix
+        taken = (e[:-3] * e[3:] - e[1:-2] * e[2:-1] > 0.05).tobytes()
+        end = len(drawn) - 7  # a window taken past end has its point still to draw
+        while p <= end:
             if not taken[p]:
                 p += 4
-            elif p > end:
+                continue
+            take(p)
+            p += 7
+            if len(starts) == count:
                 break
-            else:
-                take(p)
-                p += 7
     rows = _SAMPLE_LOW + _SAMPLE_SPAN * drawn[np.array(starts, dtype=np.intp)[:, None]
                                               + np.arange(7)]
     a, b, c, d = rows[:, :4].T

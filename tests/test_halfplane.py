@@ -133,7 +133,7 @@ def test_invariance_residuals_random_elements():
 def _draws(seed, samples):
     """The rows verify-dynamics draws for ``seed``, and their canonical lifts
     and points drawn as objects, one by one, from the same seed."""
-    matrices, points = random_samples(random.Random(seed), samples)
+    matrices, points = random_samples(seed, samples)
     rng = random.Random(seed)
     elements, objects = [], []
     for _ in range(samples):
@@ -220,7 +220,7 @@ def test_quotient_is_numpy_complex_division_bit_for_bit():
 
 def _sample_rows(seed, count):
     """The rows ``random_samples`` draws, as lists of Python floats."""
-    return [rows.tolist() for rows in random_samples(random.Random(seed), count)]
+    return [rows.tolist() for rows in random_samples(seed, count)]
 
 
 # the principal argument and the walk each round a few times; 4 ulp(pi) covers both
@@ -310,10 +310,11 @@ def test_array_shifts_keep_signed_zeros_the_cut_and_extreme_entries():
     assert _array_shifts([]) == []
 
 
-# The draw contract: the samplers' arrays are the values of one rng.random()
-# call per draw, bit for bit, and leave the generator where those calls
-# leave it. Each check takes the module under test, so the mutants below
-# are held against the same checks.
+# The draw contract: the samplers' values are those of one rng.random() call
+# per draw, bit for bit, and the draws from a caller's generator leave it
+# where those calls leave it (random_samples builds its own from the seed).
+# Each check takes the module under test, so the mutants below are held
+# against the same checks.
 
 def _assert_uniforms_exact(hp, seed, count):
     rng, calls = random.Random(seed), random.Random(seed)
@@ -324,13 +325,12 @@ def _assert_uniforms_exact(hp, seed, count):
 
 
 def _assert_samples_exact(hp, seed, count):
-    rng, objects = random.Random(seed), random.Random(seed)
-    matrices, points = hp.random_samples(rng, count)
+    objects = random.Random(seed)
+    matrices, points = hp.random_samples(seed, count)
     assert matrices.shape == (count, 4) and points.shape == (count, 3)
     expected = [(list(random_matrix(objects)), random_point(objects)) for _ in range(count)]
     assert matrices.tolist() == [m for m, _ in expected]
     assert points.tolist() == [[p.x, p.y, p.t] for _, p in expected]
-    assert rng.getstate() == objects.getstate()
 
 
 def _assert_points_exact(hp, seed, count):
@@ -359,8 +359,8 @@ def test_random_point_is_the_uniform_draw_of_each_coordinate():
 
 
 def test_random_samples_are_the_draws_of_random_matrix_and_random_point():
-    # small counts end in short chunks, where a taken window's point may
-    # still be undrawn
+    # at small counts the first chunk now and then falls short, where a
+    # taken window's point may still be undrawn
     for seed in range(40):
         for count in (*range(65), 1000):
             _assert_samples_exact(halfplane, seed, count)
@@ -368,25 +368,54 @@ def test_random_samples_are_the_draws_of_random_matrix_and_random_point():
         _assert_samples_exact(halfplane, seed, 20000)
 
 
+def test_random_samples_draw_one_chunk_and_again_only_when_it_falls_short(monkeypatch):
+    chunks = []
+    real = halfplane._uniforms
+
+    def counted(rng, count):
+        chunks.append(count)
+        return real(rng, count)
+
+    monkeypatch.setattr(halfplane, "_uniforms", counted)
+    for seed in range(40):
+        chunks.clear()
+        random_samples(seed, 1000)
+        assert len(chunks) == 1
+    retried = []
+    for seed in range(40):
+        for count in range(65):
+            chunks.clear()
+            random_samples(seed, count)
+            assert bool(chunks) == (count > 0)
+            if len(chunks) > 1:
+                retried.append((seed, count))
+    # the small counts of the draw-contract test take the retry, the
+    # sampler mutants' (1, 6) among them
+    assert (1, 6) in retried and len(retried) >= 100
+
+
 # source substitutions on a copy of halfplane.py, (text, replacement), and
-# the draw-contract checks, with their counts, that each must fail
+# the draw-contract checks, with their seeds and counts, that each must fail
 SAMPLER_MUTANTS = {
-    "one word too many in the last chunk": (
-        "    rows = _SAMPLE_LOW",
-        "    if starts:\n        rng.getrandbits(32)\n    rows = _SAMPLE_LOW",
-        ((_assert_samples_exact, 1), (_assert_samples_exact, 1000))),
-    # the word path draws chunks of 64 values or more: at 1000 samples it
-    # draws every chunk but the last few
     "hi and lo words swapped": (
         "((words[0::2] >> 5) * 2.0**26 + (words[1::2] >> 6))",
         "((words[1::2] >> 5) * 2.0**26 + (words[0::2] >> 6))",
-        ((_assert_uniforms_exact, 1000), (_assert_samples_exact, 1000))),
-    # chunks under 64 values are drawn call by call, as is one sample's first
-    # chunk (one draw too few would leave random_samples waiting for a draw)
-    "one draw too many in a small chunk": (
-        "[draw() for _ in range(count)]",
-        "[draw() for _ in range(count + 1)]",
-        ((_assert_uniforms_exact, 1), (_assert_samples_exact, 1))),
+        ((_assert_uniforms_exact, 0, 1000), (_assert_samples_exact, 0, 1000))),
+    # seed 0 refuses its first window, so its first sample steps past it
+    "a refused window steps one draw too far": (
+        "                p += 4\n",
+        "                p += 5\n",
+        ((_assert_samples_exact, 0, 1),)),
+    # seed 0's second sample is the first drawn after a taken window and its point
+    "a taken window steps one draw past its point": (
+        "            p += 7\n",
+        "            p += 8\n",
+        ((_assert_samples_exact, 0, 2),)),
+    # seed 1's first chunk falls short of 6 samples (see the counter test)
+    "a retry drops the last draw in hand": (
+        "[drawn, _uniforms(",
+        "[drawn[:-1], _uniforms(",
+        ((_assert_samples_exact, 1, 6),)),
 }
 
 
@@ -407,10 +436,10 @@ def _mutated(text, replacement, tmp_path, monkeypatch):
 def test_the_draw_contract_checks_kill_each_sampler_mutant(mutant, tmp_path, monkeypatch):
     text, replacement, killers = SAMPLER_MUTANTS[mutant]
     mutated = _mutated(text, replacement, tmp_path, monkeypatch)
-    for check, count in killers:
-        check(halfplane, 0, count)
+    for check, seed, count in killers:
+        check(halfplane, seed, count)
         with pytest.raises(AssertionError):
-            check(mutated, 0, count)
+            check(mutated, seed, count)
 
 
 # source substitutions on a copy of halfplane.py, (text, replacement), how
