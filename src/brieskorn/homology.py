@@ -3,7 +3,8 @@
 Dimensions at each grading are computed over the rationals by fraction-free
 integer elimination; nothing here touches floating point. Matrices are
 stored as sparse integer rows, one ``{column: nonzero entry}`` dict per
-row. A boundary matrix has its entries in {-1, 0, 1}, and the rank of an
+row; the rows of a zero matrix from ``RationalMatrix.zero`` share one
+read-only empty mapping. A boundary matrix has its entries in {-1, 0, 1}, and the rank of an
 integer matrix over Q is reached by scaling rows by nonzero integers and
 subtracting integer multiples of others, so elimination works on Python
 ints alone. A row whose only entry is in the column being eliminated is
@@ -35,6 +36,14 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self.sparse_rows: list[dict[int, int]] = [{} for _ in range(rows)]
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
+        """The zero matrix, whose rows all share one read-only empty mapping,
+        so that it allocates no row of its own."""
+        out = cls(0, cols)
+        out.rows, out.sparse_rows = rows, [_EMPTY_ROW] * rows
+        return out
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -131,14 +140,19 @@ class RationalMatrix:
         return rank
 
 
+# a class namespace is a read-only mapping (types.MappingProxyType), so its
+# type gives the empty row of RationalMatrix.zero without importing types
+_EMPTY_ROW = type(vars(RationalMatrix))({})
+
 GradedDims = dict[int, int]
 
 
 def graded_homology(complex) -> GradedDims:
     """Graded homology dimensions of a complex over the rationals.
 
-    ``complex`` must expose ``generators_by_grading`` (grading -> generator
-    list) and ``differential`` (grading k -> RationalMatrix mapping the
+    ``complex`` must expose ``generators_by_grading`` (grading -> a sized
+    group of generators, of which only the ``len`` is read, so no generator
+    is made) and ``differential`` (grading k -> RationalMatrix mapping the
     grading-k chain group into grading k-1). The dimension at grading k is
     dim ker(d_k) - rank(d_{k+1}); absent gradings have dimension zero.
 

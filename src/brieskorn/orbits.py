@@ -15,6 +15,11 @@ same free homotopy class: the n-th multiple of a regular fiber, or a
 singleton class containing one exceptional iterate. A singleton class is
 one generator with no differential, so ``build_complex`` builds fiber
 classes only, and the chain side counts each singleton at its grading.
+
+A fiber class's minima and saddles are each a ``ChainGroup``: counted runs
+of generators that differ in one counting field. Its size is known without
+making a generator, which is all that homology reads, and the generators
+are made only when the group is iterated.
 """
 
 from __future__ import annotations
@@ -201,16 +206,47 @@ def enumerate_generators(
     return out
 
 
+class ChainGroup:
+    """The generators of one grading of a fiber class, as counted runs.
+
+    A run is (fields, counter, count): every generator of the run has the
+    nine ``fields`` but the one named ``counter``, which runs over
+    1 .. count. ``len`` is the sum of the counts, and iterating makes the
+    generators run by run, each run one map of tuple.__new__ over zipped
+    columns: a repeat() per shared field and a range() for the counter. No
+    Python frame runs per generator, and _make's length check is left out
+    because every zip has the nine columns of the fields.
+    """
+
+    __slots__ = ("runs", "size")
+
+    def __init__(self, runs: list[tuple[tuple, str, int]]):
+        self.runs = runs
+        self.size = sum(count for _, _, count in runs)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        for fields, counter, count in self.runs:
+            columns = [repeat(x) for x in fields]
+            columns[OrbitGenerator._fields.index(counter)] = range(1, count + 1)
+            yield from map(tuple.__new__, repeat(OrbitGenerator), zip(*columns))
+
+
 @dataclass
 class GradedComplex:
     """Generators bucketed by grading plus the differential per grading step.
 
+    Each group of ``generators_by_grading`` is sized and iterable, and is
+    made when iterated: a fiber class holds a ``ChainGroup`` for its minima
+    and its saddles and a one-generator list for its maximum.
     ``differential[k]`` maps the grading-k chain group to grading k-1; its
     shape is (len at k-1) x (len at k) and every entry lies in {-1, 0, +1}.
     """
 
     class_label: str
-    generators_by_grading: dict[int, list[OrbitGenerator]]
+    generators_by_grading: dict[int, ChainGroup | list[OrbitGenerator]]
     differential: dict[int, RationalMatrix]
 
 
@@ -223,9 +259,12 @@ def build_complex(data: SeifertData, n: int) -> GradedComplex:
     M - 1 + 2g saddle orbits (grading -2nw - 1), and the maximum orbit
     (grading -2nw). The tree saddle c maps to minimum c minus minimum
     c + 1, for c < M - 1; the 2g handle saddles and the maximum map to
-    zero, so the homology is the surface homology (1, 2g, 1). Raises
-    InconsistentComplex when a Conley-Zehnder index puts some generator
-    off the grading stated here.
+    zero, so the homology is the surface homology (1, 2g, 1). The minima
+    are one run per exponent j, counting the point i, and the saddles one
+    run counting the saddle index: both groups are sized without making a
+    generator, and each Conley-Zehnder index is computed once per run.
+    Raises InconsistentComplex when a Conley-Zehnder index puts some
+    generator off the grading stated here.
     """
     if n < 1:
         raise ValueError("fiber class must be a positive integer")
@@ -243,40 +282,33 @@ def build_complex(data: SeifertData, n: int) -> GradedComplex:
             )
         return cz
 
-    # each chain group is one map of tuple.__new__ over zipped columns: a
-    # repeat() per field the group shares and a range() for the one that
-    # counts. No Python frame runs per generator, and _make's length check
-    # is left out because every zip has the nine columns of the fields.
-    minima_orbits = []
-    for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1):
-        cz = graded_cz(EXCEPTIONAL, base - 2, n * t_j, j)
-        minima_orbits += map(tuple.__new__, repeat(OrbitGenerator), zip(
-            repeat(EXCEPTIONAL), repeat(n * t_j), repeat(cz), repeat(base - 2),
-            repeat(action), repeat(n), repeat(j), range(1, s_j + 1), repeat(None),
-        ))
-    cz = graded_cz(SADDLE, base - 1, n)
-    saddle_orbits = list(map(tuple.__new__, repeat(OrbitGenerator), zip(
-        repeat(SADDLE), repeat(n), repeat(cz), repeat(base - 1), repeat(action),
-        repeat(n), repeat(None), repeat(None), range(1, saddle_count(data) + 1),
-    )))
+    minima = ChainGroup([
+        ((EXCEPTIONAL, n * t_j, graded_cz(EXCEPTIONAL, base - 2, n * t_j, j), base - 2,
+          action, n, j, None, None), "point", s_j)
+        for j, (s_j, t_j) in enumerate(data.orbifold_counts, start=1)
+    ])
+    saddles = ChainGroup([
+        ((SADDLE, n, graded_cz(SADDLE, base - 1, n), base - 1, action, n, None, None, None),
+         "saddle", saddle_count(data)),
+    ])
     max_orbit = OrbitGenerator(MAXIMUM, n, graded_cz(MAXIMUM, base, n), base, action, n)
 
-    M = len(minima_orbits)
-    boundary = RationalMatrix(M, len(saddle_orbits))
+    M = len(minima)
+    boundary = RationalMatrix(M, len(saddles))
     rows = boundary.sparse_rows
     for col in range(M - 1):
         rows[col][col] = 1
         rows[col + 1][col] = -1
 
     generators = {
-        base - 2: minima_orbits,
-        base - 1: saddle_orbits,
+        base - 2: minima,
+        base - 1: saddles,
         base: [max_orbit],
     }
     differential = {
-        base - 2: RationalMatrix(0, M),
+        base - 2: RationalMatrix.zero(0, M),
         base - 1: boundary,
-        base: RationalMatrix(len(saddle_orbits), 1),
+        base: RationalMatrix.zero(len(saddles), 1),
     }
     return GradedComplex(
         class_label=f"fiber:{n}",

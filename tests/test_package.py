@@ -19,6 +19,7 @@ import test_cli
 import test_closedform
 import test_homology
 import test_invariants
+import test_orbits
 from brieskorn import cli, closedform, homology, invariants, orbits, tolerances
 from test_golden import ARGV
 
@@ -173,6 +174,14 @@ def test_homology_imports_nothing_from_fractions():
     assert "fractions" not in imported
 
 
+def _bind_runs(mp, copy):
+    """Binds a mutated copy of orbits where the test of the fiber complex
+    reads build_complex, making the real OrbitGenerator, so that only the
+    mutation can tell the two complexes apart."""
+    mp.setattr(copy, "OrbitGenerator", orbits.OrbitGenerator)
+    mp.setattr(test_orbits, "build_complex", copy.build_complex)
+
+
 # mutants of the exact side: (a module, a substitution in its source, how
 # the mutated copy of the module is bound, the test that must fail against it)
 EXACT_MUTANTS = {
@@ -180,6 +189,16 @@ EXACT_MUTANTS = {
         orbits, test_cli._substitute("for col in range(M - 1):", "for col in range(M - 2):"),
         lambda mp, copy: mp.setattr(closedform, "build_complex", copy.build_complex),
         lambda mp, _: test_closedform.test_chain_equals_closed_form_on_window()),
+    "the saddle run counts the point field": (
+        orbits, test_cli._substitute('"saddle", saddle_count(data)', '"point", saddle_count(data)'),
+        _bind_runs,
+        lambda mp, corpus: test_orbits.test_fiber_complex_equals_the_orbit_by_orbit_complex(
+            corpus)),
+    "a run's counter starts at 0": (
+        orbits, test_cli._substitute("range(1, count + 1)", "range(count)"),
+        _bind_runs,
+        lambda mp, corpus: test_orbits.test_fiber_complex_equals_the_orbit_by_orbit_complex(
+            corpus)),
     "rank eliminates the matrix's own rows": (
         homology, test_cli._substitute(".append(dict(row))", ".append(row)"),
         # on the module's own globals, which the killer patches
