@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals for graded chain complexes.
 
 Dimensions at each grading are computed over the rationals by fraction-free
-integer elimination; nothing here touches floating point. Matrices are
-stored as sparse integer rows, one ``{column: nonzero entry}`` dict per
-row; the rows of a zero matrix from ``RationalMatrix.zero`` share one
-read-only empty mapping. A boundary matrix has its entries in {-1, 0, 1}, and the rank of an
-integer matrix over Q is reached by scaling rows by nonzero integers and
-subtracting integer multiples of others, so elimination works on Python
-ints alone. A row whose only entry is in the column being eliminated is
-the pivot whenever there is one; the other rows then just lose their entry
-in that column, with no arithmetic. Eliminating a boundary matrix is all
-such deletions: its tree is a path, so at every column the row carried
-down from the path's first end is a singleton. Elimination, products and
-zero tests cost in proportion to the nonzeros: a boundary matrix has two
-per tree column, however many minima it has. The compose-to-zero check
-forms a product only when both differentials are non-zero, so it forms
-none on a fiber-class complex, whose outer differentials are zero.
+integer elimination; nothing here touches floating point. A matrix is
+stored as sparse integer columns, one ``{row: nonzero entry}`` dict per
+generator of its source grading, so a differential is written one
+generator at a time, as the boundary of that generator; the columns of a
+zero matrix from ``RationalMatrix.zero`` share one read-only empty
+mapping. A boundary matrix has its entries in {-1, 0, 1}, and the rank of
+an integer matrix over Q is reached by scaling columns by nonzero integers
+and subtracting integer multiples of others, so elimination works on
+Python ints alone. Elimination copies a column only when it first changes
+it, so the matrix is left as it is. The tree columns of a fiber-class
+boundary each lead at a row of their own, so each is a pivot with nothing
+to eliminate, and ranking the boundary copies and changes nothing.
+Elimination, products and zero tests cost in proportion to the nonzeros: a
+boundary matrix has two per tree column, however many minima it has. The
+compose-to-zero check forms a product only when both differentials are
+non-zero, so it forms none on a fiber-class complex, whose outer
+differentials are zero.
 """
 
 from __future__ import annotations
@@ -27,30 +29,30 @@ from .errors import InconsistentComplex
 
 
 class RationalMatrix:
-    """Integer matrix stored as sparse rows, whose rank is taken over Q.
+    """Integer matrix stored as sparse columns, whose rank is taken over Q.
 
-    No zero is stored.
+    ``sparse_columns[j]`` maps each row i of a nonzero entry of column j to
+    that entry. No zero is stored.
     """
 
     def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        self.sparse_rows: list[dict[int, int]] = [{} for _ in range(rows)]
+        self.sparse_columns: list[dict[int, int]] = [{} for _ in range(cols)]
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        """The zero matrix, whose rows all share one read-only empty mapping,
-        so that it allocates no row of its own."""
-        out = cls(0, cols)
-        out.rows, out.sparse_rows = rows, [_EMPTY_ROW] * rows
+        """The zero matrix, whose columns all share one read-only empty
+        mapping, so that it allocates no column of its own."""
+        out = cls(rows, 0)
+        out.cols, out.sparse_columns = cols, [_EMPTY_COLUMN] * cols
         return out
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """Read-only dense view, one tuple per row."""
-        return tuple(
-            tuple(row.get(j, 0) for j in range(self.cols)) for row in self.sparse_rows
-        )
+        columns = self.sparse_columns
+        return tuple(tuple(column.get(i, 0) for column in columns) for i in range(self.rows))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -59,90 +61,103 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         out = RationalMatrix(self.rows, other.cols)
-        for row, out_row in zip(self.sparse_rows, out.sparse_rows):
-            for k, x in row.items():
-                for j, y in other.sparse_rows[k].items():
-                    out_row[j] = out_row.get(j, 0) + x * y
-            for j, z in list(out_row.items()) if out_row else ():
+        for column, out_column in zip(other.sparse_columns, out.sparse_columns):
+            for k, y in column.items():
+                for i, x in self.sparse_columns[k].items():
+                    out_column[i] = out_column.get(i, 0) + x * y
+            for i, z in list(out_column.items()) if out_column else ():
                 if not z:
-                    del out_row[j]
+                    del out_column[i]
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self.sparse_columns)
 
     def rank(self) -> int:
-        """Rank over Q by fraction-free integer elimination on sparse rows.
+        """Rank over Q by fraction-free integer elimination on sparse columns.
 
-        Each row is copied, so the matrix is left as it is. Columns are
-        then eliminated left to right. Every row not yet used as a pivot
-        waits in the bucket of its leading column, so the rows with a
-        nonzero in the current column are exactly that column's bucket.
+        Rows are eliminated top to bottom. Every column not yet used as a
+        pivot waits in the bucket of its leading row, so the columns with
+        a nonzero in the current row are exactly that row's bucket, and a
+        bucket of one candidate is a pivot with nothing to eliminate.
 
         When a candidate is a singleton, its only entry in the current
-        column, the first such candidate is the pivot: every other
-        candidate loses its entry in the column by deletion, which is
-        what subtracting a multiple of the singleton would leave, and no
-        entry is scaled or subtracted. Otherwise the pivot is the first
-        candidate with the smallest |entry| p. Every other candidate, with
-        entry a, becomes (p/g)*row - (a/g)*pivot_row with g = gcd(a, p).
-        Either way, each changed candidate is then divided by the gcd of
-        its entries and waits in the bucket of its new leading column.
-        Each step scales a row by a nonzero rational or subtracts a
-        multiple of another, so the rank over Q is exact, and dividing out
-        the gcd keeps the ints from growing with every step.
+        row, the first such candidate is the pivot: every other candidate
+        loses its entry in the row by deletion, which is what subtracting
+        a multiple of the singleton would leave, and no entry is scaled or
+        subtracted. Otherwise the pivot is the first candidate with the
+        smallest |entry| p. Every other candidate, with entry a, becomes
+        (p/g)*column - (a/g)*pivot_column with g = gcd(a, p). Either way,
+        each changed candidate is then divided by the gcd of its entries
+        and waits in the bucket of its new leading row. Each step scales a
+        column by a nonzero rational or subtracts a multiple of another,
+        so the rank over Q is exact, and dividing out the gcd keeps the
+        ints from growing with every step.
+
+        A column of the matrix is copied when it is first changed, and
+        only the copy is changed after that; a pivot is never changed. So
+        the matrix is left as it is, and a column that is never changed
+        is never copied.
         """
         buckets: dict[int, list[dict[int, int]]] = {}
-        for row in self.sparse_rows:
-            if row:
-                buckets.setdefault(min(row), []).append(dict(row))
+        for column in self.sparse_columns:
+            if column:
+                buckets.setdefault(min(column), []).append(column)
+        # ids of the copies, which rank changes in place; no column of the
+        # matrix can share one, since every column outlives this call
+        copies: set[int] = set()
         rank = 0
-        for col in range(self.cols):
-            if not buckets:  # every row is a pivot or zero: no column is left to walk
+        for row in range(self.rows):
+            if not buckets:  # every column is a pivot or zero: no row is left to walk
                 break
-            candidates = buckets.pop(col, None)
+            candidates = buckets.pop(row, None)
             if candidates is None:
                 continue
             rank += 1
             if len(candidates) > 1:
-                for pivot_row in candidates:
-                    if len(pivot_row) == 1:  # a singleton: the others lose col by deletion
-                        rest = ()
+                for pivot_column in candidates:
+                    if len(pivot_column) == 1:  # a singleton: the others lose row by deletion
+                        pivot = None
                         break
                 else:
-                    pivot_row = min(candidates, key=lambda r: abs(r[col]))
-                    pivot = pivot_row.pop(col)
-                    rest = pivot_row.items()
-                for row in candidates:
-                    if row is pivot_row:
+                    pivot_column = min(candidates, key=lambda c: abs(c[row]))
+                    pivot = pivot_column[row]
+                for column in candidates:
+                    if column is pivot_column:
                         continue
-                    a = row.pop(col)
-                    if rest:
+                    if id(column) not in copies:
+                        column = dict(column)
+                        copies.add(id(column))
+                    if pivot is None:
+                        del column[row]
+                    else:
+                        # the pivot's own row comes out zero and is deleted
+                        a = column[row]
                         if a % pivot:
                             g = gcd(a, pivot)
                             scale, factor = pivot // g, a // g
-                            for j in row:
-                                row[j] *= scale
+                            for i in column:
+                                column[i] *= scale
                         else:
                             factor = a // pivot
-                        for j, y in rest:
-                            z = row.get(j, 0) - factor * y
+                        for i, y in pivot_column.items():
+                            z = column.get(i, 0) - factor * y
                             if z:
-                                row[j] = z
+                                column[i] = z
                             else:
-                                del row[j]
-                    if row:
-                        content = gcd(*row.values())
+                                del column[i]
+                    if column:
+                        content = gcd(*column.values())
                         if content > 1:
-                            for j in row:
-                                row[j] //= content
-                        buckets.setdefault(min(row), []).append(row)
+                            for i in column:
+                                column[i] //= content
+                        buckets.setdefault(min(column), []).append(column)
         return rank
 
 
 # a class namespace is a read-only mapping (types.MappingProxyType), so its
-# type gives the empty row of RationalMatrix.zero without importing types
-_EMPTY_ROW = type(vars(RationalMatrix))({})
+# type gives the empty column of RationalMatrix.zero without importing types
+_EMPTY_COLUMN = type(vars(RationalMatrix))({})
 
 GradedDims = dict[int, int]
 

@@ -257,14 +257,18 @@ def build_complex(data: SeifertData, n: int) -> GradedComplex:
     The generators are the M minima orbits at the iterate n*t_j, one per
     orbifold point ordered by (j, i) (grading -2nw - 2 where w = d/m), the
     M - 1 + 2g saddle orbits (grading -2nw - 1), and the maximum orbit
-    (grading -2nw). The tree saddle c maps to minimum c minus minimum
-    c + 1, for c < M - 1; the 2g handle saddles and the maximum map to
-    zero, so the homology is the surface homology (1, 2g, 1). The minima
-    are one run per exponent j, counting the point i, and the saddles one
-    run counting the saddle index: both groups are sized without making a
-    generator, and each Conley-Zehnder index is computed once per run.
-    Raises InconsistentComplex when a Conley-Zehnder index puts some
-    generator off the grading stated here.
+    (grading -2nw). The boundary is written one saddle at a time, as a
+    column: the tree saddle c maps to minimum c minus minimum c + 1, the
+    column {c: 1, c + 1: -1}, for c < M - 1; the 2g handle saddles and the
+    maximum map to zero, so the homology is the surface homology
+    (1, 2g, 1). Only the M - 1 tree columns are allocated: the handle
+    columns and both zero differentials share ``RationalMatrix.zero``'s
+    read-only empty mapping. The minima are one run per exponent j,
+    counting the point i, and the saddles one run counting the saddle
+    index: both groups are sized without making a generator, and each
+    Conley-Zehnder index is computed once per run. Raises
+    InconsistentComplex when a Conley-Zehnder index puts some generator off
+    the grading stated here.
     """
     if n < 1:
         raise ValueError("fiber class must be a positive integer")
@@ -294,11 +298,11 @@ def build_complex(data: SeifertData, n: int) -> GradedComplex:
     max_orbit = OrbitGenerator(MAXIMUM, n, graded_cz(MAXIMUM, base, n), base, action, n)
 
     M = len(minima)
-    boundary = RationalMatrix(M, len(saddles))
-    rows = boundary.sparse_rows
-    for col in range(M - 1):
-        rows[col][col] = 1
-        rows[col + 1][col] = -1
+    # the handle columns stay the zero matrix's shared empty mapping
+    boundary = RationalMatrix.zero(M, len(saddles))
+    columns = boundary.sparse_columns
+    for c in range(M - 1):
+        columns[c] = {c: 1, c + 1: -1}
 
     generators = {
         base - 2: minima,

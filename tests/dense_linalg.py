@@ -14,8 +14,10 @@ from brieskorn.homology import RationalMatrix
 def from_grid(rows: int, cols: int, grid) -> RationalMatrix:
     """The rows x cols integer grid as a RationalMatrix, its zeros left out."""
     mat = RationalMatrix(rows, cols)
-    for sparse, row in zip(mat.sparse_rows, grid):
-        sparse.update((j, x) for j, x in enumerate(row) if x)
+    for i, row in enumerate(grid):
+        for sparse, x in zip(mat.sparse_columns, row):
+            if x:
+                sparse[i] = x
     return mat
 
 

@@ -97,7 +97,7 @@ def test_sparse_engine_agrees_with_dense_oracles():
         other = random_sparse_case(rng, rows=mat.cols)
         product = mat.multiply(other)
         assert [list(row) for row in product.entries] == dense_product(mat, other)
-        assert all(x != 0 for row in product.sparse_rows for x in row.values())
+        assert all(x != 0 for column in product.sparse_columns for x in column.values())
         assert product.is_zero() == all(x == 0 for row in product.entries for x in row)
 
 
@@ -127,12 +127,13 @@ def test_integer_elimination_of_entries_beyond_64_bits():
 
 
 def eliminate_watching(monkeypatch, mat):
-    """rank() of mat, the working rows it eliminated, and its pivot searches."""
-    working, searches = [], [0]
+    """rank() of mat, the (column, copy) pair of each column it copied, the
+    copy as elimination left it, and its pivot searches."""
+    made, searches = [], [0]
 
-    def copied(row):
-        working.append(dict(row))
-        return working[-1]
+    def copied(column):
+        made.append((column, dict(column)))
+        return made[-1][1]
 
     def watched_min(*args, **kwargs):
         searches[0] += "key" in kwargs
@@ -142,14 +143,20 @@ def eliminate_watching(monkeypatch, mat):
     monkeypatch.setattr(homology, "min", watched_min, raising=False)
     rank = mat.rank()
     monkeypatch.undo()
-    return rank, working, searches[0]
+    return rank, made, searches[0]
+
+
+def columns_of(grid):
+    """The matrix whose columns are the rows of a non-empty integer grid."""
+    return from_grid(len(grid[0]), len(grid), list(zip(*grid)))
 
 
 def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
-    # column 0 lists 3 first and a unit later: the search must pass over the
-    # 3 to the unit, which then loses its pivot entry and nothing else. Every
-    # row has a second nonzero, so no candidate is a singleton, which would
-    # be the pivot without a search
+    # row 0 lists 3 first and a unit later: the search must pass over the
+    # 3 to the unit, which is the pivot and so is left as it is, while the
+    # 3's column is copied and changed. Every column has a second nonzero,
+    # so no candidate is a singleton, which would be the pivot without a
+    # search. The grid's rows are the matrix's columns
     rng = random.Random(3)
     for _ in range(40):
         rows, cols = rng.randint(3, 8), rng.randint(2, 8)
@@ -159,27 +166,35 @@ def test_pivot_search_runs_when_the_first_candidate_is_not_a_unit(monkeypatch):
             row[0] = 3 if i == 0 else rng.choice([1, -1]) if i == unit else rng.choice(
                 [2, 3, -4, 5, 0])
             row[rng.randrange(1, cols)] = rng.choice([-9, -2, 1, 4, 7])
-        mat = from_grid(rows, cols, grid)
-        rank, working, searches = eliminate_watching(monkeypatch, mat)
+        mat = columns_of(grid)
+        rank, made, searches = eliminate_watching(monkeypatch, mat)
         assert rank == dense_rank(mat)
         assert searches >= 1
-        assert working[unit] == {j: x for j, x in enumerate(grid[unit]) if x and j}
-        # every row left is a primitive multiple of a vector of minors, so
+        # a copy is changed in place, so only the matrix's own columns are
+        # copied, each at most once
+        own = {id(column) for column in mat.sparse_columns}
+        sources = [id(column) for column, _ in made]
+        assert len(set(sources)) == len(sources) and own.issuperset(sources)
+        assert id(mat.sparse_columns[0]) in sources
+        assert id(mat.sparse_columns[unit]) not in sources
+        assert mat.sparse_columns[unit] == {i: x for i, x in enumerate(grid[unit]) if x}
+        # every column left is a primitive multiple of a vector of minors, so
         # Hadamard's inequality bounds its entries by the product of the
-        # row norms
+        # column norms
         hadamard_sq = 1
         for row in grid:
             hadamard_sq *= sum(x * x for x in row)
-        assert all(x * x <= hadamard_sq for row in working for x in row.values())
+        assert all(x * x <= hadamard_sq for _, copy in made for x in copy.values())
 
 
 def test_a_singleton_pivot_eliminates_by_deletion(monkeypatch):
-    # column 0's candidates include a singleton {0: p}; the others are
+    # row 0's candidates include a singleton {0: p}; the others are
     # x_i * e_0 + c_i * v_i with v_i primitive and each v_i leading in a
-    # column of its own, so no later column touches them. The singleton is
-    # the pivot even behind a unit, and without a search; it is left as it
-    # is, and every other candidate loses its entry in column 0 and its
-    # content c_i, and nothing else
+    # row of its own, so no later row touches them. The singleton is the
+    # pivot even behind a unit, and without a search; it is left as it is,
+    # uncopied, and every other candidate is copied once and loses its
+    # entry in row 0 and its content c_i, and nothing else. The grid's rows
+    # are the matrix's columns
     rng = random.Random(32)
     for _ in range(60):
         others = rng.randint(1, 6)
@@ -199,17 +214,21 @@ def test_a_singleton_pivot_eliminates_by_deletion(monkeypatch):
         pivot = rng.choice([1, -1, 5, -6, 12])
         grid.insert(singleton, [pivot] + [0] * (cols - 1))
         primitive.insert(singleton, {0: pivot})
-        mat = from_grid(len(grid), cols, grid)
-        rank, working, searches = eliminate_watching(monkeypatch, mat)
+        mat = columns_of(grid)
+        rank, made, searches = eliminate_watching(monkeypatch, mat)
         assert rank == dense_rank(mat) == len(grid)
         assert searches == 0
-        assert working == primitive
+        others = [i for i in range(len(grid)) if i != singleton]
+        assert [id(column) for column, _ in made] == [id(mat.sparse_columns[i]) for i in others]
+        assert [copy for _, copy in made] == [primitive[i] for i in others]
+        assert mat.sparse_columns[singleton] == {0: pivot}
 
 
 def test_singleton_candidates_agree_with_dense_rank():
-    # sparse integer matrices, some rows cut down to one nonzero, and
-    # repeated rows: the singleton's column empties by deletion, and each
-    # row that loses an entry must wait for its next column
+    # sparse integer matrices, some columns cut down to one nonzero, and
+    # repeated columns: the singleton's row empties by deletion, and each
+    # column that loses an entry must wait for its next row. The grid's
+    # rows are the matrix's columns
     rng = random.Random(20261020)
     shared = 0
     for _ in range(300):
@@ -222,11 +241,12 @@ def test_singleton_candidates_agree_with_dense_rank():
             keep = rng.randrange(cols)
             row[:] = [x if j == keep else 0 for j, x in enumerate(row)]
             row[keep] = row[keep] or rng.choice([1, -2, 3])
-        mat = from_grid(rows, cols, grid)
-        leads = [min(row) for row in mat.sparse_rows if row]
-        shared += any(len(row) == 1 and leads.count(min(row)) > 1 for row in mat.sparse_rows)
+        mat = columns_of(grid)
+        leads = [min(column) for column in mat.sparse_columns if column]
+        shared += any(len(column) == 1 and leads.count(min(column)) > 1
+                      for column in mat.sparse_columns)
         assert mat.rank() == dense_rank(mat)
-    # most draws start with a singleton sharing its column with another row
+    # most draws start with a singleton sharing its row with another column
     assert shared > 200
 
 
@@ -239,41 +259,61 @@ def test_boundary_matrices_need_no_pivot_search(monkeypatch):
         assert searches == 0
 
 
-def test_rank_eliminates_copies_of_the_rows(monkeypatch):
+def test_rank_leaves_the_matrix_and_copies_only_the_columns_it_changes(monkeypatch):
+    # row 0's candidates are columns 0 and 3, and the unit of column 3 is
+    # the pivot; in row 1 the changed column 0 is the pivot against column
+    # 1. Columns 3 (a pivot) and 2 (zero) are never changed
     grid = [[3, 0, -6], [0, 6, 4], [0, 0, 0], [1, 1, 1]]
-    mat = from_grid(4, 3, grid)
-    rows = list(mat.sparse_rows)
-    before = [dict(row) for row in rows]
+    mat = columns_of(grid)
+    columns = list(mat.sparse_columns)
+    before = [dict(column) for column in columns]
     made = []
 
-    def copied(row):
-        copy = dict(row)
-        made.append((row, copy, dict(copy)))
+    def copied(column):
+        copy = dict(column)
+        made.append((column, copy, dict(copy)))
         return copy
 
     monkeypatch.setattr(homology, "dict", copied, raising=False)
     assert mat.rank() == dense_rank(mat) == 3
-    assert mat.sparse_rows == before
-    assert all(now is row for now, row in zip(mat.sparse_rows, rows))
-    # each non-zero row is copied once, as it is, and only the copy is eliminated
-    assert [row for row, _, _ in made] == [rows[0], rows[1], rows[3]]
-    assert all(type(copy) is dict and copy is not row for row, copy, _ in made)
-    assert [as_made for _, _, as_made in made] == [
-        {0: 3, 2: -6}, {1: 6, 2: 4}, {0: 1, 1: 1, 2: 1}]
+    assert mat.sparse_columns == before
+    assert all(now is column for now, column in zip(mat.sparse_columns, columns))
+    # each changed column is copied once, as it is, and only the copy is changed
+    assert [id(column) for column, _, _ in made] == [id(columns[0]), id(columns[1])]
+    assert all(type(copy) is dict and copy is not column for column, copy, _ in made)
+    assert [as_made for _, _, as_made in made] == [{0: 3, 2: -6}, {1: 6, 2: 4}]
+    assert [copy for _, copy, _ in made] == [{1: -1, 2: -3}, {2: -1}]
 
 
-def test_a_matrix_without_a_nonzero_row_is_ranked_without_walking_a_column(monkeypatch):
-    # every compare ranks a 0 x M differential: with no nonzero row the
-    # walk stops at its first column, whatever M, as it does for zero rows
-    empty, zero = RationalMatrix(0, 10**8), RationalMatrix(3, 10**8)
+def test_a_fiber_class_boundary_is_ranked_without_a_copy_or_a_deletion(
+        monkeypatch, fuzz_corpus):
+    # every tree column leads at a row of its own, so no bucket holds two
+    # candidates: nothing is copied, and with no copy a deletion would have
+    # to change the matrix's own columns
+    for data in fuzz_corpus:
+        for n in (1, 2):
+            boundary = build_complex(data, n).differential[-2 * n * data.fiber_winding - 1]
+            columns = list(boundary.sparse_columns)
+            before = [dict(column) for column in columns]
+            rank, made, searches = eliminate_watching(monkeypatch, boundary)
+            assert rank == data.minima_count - 1
+            assert made == [] and searches == 0
+            assert boundary.sparse_columns == before
+            assert all(now is column for now, column in zip(boundary.sparse_columns, columns))
+
+
+def test_a_matrix_without_a_nonzero_column_is_ranked_without_walking_a_row(monkeypatch):
+    # every compare ranks the S x 1 zero differential of the maximum: with
+    # no nonzero column the walk stops at its first row, whatever S
+    empty, zero = RationalMatrix(10**8, 0), RationalMatrix(10**8, 3)
     walked = []
 
-    def columns(*args):
+    def rows(*args):
         walked.append(args)
         yield 0
-        raise AssertionError(f"rank walks past the first column of range{args}")
+        raise AssertionError(f"rank walks past the first row of range{args}")
 
-    monkeypatch.setattr(homology, "range", columns, raising=False)
+    monkeypatch.setattr(homology, "range", rows, raising=False)
     assert empty.rank() == zero.rank() == 0
     assert walked == [(10**8,), (10**8,)]
 
@@ -286,27 +326,28 @@ def test_product_that_cancels_is_zero_and_stores_nothing():
         for row in grid:
             row[-1] = row[0]
         kernel = RationalMatrix(cols, 1)
-        kernel.sparse_rows[0][0], kernel.sparse_rows[cols - 1][0] = 1, -1
+        kernel.sparse_columns[0].update({0: 1, cols - 1: -1})
         product = from_grid(rows, cols, grid).multiply(kernel)
         assert product.is_zero()
-        assert product.sparse_rows == [{} for _ in range(rows)]
+        assert product.sparse_columns == [{}]
 
 
-def test_a_zero_matrix_shares_one_read_only_row():
+def test_a_zero_matrix_shares_one_read_only_column():
     # it reads as the matrix that RationalMatrix(rows, cols) makes, but
-    # allocates no row dict, and a write into its shared row is refused
+    # allocates no column dict, and a write into its shared column is refused
     for rows, cols in ((0, 4), (3, 1), (5, 4)):
         zero, written = RationalMatrix.zero(rows, cols), RationalMatrix(rows, cols)
-        assert (zero.rows, zero.cols, zero.sparse_rows) == (rows, cols, written.sparse_rows)
+        assert (zero.rows, zero.cols, zero.sparse_columns) == (
+            rows, cols, written.sparse_columns)
         assert zero.entries == written.entries
         assert zero.is_zero() and zero.rank() == 0
-        assert not any(type(row) is dict for row in zero.sparse_rows)
-        assert len({id(row) for row in zero.sparse_rows}) <= 1
+        assert not any(type(column) is dict for column in zero.sparse_columns)
+        assert len({id(column) for column in zero.sparse_columns}) <= 1
         product = from_grid(2, rows, [[1] * rows] * 2).multiply(zero)
         assert product.is_zero() and (product.rows, product.cols) == (2, cols)
-        if rows:
+        if cols:
             with pytest.raises(TypeError):
-                zero.sparse_rows[0][0] = 1
+                zero.sparse_columns[0][0] = 1
 
 
 def test_chain_homology_fractions_do_not_grow_with_the_points(monkeypatch):
@@ -469,9 +510,9 @@ def test_homology_invariant_under_generator_permutation():
         rows = perms.get(k - 1, list(range(mat.rows)))
         cols = perms.get(k, list(range(mat.cols)))
         new = RationalMatrix(mat.rows, mat.cols)
-        moved = {old_j: j for j, old_j in enumerate(cols)}
-        for row, old_i in zip(new.sparse_rows, rows):
-            row.update((moved[old_j], x) for old_j, x in mat.sparse_rows[old_i].items())
+        moved = {old_i: i for i, old_i in enumerate(rows)}
+        for column, old_j in zip(new.sparse_columns, cols):
+            column.update((moved[old_i], x) for old_i, x in mat.sparse_columns[old_j].items())
         permuted_diff[k] = new
 
     shuffled = GradedComplex("shuffled", permuted_gens, permuted_diff)

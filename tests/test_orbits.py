@@ -137,8 +137,8 @@ def test_differential_entries_and_degree(fuzz_corpus):
             gens_below = list(complex_.generators_by_grading.get(k - 1, []))
             assert mat.cols == len(gens_here)
             assert mat.rows == len(gens_below)
-            for i, row in enumerate(mat.sparse_rows):
-                for j_, entry in row.items():
+            for j_, column in enumerate(mat.sparse_columns):
+                for i, entry in column.items():
                     assert entry in (-1, 1)
                     assert gens_here[j_].grading - gens_below[i].grading == 1
                     assert gens_here[j_].cz - gens_below[i].cz == 1
@@ -214,8 +214,8 @@ def complex_orbit_by_orbit(data, n):
     tree = [(i, i + 1) for i in range(len(points) - 1)]
     boundary = RationalMatrix(len(minima), len(saddles))
     for col, (lo, hi) in enumerate(tree):
-        boundary.sparse_rows[lo][col] = 1
-        boundary.sparse_rows[hi][col] = -1
+        boundary.sparse_columns[col][lo] = 1
+        boundary.sparse_columns[col][hi] = -1
     return GradedComplex(
         class_label=f"fiber:{n}",
         generators_by_grading={base - 2: minima, base - 1: saddles,
@@ -226,7 +226,7 @@ def complex_orbit_by_orbit(data, n):
 
 
 def matrices(complex_):
-    return {k: (m.rows, m.cols, m.sparse_rows) for k, m in complex_.differential.items()}
+    return {k: (m.rows, m.cols, m.sparse_columns) for k, m in complex_.differential.items()}
 
 
 def test_fiber_complex_equals_the_orbit_by_orbit_complex(fuzz_corpus):
@@ -245,7 +245,11 @@ def test_fiber_complex_equals_the_orbit_by_orbit_complex(fuzz_corpus):
                 assert [g.label for g in gens] == [
                     g.label for g in expected.generators_by_grading[grading]]
             assert all(type(x) is int for mat in built.differential.values()
-                       for row in mat.sparse_rows for x in row.values())
+                       for column in mat.sparse_columns for x in column.values())
+            # only the tree columns are allocated: the handle columns and the
+            # zero differentials share one read-only mapping
+            assert sum(type(column) is dict for mat in built.differential.values()
+                       for column in mat.sparse_columns) == data.minima_count - 1
 
 
 def test_fiber_generators_are_what_make_builds_from_their_fields(fuzz_corpus):

@@ -182,11 +182,18 @@ def _bind_runs(mp, copy):
     mp.setattr(test_orbits, "build_complex", copy.build_complex)
 
 
+def _bind_rank(mp, copy):
+    """Binds the mutated rank to the globals of homology itself, so that the
+    killer's patch of the module's ``dict`` and ``min`` reaches it."""
+    mp.setattr(homology.RationalMatrix, "rank", types.FunctionType(
+        copy.RationalMatrix.rank.__code__, vars(homology)))
+
+
 # mutants of the exact side: (a module, a substitution in its source, how
 # the mutated copy of the module is bound, the test that must fail against it)
 EXACT_MUTANTS = {
     "tree one column short": (
-        orbits, test_cli._substitute("for col in range(M - 1):", "for col in range(M - 2):"),
+        orbits, test_cli._substitute("for c in range(M - 1):", "for c in range(M - 2):"),
         lambda mp, copy: mp.setattr(closedform, "build_complex", copy.build_complex),
         lambda mp, _: test_closedform.test_chain_equals_closed_form_on_window()),
     "the saddle run counts the point field": (
@@ -199,15 +206,28 @@ EXACT_MUTANTS = {
         _bind_runs,
         lambda mp, corpus: test_orbits.test_fiber_complex_equals_the_orbit_by_orbit_complex(
             corpus)),
+    "a tree column's second entry is +1": (
+        orbits, test_cli._substitute("columns[c] = {c: 1, c + 1: -1}",
+                                     "columns[c] = {c: 1, c + 1: 1}"),
+        _bind_runs,
+        lambda mp, corpus: test_orbits.test_fiber_complex_equals_the_orbit_by_orbit_complex(
+            corpus)),
     "rank eliminates the matrix's own rows": (
-        homology, test_cli._substitute(".append(dict(row))", ".append(row)"),
-        # on the module's own globals, which the killer patches
-        lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", types.FunctionType(
-            copy.RationalMatrix.rank.__code__, vars(homology))),
-        lambda mp, _: test_homology.test_rank_eliminates_copies_of_the_rows(mp)),
+        homology, test_cli._substitute("column = dict(column)", "column = column"),
+        _bind_rank,
+        lambda mp, _: (
+            test_homology.test_rank_leaves_the_matrix_and_copies_only_the_columns_it_changes(mp))),
+    "rank copies every column before it is bucketed": (
+        homology, test_cli._substitute(
+            "if column:\n                buckets.setdefault(min(column), []).append(column)",
+            "if column:\n                buckets.setdefault(min(column), []).append(dict(column))"),
+        _bind_rank,
+        lambda mp, corpus: (
+            test_homology.test_a_fiber_class_boundary_is_ranked_without_a_copy_or_a_deletion(
+                mp, corpus))),
     "a singleton pivot drops the rows it deletes from": (
-        homology, test_cli._substitute("                    if row:\n",
-                                       "                    if row and rest:\n"),
+        homology, test_cli._substitute("                    if column:\n",
+                                       "                    if column and pivot is not None:\n"),
         lambda mp, copy: mp.setattr(homology.RationalMatrix, "rank", copy.RationalMatrix.rank),
         lambda mp, _: test_homology.test_singleton_candidates_agree_with_dense_rank()),
     "gap numerator without the first exponent": (
